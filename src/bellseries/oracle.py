@@ -12,17 +12,25 @@ cell values ordered -1 < 0 < +1.  Identity-constrained sweeps enumerate the
 free cells of the block layout instead (see :func:`_sica_component`) and
 order witnesses by that free-cell numeral.
 
-Scans run as a half-table meet: property vectors are precomputed for every
-left and right half, and objectives are evaluated on their sums in bulk.
-All discriminating comparisons happen on integers or on floats whose
-nearest distinct exact values differ by far more than the roundoff (counts
-are at most 8, so every ratio is a fraction with a tiny denominator); the
-reported maximum itself is recomputed exactly from the witness.
+Every objective and constraint sees a table only through the sum of its
+columns' property vectors, so scans meet in the middle (Horowitz & Sahni,
+JACM 21(2), 1974): each half table's vectors are reduced to their distinct
+values with multiplicities, and distinct left vectors are summed against
+distinct right vectors.  The work grows with the number of distinct pairs,
+while ``tables_scanned`` and ``admissible`` count every table a pair
+covers, weighted by the product of the multiplicities.  Witnesses are the
+first tables, in numeral order, whose pair reaches the extremum.
+
+Comparisons are integer-exact.  Every count is at most the slot number, so
+with M = lcm(1..slots) each ratio u/n or n_i/n_r times M is an integer;
+the scan compares S*M, S*eta*M^2 and the integer CH combination.  The
+reported maximum is recomputed as an exact rational from each witness.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 import time
 from dataclasses import dataclass
 from fractions import Fraction
@@ -34,14 +42,12 @@ from .errors import BudgetExceeded, PreconditionError
 from .model import (
     PAIRINGS,
     ROW_KEYS,
-    ASetting,
-    BSetting,
     RecordedRun,
     SeriesTable,
     block_halves,
     table_from_run,
 )
-from .sica import _is_block_halves, check_sica
+from .sica import _distant_regimes, _is_block_halves, check_sica
 from .stats import chsh, clauser_horne_j, correlation_over_slots, table_eta
 
 DEFAULT_BUDGET = 2**26
@@ -165,15 +171,35 @@ def _column_props(alphabet: str) -> np.ndarray:
     return out
 
 
+@dataclass(frozen=True)
+class _Half:
+    """A half-table enumeration reduced to its distinct property vectors."""
+
+    vectors: np.ndarray  # distinct vectors, one per row
+    inverse: np.ndarray  # raw half index -> row of ``vectors``
+    counts: np.ndarray  # number of raw halves sharing each row
+
+    @property
+    def raw_size(self) -> int:
+        return len(self.inverse)
+
+
+def _distinct(raw: np.ndarray) -> _Half:
+    vectors, inverse, counts = np.unique(
+        raw, axis=0, return_inverse=True, return_counts=True
+    )
+    return _Half(vectors, inverse.reshape(-1), counts)
+
+
 @lru_cache(maxsize=None)
-def _prefix_props(alphabet: str, n_slots: int) -> np.ndarray:
+def _prefix_half(alphabet: str, n_slots: int) -> _Half:
     """Property vectors of every column sequence of the given length,
     indexed by the base-K numeral with the first slot most significant."""
     col = _column_props(alphabet)
     out = np.zeros((1, _PROPS), dtype=np.int64)
     for _ in range(n_slots):
         out = (out[:, None, :] + col[None, :, :]).reshape(-1, _PROPS)
-    return out
+    return _distinct(out)
 
 
 # The identity-constrained grid.  Under the block layout each row is two
@@ -184,7 +210,7 @@ _COMPONENT_SLOT_VARS = ((0, 2, 4, 6), (0, 3, 4, 7), (1, 2, 5, 6), (1, 3, 5, 7))
 
 
 @lru_cache(maxsize=None)
-def _sica_component(alphabet: str) -> np.ndarray:
+def _sica_component(alphabet: str) -> _Half:
     values = _VALUES[alphabet]
     k = len(values)
     n = k**8
@@ -199,20 +225,77 @@ def _sica_component(alphabet: str) -> np.ndarray:
             (digits[:, va] * k + digits[:, vb]) * k + digits[:, vap]
         ) * k + digits[:, vbp]
         out += col[cls]
-    return out
+    return _distinct(out)
 
 
-def _halves(spec: EnumSpec) -> tuple[np.ndarray, np.ndarray]:
+def _halves(spec: EnumSpec) -> tuple[_Half, _Half]:
     if spec.constraint == "sica":
         grid = _sica_component(spec.alphabet)
         if spec.slots == 4:
-            return grid, np.zeros((1, _PROPS), dtype=np.int64)
+            return grid, _prefix_half(spec.alphabet, 0)
         return grid, grid
     left = spec.slots // 2
     return (
-        _prefix_props(spec.alphabet, left),
-        _prefix_props(spec.alphabet, spec.slots - left),
+        _prefix_half(spec.alphabet, left),
+        _prefix_half(spec.alphabet, spec.slots - left),
     )
+
+
+# Distinct pairs summed per block: large enough to amortize numpy's per-call
+# cost, small enough that a block's temporaries stay in cache (4096 was
+# fastest among powers of two from 2^11 to 2^16 on the pmz 4-slot sweeps).
+_BLOCK_PAIRS = 1 << 12
+
+
+def _pair_blocks(left: _Half, right: _Half):
+    """Every distinct (left, right) pair, a block of left rows at a time.
+
+    Yields the flat index (left row times distinct rights, plus right row)
+    of the block's first pair, the summed property vectors with the right
+    row varying fastest, and the number of tables each pair covers.  The
+    sums are column-major, so each property the objectives read is one
+    contiguous column.
+    """
+    n_right = len(right.vectors)
+    step = max(1, _BLOCK_PAIRS // n_right)
+    for i0 in range(0, len(left.vectors), step):
+        rows = slice(i0, i0 + step)
+        c = (left.vectors.T[:, rows, None] + right.vectors.T[:, None, :]).reshape(_PROPS, -1).T
+        weight = (left.counts[rows, None] * right.counts[None, :]).reshape(-1)
+        yield i0 * n_right, c, weight
+
+
+class _ArgMax:
+    """Running integer maximum over the distinct pairs of two halves, with
+    a flag per distinct pair that reaches it."""
+
+    def __init__(self, left: _Half, right: _Half) -> None:
+        self.left, self.right = left, right
+        self.value: int | None = None
+        self._hit = np.zeros((len(left.vectors), len(right.vectors)), dtype=bool)
+
+    def update(self, first_pair: int, values: np.ndarray, ok: np.ndarray) -> None:
+        if not ok.any():
+            return
+        m = int(values[ok].max())
+        if self.value is None or m > self.value:
+            self.value = m
+            self._hit[:] = False
+        if m == self.value:
+            self._hit.reshape(-1)[first_pair:first_pair + len(values)] = ok & (values == m)
+
+    def first_tables(self, cap: int) -> list[int]:
+        """Global indices of the first ``cap`` tables reaching the maximum:
+        raw left halves in numeral order, and within each the raw right
+        halves whose distinct pair hit."""
+        left, right = self.left, self.right
+        out: list[int] = []
+        for li in np.flatnonzero(self._hit.any(axis=1)[left.inverse]):
+            hit = np.flatnonzero(self._hit[left.inverse[li]][right.inverse])
+            out.extend(int(li) * right.raw_size + int(ri) for ri in hit[: cap - len(out)])
+            if len(out) == cap:
+                break
+        return out
 
 
 # ---------------------------------------------------------------------------
@@ -261,9 +344,7 @@ def _table_from_index(spec: EnumSpec, global_idx: int, n_right: int) -> SeriesTa
 
 
 # ---------------------------------------------------------------------------
-# Objectives (vectorized floats for the scan, exact rationals at the end)
-
-_NEG = -np.inf
+# Objectives (scaled integers for the scan, exact rationals at the end)
 
 
 def _constraint_mask(spec: EnumSpec, c: np.ndarray) -> np.ndarray:
@@ -303,39 +384,41 @@ def _constraint_mask(spec: EnumSpec, c: np.ndarray) -> np.ndarray:
     return mask
 
 
-def _chsh_vals(c: np.ndarray) -> np.ndarray:
-    ok = (c[:, _N1:_N4 + 1] >= 1).all(axis=1)
-    n = np.where(c[:, _N1:_N4 + 1] == 0, 1, c[:, _N1:_N4 + 1]).astype(np.float64)
-    e = c[:, _U1:_U4 + 1] / n
+# Each scaled objective takes the summed vectors and ``per_count``, where
+# per_count[n] = M // n (0 for n = 0), and returns where the objective is
+# defined together with its value times M**power as int64.
+
+
+def _chsh_scaled(c: np.ndarray, per_count: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    n = c[:, _N1:_N4 + 1]
+    e = c[:, _U1:_U4 + 1] * per_count[n]
     s = np.abs(e[:, 0] - e[:, 1]) + np.abs(e[:, 2] + e[:, 3])
-    return np.where(ok, s, _NEG)
+    return (n >= 1).all(axis=1), s
 
 
-def _eta_vals(c: np.ndarray) -> np.ndarray:
+def _eta_scaled(c: np.ndarray, per_count: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     singles = c[:, [_NA, _NB, _NAP, _NBP]]
-    ok = (singles >= 1).all(axis=1)
-    safe = np.where(singles == 0, 1, singles).astype(np.float64)
+    scale = per_count[singles]
     ratios = np.stack(
         [
-            c[:, _N1] / safe[:, 0], c[:, _N1] / safe[:, 1],
-            c[:, _N2] / safe[:, 0], c[:, _N2] / safe[:, 3],
-            c[:, _N3] / safe[:, 2], c[:, _N3] / safe[:, 1],
-            c[:, _N4] / safe[:, 2], c[:, _N4] / safe[:, 3],
+            c[:, _N1] * scale[:, 0], c[:, _N1] * scale[:, 1],
+            c[:, _N2] * scale[:, 0], c[:, _N2] * scale[:, 3],
+            c[:, _N3] * scale[:, 2], c[:, _N3] * scale[:, 1],
+            c[:, _N4] * scale[:, 2], c[:, _N4] * scale[:, 3],
         ],
         axis=1,
     )
-    return np.where(ok, ratios.min(axis=1), _NEG)
+    return (singles >= 1).all(axis=1), ratios.min(axis=1)
 
 
-def _s_eta_vals(c: np.ndarray) -> np.ndarray:
-    s = _chsh_vals(c)
-    eta = _eta_vals(c)
-    ok = (s > _NEG) & (eta > _NEG)
-    return np.where(ok, np.where(ok, s, 0.0) * np.where(ok, eta, 0.0), _NEG)
+def _s_eta_scaled(c: np.ndarray, per_count: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    s_ok, s = _chsh_scaled(c, per_count)
+    eta_ok, eta = _eta_scaled(c, per_count)
+    return s_ok & eta_ok, s * eta
 
 
-def _ch_vals(c: np.ndarray) -> np.ndarray:
-    return c[:, _JT].astype(np.float64)
+def _ch_scaled(c: np.ndarray, _per_count: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    return np.ones(len(c), dtype=bool), c[:, _JT]
 
 
 def _exact_chsh(table: SeriesTable) -> Fraction | None:
@@ -354,55 +437,46 @@ def _exact_ch(table: SeriesTable) -> Fraction:
     return Fraction(clauser_horne_j(table).j)
 
 
+# objective -> (scaled scan values, exact value of a witness, power of M)
 _OBJECTIVES = {
-    "chsh": (_chsh_vals, _exact_chsh),
-    "s_eta": (_s_eta_vals, _exact_s_eta),
-    "ch": (_ch_vals, _exact_ch),
+    "chsh": (_chsh_scaled, _exact_chsh, 1),
+    "s_eta": (_s_eta_scaled, _exact_s_eta, 2),
+    "ch": (_ch_scaled, _exact_ch, 0),
 }
-
-# Exact values here are ratios of counts bounded by the slot budget, so any
-# two distinct candidates differ by at least 1/(2^30); a comfortably larger
-# tolerance still cannot merge them, while float roundoff stays below 1e-12.
-_TIE_TOL = 1e-9
 
 
 def _scan_max(spec: EnumSpec, objective: str, witness_cap: int) -> ExtremalResult:
     spec.validate()
     t0 = time.perf_counter()
-    vals_fn, exact_fn = _OBJECTIVES[objective]
+    scaled_fn, exact_fn, power = _OBJECTIVES[objective]
     left, right = _halves(spec)
-    n_right = len(right)
-    best = _NEG
+    scale = math.lcm(*range(1, spec.slots + 1))
+    per_count = np.array(
+        [0] + [scale // n for n in range(1, spec.slots + 1)], dtype=np.int64
+    )
+    scanned = left.raw_size * right.raw_size
     admissible = 0
-    for i in range(len(left)):
-        c = left[i] + right
-        mask = _constraint_mask(spec, c)
-        vals = np.where(mask, vals_fn(c), _NEG)
-        admissible += int(np.count_nonzero(vals > _NEG))
-        m = vals.max()
-        if m > best:
-            best = m
-    scanned = len(left) * n_right
-    if best == _NEG:
+    best = _ArgMax(left, right)
+    for first_pair, c, weight in _pair_blocks(left, right):
+        ok, vals = scaled_fn(c, per_count)
+        ok &= _constraint_mask(spec, c)
+        admissible += int(weight[ok].sum())
+        best.update(first_pair, vals, ok)
+    if best.value is None:
         return ExtremalResult(
             None, (), scanned, 0, spec.space_size,
             time.perf_counter() - t0, note="no table satisfies the constraint",
         )
-    hits: list[int] = []
-    for i in range(len(left)):
-        c = left[i] + right
-        mask = _constraint_mask(spec, c)
-        vals = np.where(mask, vals_fn(c), _NEG)
-        for j in np.flatnonzero(vals >= best - _TIE_TOL):
-            hits.append(i * n_right + int(j))
-            if len(hits) >= witness_cap:
-                break
-        if len(hits) >= witness_cap:
-            break
-    witnesses = tuple(_table_from_index(spec, h, n_right) for h in hits)
-    exact_values = [exact_fn(w) for w in witnesses]
-    max_value = exact_values[0]
-    for w, v in zip(witnesses, exact_values):
+    # The maximum is read off a witness, so at least one is always built.
+    hits = best.first_tables(max(witness_cap, 1))
+    witnesses = tuple(_table_from_index(spec, h, right.raw_size) for h in hits)
+    max_value = exact_fn(witnesses[0])
+    if max_value * scale**power != best.value:
+        raise AssertionError(
+            f"scan maximum {best.value}/{scale}^{power} != witness value {max_value}"
+        )
+    for w in witnesses:
+        v = exact_fn(w)
         if v != max_value:
             raise AssertionError(
                 f"witness disagreement: {v} != {max_value} for {w}"
@@ -448,28 +522,24 @@ def sweep_cardinality_bound(spec: EnumSpec) -> CardinalitySweep:
     spec.validate()
     t0 = time.perf_counter()
     left, right = _halves(spec)
-    n_right = len(right)
     violations = 0
-    min_slack: int | None = None
-    first_idx: int | None = None
-    for i in range(len(left)):
-        c = left[i] + right
+    tightest = _ArgMax(left, right)  # of the negated slack
+    for first_pair, c, weight in _pair_blocks(left, right):
         lhs = np.abs(c[:, _U1] - c[:, _U2]) + np.abs(c[:, _U3] + c[:, _U4])
         rhs = (
             c[:, _N1] + c[:, _N2] + c[:, _N3] + c[:, _N4]
             - 2 * c[:, _QBS] - 2 * c[:, _QBD]
         )
         slack = rhs - lhs
-        violations += int(np.count_nonzero(slack < 0))
-        m = int(slack.min())
-        if min_slack is None or m < min_slack:
-            min_slack = m
-            first_idx = i * n_right + int(np.flatnonzero(slack == m)[0])
-    witness = (
-        _table_from_index(spec, first_idx, n_right) if first_idx is not None else None
-    )
+        violations += int(weight[slack < 0].sum())
+        tightest.update(first_pair, -slack, np.ones(len(c), dtype=bool))
+    (first_idx,) = tightest.first_tables(1)
     return CardinalitySweep(
-        len(left) * n_right, violations, min_slack, witness, time.perf_counter() - t0
+        left.raw_size * right.raw_size,
+        violations,
+        -tightest.value,
+        _table_from_index(spec, first_idx, right.raw_size),
+        time.perf_counter() - t0,
     )
 
 
@@ -483,36 +553,44 @@ def census_complete_tables(
     by construction; the census is over the never-measured cells only,
     filled from the numeral's bits (0 as minus, 1 as plus, first missing
     cell most significant, cells ordered by row then slot).
+
+    The identity only equates cells: under a balanced schedule it ties the
+    k-th slot of each row under one distant setting to the k-th under the
+    other, so the cells fall into pairs.  A pair holding two different
+    factual values, or a factual 0 that no +-1 fill can match, admits no
+    extension; a pair with one factual cell fixes the other; a pair with
+    none is free.  So the count is 2^(free pairs), and the satisfying
+    numerals in increasing order are the binary numbers 0, 1, 2, ... over
+    the free pairs, ordered by their more significant cell.
     """
     t0 = time.perf_counter()
     base = table_from_run(run)
     rows = {key: list(base.row(key)) for key in ROW_KEYS}
-    missing = [
-        (key, i) for key in ROW_KEYS for i in range(base.slots) if rows[key][i] is None
-    ]
-    space = 1 << len(missing)
+    n_missing = sum(cell is None for key in ROW_KEYS for cell in rows[key])
+    space = 1 << n_missing
     if space > budget:
         raise BudgetExceeded(
             f"census needs {space} extensions, budget is {budget}", required=space
         )
-    pair_checks: list[tuple[str, int, int]] = []
     schedule = run.schedule
+    free: list[tuple[str, int, int]] = []
+    consistent = True
     for key in ROW_KEYS:
-        if key in ("a", "a_prime"):
-            lefts = [i for i in range(schedule.slots) if schedule.b_settings[i] is BSetting.BETA]
-            rights = [
-                i for i in range(schedule.slots)
-                if schedule.b_settings[i] is BSetting.BETA_PRIME
-            ]
-        else:
-            lefts = [i for i in range(schedule.slots) if schedule.a_settings[i] is ASetting.ALPHA]
-            rights = [
-                i for i in range(schedule.slots)
-                if schedule.a_settings[i] is ASetting.ALPHA_PRIME
-            ]
+        lefts, rights = _distant_regimes(schedule, key)
         if len(lefts) != len(rights):
             return CensusResult(0, None, (), space, time.perf_counter() - t0)
-        pair_checks.extend((key, l, r) for l, r in zip(lefts, rights))
+        # Both slot lists ascend, so the pairs come in the order of their
+        # earlier slot: the free pairs are listed most significant first.
+        for l, r in zip(lefts, rights):
+            vl, vr = rows[key][l], rows[key][r]
+            if vl is None and vr is None:
+                free.append((key, l, r))
+            elif vl is None or vr is None:
+                fixed = vr if vl is None else vl
+                consistent &= fixed != 0
+                rows[key][l] = rows[key][r] = fixed
+            else:
+                consistent &= vl == vr
     construction_count = None
     if (
         run.slots % 4 == 0
@@ -522,21 +600,16 @@ def census_complete_tables(
         and all(v != 0 for v in run.b_outcomes)
     ):
         construction_count = 1 << (run.slots // 2)
-    count = 0
+    count = 1 << len(free) if consistent else 0
     samples: list[SeriesTable] = []
-    width = len(missing)
-    for numeral in range(space):
-        for j, (key, slot) in enumerate(missing):
+    width = len(free)
+    for numeral in range(min(count, sample_cap)):
+        for j, (key, l, r) in enumerate(free):
             bit = (numeral >> (width - 1 - j)) & 1
-            rows[key][slot] = 1 if bit else -1
-        if all(rows[key][l] == rows[key][r] for key, l, r in pair_checks):
-            count += 1
-            if len(samples) < sample_cap:
-                samples.append(
-                    SeriesTable.from_rows(
-                        rows["a"], rows["b"], rows["a_prime"], rows["b_prime"]
-                    )
-                )
+            rows[key][l] = rows[key][r] = 1 if bit else -1
+        samples.append(
+            SeriesTable.from_rows(rows["a"], rows["b"], rows["a_prime"], rows["b_prime"])
+        )
     for sample in samples:
         for p in PAIRINGS:
             factual = [

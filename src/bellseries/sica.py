@@ -21,9 +21,8 @@ from fractions import Fraction
 from typing import Iterator, Sequence
 
 import numpy as np
-from scipy.optimize import LinearConstraint, milp
 
-from .errors import BudgetExceeded, PreconditionError
+from .errors import BellSeriesError, BudgetExceeded, PreconditionError
 from .model import (
     MINUS,
     PAIRINGS,
@@ -283,6 +282,10 @@ def _class_pair(quad: tuple[int, int, int, int], pairing: Pairing) -> tuple[int,
 def _max_joint_arrangement(pair_counts) -> tuple[int, dict[tuple, int]]:
     """Largest m such that m slot quadruples can be drawn with each pairing's
     projection available in its block.  Exact small integer program."""
+    # scipy.optimize takes most of the package's import time; only reorder
+    # needs it.
+    from scipy.optimize import LinearConstraint, milp
+
     classes = [
         q
         for q in _QUAD_CLASSES
@@ -304,7 +307,9 @@ def _max_joint_arrangement(pair_counts) -> tuple[int, dict[tuple, int]]:
         bounds=None,
     )
     if not res.success:
-        return 0, {}
+        raise BellSeriesError(
+            f"reorder MILP failed (status {res.status}): {res.message}"
+        )
     x = np.round(res.x).astype(int)
     chosen = {q: int(k) for q, k in zip(classes, x) if k > 0}
     return int(round(-res.fun)), chosen

@@ -1,3 +1,5 @@
+import itertools
+import random
 from fractions import Fraction
 
 import pytest
@@ -5,9 +7,12 @@ import pytest
 from bellseries import refdata
 from bellseries.errors import BudgetExceeded, PreconditionError
 from bellseries.model import (
+    ASetting,
+    BSetting,
     Pairing,
     RecordedRun,
     block_halves,
+    custom_schedule,
     table_from_run,
 )
 from bellseries.oracle import (
@@ -21,6 +26,7 @@ from bellseries.oracle import (
 from bellseries.sica import check_sica
 from bellseries.stats import chsh, clauser_horne_j, correlation, table_eta
 
+import naive_oracle
 import naive_stats
 from conftest import table_rows
 
@@ -182,3 +188,107 @@ def test_scan_reports_are_self_describing():
     assert result.space_size == 256
     assert result.admissible == result.tables_scanned
     assert result.elapsed >= 0
+
+
+# ---------------------------------------------------------------------------
+# Cross-checks against the table-by-table reference in naive_oracle
+
+
+_SWEEPS = {"chsh": max_chsh, "ch": max_clauser_horne, "s_eta": max_s_eta}
+
+
+@pytest.mark.parametrize(
+    "objective, alphabet, slots, constraint",
+    [
+        (objective, alphabet, slots, constraint)
+        for objective in ("chsh", "ch", "s_eta")
+        for alphabet, slots, constraint in (
+            ("pm", 2, None),
+            ("pmz", 2, None),
+            ("pm", 4, "sica"),
+            ("pmz", 2, "equal_nc"),
+        )
+    ]
+    + [
+        ("s_eta", "pmz", 2, ("eta_at_least", Fraction(1, 2))),
+        ("s_eta", "pmz", 2, ("eta_at_most", Fraction(2, 3))),
+        ("s_eta", "pmz", 2, ("eta_below", Fraction(1))),
+        ("chsh", "pmz", 2, ("eta_below", Fraction(1, 2))),
+        ("ch", "pmz", 2, ("eta_at_least", Fraction(1))),
+    ],
+)
+def test_sweep_matches_reference(objective, alphabet, slots, constraint):
+    spec = EnumSpec(slots=slots, alphabet=alphabet, constraint=constraint)
+    result = _SWEEPS[objective](spec, witness_cap=5)
+    best, admissible, scanned, witnesses = naive_oracle.naive_max(
+        objective, alphabet, slots, constraint, witness_cap=5
+    )
+    assert result.max_value == best
+    assert result.admissible == admissible
+    assert result.tables_scanned == scanned
+    assert result.witnesses == witnesses
+
+
+@pytest.mark.parametrize("slots", [1, 2])
+def test_cardinality_sweep_matches_reference(slots):
+    sweep = sweep_cardinality_bound(EnumSpec(slots=slots, alphabet="pmz"))
+    scanned, violations, min_slack, witness = naive_oracle.naive_cardinality(slots)
+    assert sweep.tables_scanned == scanned
+    assert sweep.violations == violations
+    assert sweep.min_slack == min_slack
+    assert sweep.witness == witness
+
+
+def _census_matching_reference(run):
+    census = census_complete_tables(run)
+    count, samples = naive_oracle.naive_census(run)
+    assert census.count == count
+    assert list(census.samples) == samples
+    return census.count
+
+
+def test_census_matches_reference_on_every_small_block_run():
+    schedule = block_halves(4)
+    hits = 0
+    for a in itertools.product((1, -1, 0), repeat=4):
+        for b in itertools.product((1, -1, 0), repeat=4):
+            hits += _census_matching_reference(RecordedRun(schedule, a, b)) > 0
+    assert hits == 144  # a0 = a1, a'2 = a'3, and four nonzero b, b' cells that fix partners
+
+
+def _balanced_run(rng, slots):
+    """A random balanced schedule with outcomes read off an identity-
+    satisfying table, then a few flipped or zeroed."""
+    half = slots // 2
+    a_settings = [ASetting.ALPHA] * half + [ASetting.ALPHA_PRIME] * half
+    b_settings = [BSetting.BETA] * half + [BSetting.BETA_PRIME] * half
+    rng.shuffle(a_settings)
+    rng.shuffle(b_settings)
+    full = {}
+    for key, distant in (
+        ("a", b_settings), ("a_prime", b_settings), ("b", a_settings), ("b_prime", a_settings),
+    ):
+        # the k-th slot under each distant setting shares the k-th value
+        values = [rng.choice((1, -1)) for _ in range(half)]
+        position = {setting: 0 for setting in set(distant)}
+        row = []
+        for setting in distant:
+            row.append(values[position[setting]])
+            position[setting] += 1
+        full[key] = row
+
+    def outcome(value):
+        return rng.choice((0, -value)) if rng.random() < 0.1 else value
+
+    a = [outcome(full[s.row][i]) for i, s in enumerate(a_settings)]
+    b = [outcome(full[s.row][i]) for i, s in enumerate(b_settings)]
+    return RecordedRun(custom_schedule(a_settings, b_settings), a, b)
+
+
+@pytest.mark.parametrize("slots", [6, 8])
+def test_census_matches_reference_on_random_balanced_runs(slots):
+    rng = random.Random(slots)
+    counts = set()
+    for _ in range(25):
+        counts.add(_census_matching_reference(_balanced_run(rng, slots)))
+    assert 0 in counts and len(counts) > 1  # both outcomes are exercised

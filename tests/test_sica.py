@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from bellseries import refdata
-from bellseries.errors import PreconditionError
+from bellseries.errors import BellSeriesError, PreconditionError
 from bellseries.model import (
     Pairing,
     RecordedRun,
@@ -286,3 +286,16 @@ def test_complete_table_validates_provenance():
     bad_prov["a"] = ("X",) + good.provenance["a"][1:]
     with pytest.raises(PreconditionError):
         CompleteTable(good.table, bad_prov, good.schedule)
+
+
+def test_solver_failure_is_an_error_not_an_obstruction(monkeypatch):
+    import scipy.optimize
+
+    def failed_milp(**_kwargs):
+        return scipy.optimize.OptimizeResult(
+            success=False, status=4, message="solver gave up", x=None, fun=None
+        )
+
+    monkeypatch.setattr(scipy.optimize, "milp", failed_milp)
+    with pytest.raises(BellSeriesError, match="status 4.*solver gave up"):
+        reorder_to_sica(refdata.fig6("red"))
