@@ -39,7 +39,7 @@ from .sica import (
     reorder_to_sica,
 )
 from .simulate import DEFAULT_ANGLES, SourceConfig, simulate
-from .stats import correlation_report, run_detector_efficiencies
+from .stats import _frac_json, correlation_report, run_detector_efficiencies
 
 _FIGURE_NAMES = ("fig2", "fig3", "fig6-black", "fig6-red", "fig7", "fig8", "fig9")
 
@@ -228,15 +228,7 @@ def _cmd_analyze(args) -> int:
             label: {
                 "singles": rec["singles"],
                 "coincidences": rec["coincidences"],
-                "efficiency": (
-                    None
-                    if rec["efficiency"] is None
-                    else {
-                        "num": rec["efficiency"].numerator,
-                        "den": rec["efficiency"].denominator,
-                        "decimal": float(rec["efficiency"]),
-                    }
-                ),
+                "efficiency": _frac_json(rec["efficiency"]),
             }
             for label, rec in run_detector_efficiencies(run).items()
         }
@@ -356,14 +348,7 @@ def _cmd_sica_complete(args) -> int:
         "note": result.note,
         "identity_holds": complete.check().holds,
         "factual_correlations": {
-            p.key: {
-                "n_c": st.n_c,
-                "e": None if st.e is None else {
-                    "num": st.e.numerator,
-                    "den": st.e.denominator,
-                    "decimal": float(st.e),
-                },
-            }
+            p.key: {"n_c": st.n_c, "e": _frac_json(st.e)}
             for p, st in complete.factual_correlations().items()
         },
         "analysis": correlation_report(complete.table),
@@ -442,15 +427,7 @@ def _cmd_oracle(args) -> int:
             "command": "oracle",
             "objective": args.objective,
             "spec": _spec_json(spec),
-            "max": (
-                None
-                if result.max_value is None
-                else {
-                    "num": result.max_value.numerator,
-                    "den": result.max_value.denominator,
-                    "decimal": float(result.max_value),
-                }
-            ),
+            "max": _frac_json(result.max_value),
             "tables_scanned": result.tables_scanned,
             "admissible": result.admissible,
             "witnesses": [fileio.table_to_json(w) for w in result.witnesses],

@@ -11,10 +11,6 @@ class PreconditionError(BellSeriesError):
     """An operation was called on data that does not meet its preconditions."""
 
 
-class DomainError(BellSeriesError):
-    """A numeric argument lies outside the mathematical domain of the function."""
-
-
 class ParseError(BellSeriesError):
     """A file or stream could not be decoded.
 

@@ -18,17 +18,18 @@ from __future__ import annotations
 import json
 import os
 import tempfile
+from collections import Counter
 from typing import Any, TextIO
 
 from .errors import ParseError, StructuralError
 from .model import (
-    MEASURED_VALUES,
     ROW_KEYS,
     ASetting,
     BSetting,
     RecordedRun,
     SeriesTable,
     custom_schedule,
+    is_outcome,
 )
 
 _EVENT_FIELDS = ("slot", "a_setting", "b_setting", "a", "b")
@@ -75,11 +76,11 @@ def read_run_events(fp: TextIO) -> RecordedRun:
         except ValueError as exc:
             raise ParseError(str(exc), lineno) from exc
         for station in ("a", "b"):
-            if obj[station] not in MEASURED_VALUES:
+            if not is_outcome(obj[station]):
                 raise ParseError(
                     f"outcome {station}={obj[station]!r} not one of 1, -1, 0", lineno
                 )
-        if not isinstance(obj["slot"], int):
+        if type(obj["slot"]) is not int:
             raise ParseError(f"slot {obj['slot']!r} is not an integer", lineno)
         events.append(
             {
@@ -92,9 +93,9 @@ def read_run_events(fp: TextIO) -> RecordedRun:
         )
     seen = [e["slot"] for e in events]
     if sorted(seen) != list(range(len(events))):
-        dupes = {s for s in seen if seen.count(s) > 1}
+        dupes = sorted(s for s, n in Counter(seen).items() if n > 1)
         if dupes:
-            raise StructuralError(f"duplicate slot numbers: {sorted(dupes)}")
+            raise StructuralError(f"duplicate slot numbers: {dupes}")
         raise StructuralError(
             f"slots are not contiguous from 0: saw {sorted(seen)[:8]}..."
             if len(seen) > 8
@@ -128,7 +129,7 @@ def table_from_json(data: dict) -> SeriesTable:
         if key not in data:
             raise StructuralError(f"table object is missing {key!r}")
     slots = data["slots"]
-    if not isinstance(slots, int) or slots < 0:
+    if type(slots) is not int or slots < 0:
         raise StructuralError(f"slots must be a non-negative integer, got {slots!r}")
     rows = {}
     for key in ROW_KEYS:
@@ -136,7 +137,7 @@ def table_from_json(data: dict) -> SeriesTable:
         if not isinstance(row, list) or len(row) != slots:
             raise StructuralError(f"row {key!r} must be a list of {slots} cells")
         for i, v in enumerate(row):
-            if v is not None and v not in MEASURED_VALUES:
+            if v is not None and not is_outcome(v):
                 raise StructuralError(f"row {key!r} slot {i} holds {v!r}")
         rows[key] = tuple(row)
     return SeriesTable(slots, rows["a"], rows["b"], rows["a_prime"], rows["b_prime"])

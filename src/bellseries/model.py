@@ -28,6 +28,14 @@ ZERO = 0
 #: Values a measured cell may take.
 MEASURED_VALUES = (PLUS, MINUS, ZERO)
 
+
+def is_outcome(v) -> bool:
+    """A recorded outcome is a plain ``int`` in :data:`MEASURED_VALUES`;
+    ``True``, ``1.0`` and other values that merely compare equal are not.
+    A table cell is either this or ``None``."""
+    return type(v) is int and v in MEASURED_VALUES
+
+
 Cell = Optional[int]
 
 ROW_KEYS = ("a", "b", "a_prime", "b_prime")
@@ -117,7 +125,7 @@ class SeriesTable:
             )
         for key, row in zip(ROW_KEYS, rows):
             for i, v in enumerate(row):
-                if v is not None and v not in MEASURED_VALUES:
+                if v is not None and not is_outcome(v):
                     raise StructuralError(
                         f"row {key} slot {i}: cell {v!r} is not one of 1, -1, 0, None"
                     )
@@ -176,11 +184,6 @@ class Schedule:
 
     def pairing(self, slot: int) -> Pairing:
         return _PAIRING_BY_SETTINGS[(self.a_settings[slot], self.b_settings[slot])]
-
-    def active_count(self, setting: ASetting | BSetting) -> int:
-        if isinstance(setting, ASetting):
-            return sum(1 for s in self.a_settings if s is setting)
-        return sum(1 for s in self.b_settings if s is setting)
 
     def to_json(self) -> dict:
         data: dict = {
@@ -264,7 +267,7 @@ class RecordedRun:
             raise PreconditionError("run outcome series must match the schedule length")
         for series in (self.a_outcomes, self.b_outcomes):
             for v in series:
-                if v not in MEASURED_VALUES:
+                if not is_outcome(v):
                     raise PreconditionError(f"outcome {v!r} not one of +1, -1, 0")
 
     @property
@@ -373,7 +376,7 @@ def validate(table: SeriesTable, schedule: Schedule | None = None) -> list[Viola
             )
             continue
         for i, v in enumerate(row):
-            if v is not None and v not in MEASURED_VALUES:
+            if v is not None and not is_outcome(v):
                 out.append(
                     Violation(
                         "cell-domain",

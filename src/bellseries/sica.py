@@ -41,7 +41,7 @@ from .model import (
     pairing_blocks,
     table_from_run,
 )
-from .stats import correlation_over_slots
+from .stats import chsh_combination, correlation_over_slots
 
 VALUES = (MINUS, ZERO, PLUS)
 
@@ -98,19 +98,22 @@ def check_sica(
     row's recorded cells are split by the distant station's setting into two
     subsequences, aligned in time order, and compared term by term.  A fully
     measured table with no schedule has one value per cell and nothing to
-    compare, so the condition holds by construction.
+    compare, so the condition holds by construction.  A partially measured
+    table whose schedule can neither be given nor recovered cannot be
+    checked, and raises :class:`PreconditionError` rather than pass.
     """
     if schedule is None:
         try:
             schedule = derive_schedule(table)
-        except PreconditionError:
+        except PreconditionError as exc:
             if table.fully_measured:
                 return SicaVerdict(
                     True, (), note="fully measured, no regime structure to compare"
                 )
-            return SicaVerdict(
-                True, (), note="no schedule and no per-slot regime recoverable"
-            )
+            raise PreconditionError(
+                "cannot check the series identity of a partially measured table "
+                f"without a schedule: {exc}"
+            ) from exc
     if schedule.slots != table.slots:
         raise PreconditionError(
             f"schedule covers {schedule.slots} slots, table has {table.slots}"
@@ -537,12 +540,7 @@ class CompleteTable:
                     )
                 chosen[p] = picked
         stats = {p: correlation_over_slots(self.table, p, chosen[p]) for p in PAIRINGS}
-        if any(stats[p].e is None for p in PAIRINGS):
-            s = None
-        else:
-            s = abs(stats[Pairing.AB].e - stats[Pairing.ABP].e) + abs(
-                stats[Pairing.APB].e + stats[Pairing.APBP].e
-            )
+        s = chsh_combination(*(stats[p].e for p in PAIRINGS))
         return ResampleResult(chosen, stats, s)
 
 

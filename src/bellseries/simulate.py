@@ -37,6 +37,7 @@ from .model import (
     SeriesTable,
     project_table,
 )
+from .stats import chsh_combination
 
 #: Analyzer angles (alpha, alpha_prime, beta, beta_prime) in degrees that
 #: maximize the CHSH combination under the cosine correlation law.
@@ -92,8 +93,7 @@ class SourceConfig:
 
 def expected_chsh(config: SourceConfig) -> float:
     """The CHSH value implied by the configured correlation law alone."""
-    e = {p: config.pairing_correlation(p) for p in PAIRINGS}
-    return abs(e[Pairing.AB] - e[Pairing.ABP]) + abs(e[Pairing.APB] + e[Pairing.APBP])
+    return chsh_combination(*(config.pairing_correlation(p) for p in PAIRINGS))
 
 
 def _meta(config: SourceConfig, draw_order: str) -> dict:

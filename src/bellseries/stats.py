@@ -1,5 +1,9 @@
 """Correlation and bound statistics over series tables.
 
+Every per-table statistic depends only on how many slots hold each column
+(a, b, a', b'), so each one is read off a single count of those columns
+(:func:`_column_counts`): at most 4**4 classes, whatever the table length.
+
 All ratio-valued statistics are computed with exact rational arithmetic
 (:class:`fractions.Fraction`); nothing here rounds.  Decimal renderings are
 produced only at the reporting edge.
@@ -7,11 +11,12 @@ produced only at the reporting edge.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 
-from typing import Iterable
+from typing import Callable, Iterable
 
 from .errors import PreconditionError
 from .model import (
@@ -26,6 +31,32 @@ from .model import (
 )
 
 SCHEMA_VERSION = 1
+
+_DETECTED = (PLUS, MINUS)
+_INDEX = {key: i for i, key in enumerate(ROW_KEYS)}
+
+
+def _column_counts(table: SeriesTable) -> Counter:
+    """How many slots hold each column, in :data:`ROW_KEYS` order."""
+    return Counter(zip(*(table.row(key) for key in ROW_KEYS)))
+
+
+def _count(classes: Counter, hit: Callable[..., bool]) -> int:
+    """Slots whose class (unpacked into ``hit``'s arguments) satisfies ``hit``."""
+    return sum(n for cls, n in classes.items() if hit(*cls))
+
+
+def _fully_measured(columns: Counter) -> bool:
+    return not any(None in col for col in columns)
+
+
+def _pair_cells(columns: Counter, pairing: Pairing) -> Counter:
+    """How many slots hold each (x, y) cell pair of the pairing's two rows."""
+    i, j = _INDEX[pairing.a_row], _INDEX[pairing.b_row]
+    cells: Counter = Counter()
+    for col, n in columns.items():
+        cells[col[i], col[j]] += n
+    return cells
 
 
 @dataclass(frozen=True)
@@ -43,43 +74,51 @@ class PairingStat:
         return self.e is not None
 
 
+def _pairing_stat(pairing: Pairing, cells: Counter) -> PairingStat:
+    n_c = 0
+    total = 0
+    for (x, y), n in cells.items():
+        if x in _DETECTED and y in _DETECTED:
+            n_c += n
+            total += n * x * y
+    e = Fraction(total, n_c) if n_c else None
+    return PairingStat(pairing, n_c, total, e)
+
+
 def correlation(table: SeriesTable, pairing: Pairing) -> PairingStat:
     """Correlation over slots where both stations of the pairing detected.
 
     A 0 on either side removes the slot from the coincidence count; an
     unmeasured cell does too.
     """
-    a_row = table.row(pairing.a_row)
-    b_row = table.row(pairing.b_row)
-    n_c = 0
-    total = 0
-    for x, y in zip(a_row, b_row):
-        if x in (PLUS, MINUS) and y in (PLUS, MINUS):
-            n_c += 1
-            total += x * y
-    e = Fraction(total, n_c) if n_c else None
-    return PairingStat(pairing, n_c, total, e)
+    return _pairing_stat(pairing, _pair_cells(_column_counts(table), pairing))
 
 
 def correlation_over_slots(
     table: SeriesTable, pairing: Pairing, slots: Iterable[int]
 ) -> PairingStat:
-    """Same as :func:`correlation`, but restricted to the given slots."""
+    """Same as :func:`correlation`, but restricted to the given slots; a slot
+    listed twice counts twice."""
     a_row = table.row(pairing.a_row)
     b_row = table.row(pairing.b_row)
-    n_c = 0
-    total = 0
-    for i in slots:
-        x, y = a_row[i], b_row[i]
-        if x in (PLUS, MINUS) and y in (PLUS, MINUS):
-            n_c += 1
-            total += x * y
-    e = Fraction(total, n_c) if n_c else None
-    return PairingStat(pairing, n_c, total, e)
+    return _pairing_stat(pairing, Counter((a_row[i], b_row[i]) for i in slots))
+
+
+def _correlations(columns: Counter) -> dict[Pairing, PairingStat]:
+    return {p: _pairing_stat(p, _pair_cells(columns, p)) for p in PAIRINGS}
 
 
 def correlations(table: SeriesTable) -> dict[Pairing, PairingStat]:
-    return {p: correlation(table, p) for p in PAIRINGS}
+    return _correlations(_column_counts(table))
+
+
+def chsh_combination(e_ab, e_abp, e_apb, e_apbp):
+    """S = |E(a,b) - E(a,b')| + |E(a',b) + E(a',b')|, or None when any of
+    the four correlations is undefined.  Exact on Fractions, plain on
+    floats."""
+    if any(e is None for e in (e_ab, e_abp, e_apb, e_apbp)):
+        return None
+    return abs(e_ab - e_abp) + abs(e_apb + e_apbp)
 
 
 @dataclass(frozen=True)
@@ -93,6 +132,13 @@ class ChshDetail:
         return self.s is not None
 
 
+def _chsh_detail(columns: Counter) -> ChshDetail:
+    stats = _correlations(columns)
+    nc_equal = len({st.n_c for st in stats.values()}) == 1
+    s = chsh_combination(*(stats[p].e for p in PAIRINGS))
+    return ChshDetail(stats, s, nc_equal)
+
+
 def chsh_detail(table: SeriesTable) -> ChshDetail:
     """S = |E(a,b) - E(a,b')| + |E(a',b) + E(a',b')| with each correlation
     normalized by its own coincidence count.
@@ -102,25 +148,11 @@ def chsh_detail(table: SeriesTable) -> ChshDetail:
     single-sum form normalized by the common count; ``nc_equal`` reports
     whether that held.
     """
-    stats = correlations(table)
-    counts = {stats[p].n_c for p in PAIRINGS}
-    nc_equal = len(counts) == 1
-    if any(stats[p].e is None for p in PAIRINGS):
-        return ChshDetail(stats, None, nc_equal)
-    s = abs(stats[Pairing.AB].e - stats[Pairing.ABP].e) + abs(
-        stats[Pairing.APB].e + stats[Pairing.APBP].e
-    )
-    return ChshDetail(stats, s, nc_equal)
+    return _chsh_detail(_column_counts(table))
 
 
 def chsh(table: SeriesTable) -> Fraction | None:
     return chsh_detail(table).s
-
-
-def _ch_indicator(v) -> int:
-    """Detection-of-plus indicator: +1 counts, everything recorded else
-    (including no detection) does not."""
-    return 1 if v == PLUS else 0
 
 
 @dataclass(frozen=True)
@@ -129,7 +161,21 @@ class ClauserHorneDetail:
     coincidences: dict[Pairing, int]
     singles_a: int
     singles_b: int
-    slot_terms: tuple[int, ...] | None
+
+
+def _clauser_horne(columns: Counter) -> ClauserHorneDetail:
+    coincidences = {p: _pair_cells(columns, p)[PLUS, PLUS] for p in PAIRINGS}
+    singles_a = _count(columns, lambda a, b, ap, bp: a == PLUS)
+    singles_b = _count(columns, lambda a, b, ap, bp: b == PLUS)
+    j = (
+        coincidences[Pairing.AB]
+        + coincidences[Pairing.ABP]
+        + coincidences[Pairing.APB]
+        - coincidences[Pairing.APBP]
+        - singles_a
+        - singles_b
+    )
+    return ClauserHorneDetail(j, coincidences, singles_a, singles_b)
 
 
 def clauser_horne_j(table: SeriesTable) -> ClauserHorneDetail:
@@ -139,56 +185,36 @@ def clauser_horne_j(table: SeriesTable) -> ClauserHorneDetail:
 
     where each N is a number of ++ coincidences (or single + detections for
     the last two), counting +1 as a detection and everything else as none.
-
-    For a fully measured table the per-slot contributions are also returned;
-    each lies in {-2,-1,0} so their sum, J itself, cannot be positive there.
+    On a fully measured table each slot contributes -2, -1 or 0, so J
+    cannot be positive there.
     """
-    coincidences = {}
-    for p in PAIRINGS:
-        a_row = table.row(p.a_row)
-        b_row = table.row(p.b_row)
-        coincidences[p] = sum(
-            _ch_indicator(x) * _ch_indicator(y) for x, y in zip(a_row, b_row)
-        )
-    singles_a = sum(_ch_indicator(v) for v in table.a)
-    singles_b = sum(_ch_indicator(v) for v in table.b)
-    j = (
-        coincidences[Pairing.AB]
-        + coincidences[Pairing.ABP]
-        + coincidences[Pairing.APB]
-        - coincidences[Pairing.APBP]
-        - singles_a
-        - singles_b
-    )
-    slot_terms = None
-    if table.fully_measured:
-        terms = []
-        for i in range(table.slots):
-            a = _ch_indicator(table.a[i])
-            ap = _ch_indicator(table.a_prime[i])
-            b = _ch_indicator(table.b[i])
-            bp = _ch_indicator(table.b_prime[i])
-            terms.append(a * b + a * bp + ap * b - ap * bp - a - b)
-        slot_terms = tuple(terms)
-    return ClauserHorneDetail(j, coincidences, singles_a, singles_b, slot_terms)
+    return _clauser_horne(_column_counts(table))
 
 
 @dataclass(frozen=True)
 class SetStats:
-    """Index-set census of a fully measured table.
+    """Slot-set sizes of a fully measured table.
 
-    ``alpha`` etc. are the slot sets where the row detected (nonzero);
-    ``both_same`` / ``both_diff`` split the slots where b and b' both
-    detected by sign agreement.  The u-values are the outcome-product sums
-    entering the four correlations, restricted to coincidences.
+    alpha, beta, alpha', beta' are the slot sets where the row detected
+    (nonzero); both_same / both_diff split the slots where b and b' both
+    detected by sign agreement, and a name joining several sets counts
+    their intersection.  The u-values are the outcome-product sums entering
+    the four correlations, restricted to coincidences, and the n_ab-style
+    fields are the coincidence counts.
     """
 
-    alpha: frozenset[int]
-    beta: frozenset[int]
-    alpha_prime: frozenset[int]
-    beta_prime: frozenset[int]
-    both_same: frozenset[int]
-    both_diff: frozenset[int]
+    n_alpha: int
+    n_beta: int
+    n_alpha_prime: int
+    n_beta_prime: int
+    n_both_same: int
+    n_both_diff: int
+    n_alpha_beta_beta_prime: int
+    n_alpha_prime_beta_beta_prime: int
+    n_alpha_both_same: int
+    n_alpha_both_diff: int
+    n_alpha_prime_both_same: int
+    n_alpha_prime_both_diff: int
     u_ab: int
     u_abp: int
     u_apb: int
@@ -202,95 +228,54 @@ class SetStats:
     def coincidence_total(self) -> int:
         return self.n_ab + self.n_abp + self.n_apb + self.n_apbp
 
-    @property
-    def n_alpha(self) -> int:
-        return len(self.alpha)
 
-    @property
-    def n_beta(self) -> int:
-        return len(self.beta)
-
-    @property
-    def n_alpha_prime(self) -> int:
-        return len(self.alpha_prime)
-
-    @property
-    def n_beta_prime(self) -> int:
-        return len(self.beta_prime)
-
-    @property
-    def n_both_same(self) -> int:
-        return len(self.both_same)
-
-    @property
-    def n_both_diff(self) -> int:
-        return len(self.both_diff)
-
-    @property
-    def n_alpha_beta_beta_prime(self) -> int:
-        return len(self.alpha & self.beta & self.beta_prime)
-
-    @property
-    def n_alpha_prime_beta_beta_prime(self) -> int:
-        return len(self.alpha_prime & self.beta & self.beta_prime)
-
-    @property
-    def n_alpha_both_same(self) -> int:
-        return len(self.alpha & self.both_same)
-
-    @property
-    def n_alpha_both_diff(self) -> int:
-        return len(self.alpha & self.both_diff)
-
-    @property
-    def n_alpha_prime_both_same(self) -> int:
-        return len(self.alpha_prime & self.both_same)
-
-    @property
-    def n_alpha_prime_both_diff(self) -> int:
-        return len(self.alpha_prime & self.both_diff)
+def _same(b, bp) -> bool:
+    return b != ZERO and b == bp
 
 
-def set_stats(table: SeriesTable) -> SetStats:
-    if not table.fully_measured:
+def _diff(b, bp) -> bool:
+    return ZERO not in (b, bp) and b != bp
+
+
+#: Each set-size field of :class:`SetStats` and the column test it counts.
+_SET_SIZES = (
+    ("n_alpha", lambda a, b, ap, bp: a != ZERO),
+    ("n_beta", lambda a, b, ap, bp: b != ZERO),
+    ("n_alpha_prime", lambda a, b, ap, bp: ap != ZERO),
+    ("n_beta_prime", lambda a, b, ap, bp: bp != ZERO),
+    ("n_both_same", lambda a, b, ap, bp: _same(b, bp)),
+    ("n_both_diff", lambda a, b, ap, bp: _diff(b, bp)),
+    ("n_alpha_beta_beta_prime", lambda a, b, ap, bp: ZERO not in (a, b, bp)),
+    ("n_alpha_prime_beta_beta_prime", lambda a, b, ap, bp: ZERO not in (ap, b, bp)),
+    ("n_alpha_both_same", lambda a, b, ap, bp: a != ZERO and _same(b, bp)),
+    ("n_alpha_both_diff", lambda a, b, ap, bp: a != ZERO and _diff(b, bp)),
+    ("n_alpha_prime_both_same", lambda a, b, ap, bp: ap != ZERO and _same(b, bp)),
+    ("n_alpha_prime_both_diff", lambda a, b, ap, bp: ap != ZERO and _diff(b, bp)),
+)
+
+
+def _set_stats(columns: Counter) -> SetStats:
+    if not _fully_measured(columns):
         raise PreconditionError(
             "set statistics need every cell recorded; complete the table first "
             "(fill or condense)"
         )
-    detected = {
-        key: frozenset(i for i, v in enumerate(table.row(key)) if v != ZERO)
-        for key in ROW_KEYS
-    }
-    both = detected["b"] & detected["b_prime"]
-    both_same = frozenset(i for i in both if table.b[i] == table.b_prime[i])
-    both_diff = both - both_same
-
-    def u_and_n(a_key: str, b_key: str) -> tuple[int, int]:
-        coinc = detected[a_key] & detected[b_key]
-        a_row = table.row(a_key)
-        b_row = table.row(b_key)
-        return sum(a_row[i] * b_row[i] for i in coinc), len(coinc)
-
-    u_ab, n_ab = u_and_n("a", "b")
-    u_abp, n_abp = u_and_n("a", "b_prime")
-    u_apb, n_apb = u_and_n("a_prime", "b")
-    u_apbp, n_apbp = u_and_n("a_prime", "b_prime")
+    e = _correlations(columns)
     return SetStats(
-        alpha=detected["a"],
-        beta=detected["b"],
-        alpha_prime=detected["a_prime"],
-        beta_prime=detected["b_prime"],
-        both_same=both_same,
-        both_diff=both_diff,
-        u_ab=u_ab,
-        u_abp=u_abp,
-        u_apb=u_apb,
-        u_apbp=u_apbp,
-        n_ab=n_ab,
-        n_abp=n_abp,
-        n_apb=n_apb,
-        n_apbp=n_apbp,
+        **{name: _count(columns, hit) for name, hit in _SET_SIZES},
+        u_ab=e[Pairing.AB].total,
+        u_abp=e[Pairing.ABP].total,
+        u_apb=e[Pairing.APB].total,
+        u_apbp=e[Pairing.APBP].total,
+        n_ab=e[Pairing.AB].n_c,
+        n_abp=e[Pairing.ABP].n_c,
+        n_apb=e[Pairing.APB].n_c,
+        n_apbp=e[Pairing.APBP].n_c,
     )
+
+
+def set_stats(table: SeriesTable) -> SetStats:
+    return _set_stats(_column_counts(table))
 
 
 @dataclass(frozen=True)
@@ -313,13 +298,16 @@ class CardinalityBound:
         return self.lhs <= self.rhs
 
 
-def cardinality_bound(table: SeriesTable) -> CardinalityBound:
-    st = set_stats(table)
+def _cardinality_bound(st: SetStats) -> CardinalityBound:
     n1 = st.n_alpha_both_same
     n2 = st.n_alpha_prime_both_diff
     lhs = abs(st.u_ab - st.u_abp) + abs(st.u_apb + st.u_apbp)
     rhs = st.coincidence_total - 2 * n1 - 2 * n2
     return CardinalityBound(lhs, rhs, n1, n2)
+
+
+def cardinality_bound(table: SeriesTable) -> CardinalityBound:
+    return _cardinality_bound(set_stats(table))
 
 
 def overlap_fraction(eta: Fraction) -> Fraction:
@@ -351,36 +339,42 @@ class EfficiencyBound:
     verdict: BoundVerdict
 
 
-def station_retention(table: SeriesTable, pairing: Pairing) -> dict[str, Fraction | None]:
-    """For one pairing, the fraction of each station's detections that also
-    saw the other station detect (coincidences / singles)."""
-    a_row = table.row(pairing.a_row)
-    b_row = table.row(pairing.b_row)
-    n_a = sum(1 for v in a_row if v in (PLUS, MINUS))
-    n_b = sum(1 for v in b_row if v in (PLUS, MINUS))
-    n_c = correlation(table, pairing).n_c
+def _retention(columns: Counter, pairing: Pairing) -> dict[str, Fraction | None]:
+    cells = _pair_cells(columns, pairing)
+    n_a = _count(cells, lambda x, y: x in _DETECTED)
+    n_b = _count(cells, lambda x, y: y in _DETECTED)
+    n_c = _pairing_stat(pairing, cells).n_c
     return {
         pairing.a_row: Fraction(n_c, n_a) if n_a else None,
         pairing.b_row: Fraction(n_c, n_b) if n_b else None,
     }
 
 
-def table_eta(table: SeriesTable) -> Fraction | None:
-    """The table's working efficiency: the smallest of the eight
-    per-pairing station retentions, or None when some station never
-    detected under some pairing."""
+def station_retention(table: SeriesTable, pairing: Pairing) -> dict[str, Fraction | None]:
+    """For one pairing, the fraction of each station's detections that also
+    saw the other station detect (coincidences / singles)."""
+    return _retention(_column_counts(table), pairing)
+
+
+def _table_eta(columns: Counter) -> Fraction | None:
     ratios: list[Fraction] = []
     for p in PAIRINGS:
-        for ratio in station_retention(table, p).values():
+        for ratio in _retention(columns, p).values():
             if ratio is None:
                 return None
             ratios.append(ratio)
     return min(ratios)
 
 
-def efficiency_bound(table: SeriesTable) -> EfficiencyBound:
-    s = chsh(table)
-    eta = table_eta(table)
+def table_eta(table: SeriesTable) -> Fraction | None:
+    """The table's working efficiency: the smallest of the eight
+    per-pairing station retentions, or None when some station never
+    detected under some pairing."""
+    return _table_eta(_column_counts(table))
+
+
+def _efficiency_bound(columns: Counter, s: Fraction | None) -> EfficiencyBound:
+    eta = _table_eta(columns)
     if s is None or eta is None:
         return EfficiencyBound(s, eta, None, BoundVerdict.NOT_APPLICABLE)
     product = s * eta
@@ -388,6 +382,18 @@ def efficiency_bound(table: SeriesTable) -> EfficiencyBound:
         return EfficiencyBound(s, eta, product, BoundVerdict.NOT_APPLICABLE)
     verdict = BoundVerdict.WITHIN_BOUND if product <= 2 else BoundVerdict.VIOLATES
     return EfficiencyBound(s, eta, product, verdict)
+
+
+def efficiency_bound(table: SeriesTable) -> EfficiencyBound:
+    columns = _column_counts(table)
+    return _efficiency_bound(columns, _chsh_detail(columns).s)
+
+
+def _station_overlap_min(columns: Counter, row: str) -> Fraction | None:
+    etas = [_retention(columns, p)[row] for p in PAIRINGS if row in (p.a_row, p.b_row)]
+    if any(e is None for e in etas):
+        return None
+    return overlap_fraction(min(etas))
 
 
 def station_overlap_min(table: SeriesTable, row: str) -> Fraction | None:
@@ -399,11 +405,7 @@ def station_overlap_min(table: SeriesTable, row: str) -> Fraction | None:
     must share at least (2*eta - 1)/eta of them.  None when a retention is
     undefined.
     """
-    pairings = [p for p in PAIRINGS if row in (p.a_row, p.b_row)]
-    etas = [station_retention(table, p)[row] for p in pairings]
-    if any(e is None for e in etas):
-        return None
-    return overlap_fraction(min(etas))
+    return _station_overlap_min(_column_counts(table), row)
 
 
 def run_detector_efficiencies(run: RecordedRun) -> dict[str, dict[str, object]]:
@@ -413,20 +415,17 @@ def run_detector_efficiencies(run: RecordedRun) -> dict[str, dict[str, object]]:
     any slot where that detector fired, a coincidence one where the distant
     station also detected (either sign).  Efficiency is their ratio.
     """
-    out: dict[str, dict[str, object]] = {}
+    events = Counter(
+        zip(run.schedule.a_settings, run.schedule.b_settings, run.a_outcomes, run.b_outcomes)
+    )
     counters: dict[str, list[int]] = {}
-    for i in range(run.slots):
-        a_row = run.schedule.a_settings[i].row
-        b_row = run.schedule.b_settings[i].row
-        a_v, b_v = run.a_outcomes[i], run.b_outcomes[i]
-        if a_v != ZERO:
-            rec = counters.setdefault(f"{a_row}{'+' if a_v == PLUS else '-'}", [0, 0])
-            rec[0] += 1
-            rec[1] += 1 if b_v != ZERO else 0
-        if b_v != ZERO:
-            rec = counters.setdefault(f"{b_row}{'+' if b_v == PLUS else '-'}", [0, 0])
-            rec[0] += 1
-            rec[1] += 1 if a_v != ZERO else 0
+    for (a_setting, b_setting, a_v, b_v), n in events.items():
+        for row, v, distant in ((a_setting.row, a_v, b_v), (b_setting.row, b_v, a_v)):
+            if v != ZERO:
+                rec = counters.setdefault(f"{row}{'+' if v == PLUS else '-'}", [0, 0])
+                rec[0] += n
+                rec[1] += n if distant != ZERO else 0
+    out: dict[str, dict[str, object]] = {}
     for label in sorted(counters):
         singles, coincidences = counters[label]
         out[label] = {
@@ -440,19 +439,17 @@ def run_detector_efficiencies(run: RecordedRun) -> dict[str, dict[str, object]]:
 def detector_efficiencies(table: SeriesTable) -> dict[str, dict[str, object]]:
     """Per-row detection bookkeeping: recorded slots, detections (nonzero),
     and for each pairing the row participates in, its coincidence retention."""
+    columns = _column_counts(table)
     out: dict[str, dict[str, object]] = {}
-    for key in ROW_KEYS:
-        row = table.row(key)
-        recorded = sum(1 for v in row if v is not None)
-        fired = sum(1 for v in row if v in (PLUS, MINUS))
-        retentions = {}
-        for p in PAIRINGS:
-            if key in (p.a_row, p.b_row):
-                retentions[p.key] = station_retention(table, p)[key]
+    for key, k in _INDEX.items():
         out[key] = {
-            "recorded": recorded,
-            "detections": fired,
-            "retention_by_pairing": retentions,
+            "recorded": _count(columns, lambda *col: col[k] is not None),
+            "detections": _count(columns, lambda *col: col[k] in _DETECTED),
+            "retention_by_pairing": {
+                p.key: _retention(columns, p)[key]
+                for p in PAIRINGS
+                if key in (p.a_row, p.b_row)
+            },
         }
     return out
 
@@ -469,11 +466,13 @@ def _frac_json(x: Fraction | None) -> dict | None:
 
 def correlation_report(table: SeriesTable) -> dict:
     """Everything the analyzer computes for one table, JSON-shaped."""
-    detail = chsh_detail(table)
+    columns = _column_counts(table)
+    fully_measured = _fully_measured(columns)
+    detail = _chsh_detail(columns)
     report: dict = {
         "schema_version": SCHEMA_VERSION,
         "slots": table.slots,
-        "fully_measured": table.fully_measured,
+        "fully_measured": fully_measured,
         "pairings": {},
         "chsh": {
             "s": _frac_json(detail.s),
@@ -488,14 +487,14 @@ def correlation_report(table: SeriesTable) -> dict:
             "total": st.total,
             "e": _frac_json(st.e),
         }
-    ch = clauser_horne_j(table)
+    ch = _clauser_horne(columns)
     report["clauser_horne"] = {
         "j": ch.j,
         "coincidences": {p.key: ch.coincidences[p] for p in PAIRINGS},
         "singles_a": ch.singles_a,
         "singles_b": ch.singles_b,
     }
-    eff = efficiency_bound(table)
+    eff = _efficiency_bound(columns, detail.s)
     report["efficiency"] = {
         "eta": _frac_json(eff.eta),
         "s_times_eta": _frac_json(eff.product),
@@ -504,33 +503,19 @@ def correlation_report(table: SeriesTable) -> dict:
             overlap_fraction(eff.eta) if eff.eta is not None else None
         ),
         "retention": {
-            p.key: {
-                row: _frac_json(ratio)
-                for row, ratio in station_retention(table, p).items()
-            }
+            p.key: {row: _frac_json(ratio) for row, ratio in _retention(columns, p).items()}
             for p in PAIRINGS
         },
         "station_overlap_min": {
-            "a": _frac_json(station_overlap_min(table, "a")),
-            "a_prime": _frac_json(station_overlap_min(table, "a_prime")),
+            "a": _frac_json(_station_overlap_min(columns, "a")),
+            "a_prime": _frac_json(_station_overlap_min(columns, "a_prime")),
         },
     }
-    if table.fully_measured:
-        st = set_stats(table)
-        cb = cardinality_bound(table)
+    if fully_measured:
+        st = _set_stats(columns)
+        cb = _cardinality_bound(st)
         report["set_stats"] = {
-            "n_alpha": st.n_alpha,
-            "n_beta": st.n_beta,
-            "n_alpha_prime": st.n_alpha_prime,
-            "n_beta_prime": st.n_beta_prime,
-            "n_both_same": st.n_both_same,
-            "n_both_diff": st.n_both_diff,
-            "n_alpha_beta_beta_prime": st.n_alpha_beta_beta_prime,
-            "n_alpha_prime_beta_beta_prime": st.n_alpha_prime_beta_beta_prime,
-            "n_alpha_both_same": st.n_alpha_both_same,
-            "n_alpha_both_diff": st.n_alpha_both_diff,
-            "n_alpha_prime_both_same": st.n_alpha_prime_both_same,
-            "n_alpha_prime_both_diff": st.n_alpha_prime_both_diff,
+            **{name: getattr(st, name) for name, _ in _SET_SIZES},
             "same_diff_asymmetry": {
                 "alpha": st.n_alpha_both_same - st.n_alpha_both_diff,
                 "alpha_prime": st.n_alpha_prime_both_same - st.n_alpha_prime_both_diff,

@@ -11,10 +11,13 @@ def make_rng(seed):
 
 
 def random_table(rng, slots=None, alphabet=(-1, 0, 1)):
+    """Cells drawn uniformly from ``alphabet``; include None for unmeasured
+    cells.  Draws the same stream as ``rng.choice(alphabet)`` per cell."""
     if slots is None:
         slots = int(rng.integers(1, 11))
     rows = [
-        tuple(int(rng.choice(alphabet)) for _ in range(slots)) for _ in range(4)
+        tuple(alphabet[int(rng.integers(len(alphabet)))] for _ in range(slots))
+        for _ in range(4)
     ]
     return SeriesTable.from_rows(*rows)
 

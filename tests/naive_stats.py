@@ -2,7 +2,8 @@
 
 Deliberately written from the definitions with plain loops and no shared
 code, so the package can be cross-checked against them on arbitrary
-tables.  Rows are passed as plain tuples of -1/0/+1 cells.
+tables.  Rows are passed as plain tuples of -1/0/+1/None cells; a cell
+counts as a detection only when it is +1 or -1.
 """
 
 from fractions import Fraction
@@ -20,7 +21,7 @@ def naive_correlation(rows, a_row, b_row):
     num = 0
     den = 0
     for x, y in zip(rows[a_row], rows[b_row]):
-        if x != 0 and y != 0:
+        if x in (1, -1) and y in (1, -1):
             num += x * y
             den += 1
     return num, den
@@ -65,7 +66,7 @@ def naive_eta(rows):
     for a_row, b_row in PAIR_ROWS.values():
         _, n_c = naive_correlation(rows, a_row, b_row)
         for row in (a_row, b_row):
-            singles = sum(1 for v in rows[row] if v != 0)
+            singles = sum(1 for v in rows[row] if v in (1, -1))
             if singles == 0:
                 return None
             fractions.append(Fraction(n_c, singles))
@@ -99,3 +100,88 @@ def naive_cardinality_sides(rows):
                 both_diff_ap += 1
     rhs = sum(n_c.values()) - 2 * both_same - 2 * both_diff_ap
     return lhs, rhs
+
+
+def naive_correlation_over_slots(rows, a_row, b_row, slots):
+    """(sum of products, coincidence count) over the listed slots, each
+    occurrence counted."""
+    num = 0
+    den = 0
+    for i in slots:
+        x, y = rows[a_row][i], rows[b_row][i]
+        if x in (1, -1) and y in (1, -1):
+            num += x * y
+            den += 1
+    return num, den
+
+
+def naive_retention(rows, a_row, b_row):
+    """Coincidences over each side's detections, None for a silent side."""
+    _, n_c = naive_correlation(rows, a_row, b_row)
+    out = {}
+    for row in (a_row, b_row):
+        singles = sum(1 for v in rows[row] if v in (1, -1))
+        out[row] = Fraction(n_c, singles) if singles else None
+    return out
+
+
+def naive_ch_counts(rows):
+    """(++ coincidences per pairing key, + singles of a, + singles of b)."""
+    coincidences = {}
+    for key, (a_row, b_row) in PAIR_ROWS.items():
+        coincidences[key] = sum(
+            1 for x, y in zip(rows[a_row], rows[b_row]) if x == 1 and y == 1
+        )
+    singles_a = sum(1 for v in rows["a"] if v == 1)
+    singles_b = sum(1 for v in rows["b"] if v == 1)
+    return coincidences, singles_a, singles_b
+
+
+def naive_row_counts(rows, row):
+    """(recorded cells, detections) of one row."""
+    recorded = sum(1 for v in rows[row] if v is not None)
+    detections = sum(1 for v in rows[row] if v in (1, -1))
+    return recorded, detections
+
+
+def naive_set_sizes(rows):
+    """Sizes of the detection sets of a fully measured table and of the
+    intersections the set statistics report, built as index sets."""
+    n = len(rows["a"])
+    alpha = {i for i in range(n) if rows["a"][i] != 0}
+    beta = {i for i in range(n) if rows["b"][i] != 0}
+    alpha_p = {i for i in range(n) if rows["a_prime"][i] != 0}
+    beta_p = {i for i in range(n) if rows["b_prime"][i] != 0}
+    both = beta & beta_p
+    same = {i for i in both if rows["b"][i] == rows["b_prime"][i]}
+    diff = both - same
+    return {
+        "n_alpha": len(alpha),
+        "n_beta": len(beta),
+        "n_alpha_prime": len(alpha_p),
+        "n_beta_prime": len(beta_p),
+        "n_both_same": len(same),
+        "n_both_diff": len(diff),
+        "n_alpha_beta_beta_prime": len(alpha & both),
+        "n_alpha_prime_beta_beta_prime": len(alpha_p & both),
+        "n_alpha_both_same": len(alpha & same),
+        "n_alpha_both_diff": len(alpha & diff),
+        "n_alpha_prime_both_same": len(alpha_p & same),
+        "n_alpha_prime_both_diff": len(alpha_p & diff),
+    }
+
+
+def naive_run_detectors(run):
+    """Per-detector (singles, coincidences), one slot at a time."""
+    out = {}
+    for i in range(run.slots):
+        a_row = run.schedule.a_settings[i].row
+        b_row = run.schedule.b_settings[i].row
+        a, b = run.a_outcomes[i], run.b_outcomes[i]
+        for label, v, distant in ((a_row, a, b), (b_row, b, a)):
+            if v != 0:
+                rec = out.setdefault(label + ("+" if v == 1 else "-"), [0, 0])
+                rec[0] += 1
+                if distant != 0:
+                    rec[1] += 1
+    return {label: tuple(rec) for label, rec in out.items()}

@@ -157,3 +157,29 @@ def test_text_format_renders_rationals(cli, tmp_path, capsys):
     out = capsys.readouterr().out
     assert "S = 16/7" in out
     assert "eta = 14/15" in out
+
+
+@pytest.mark.parametrize("text", [
+    '{"slots": 1, "a": [true], "b": [1], "a_prime": [1], "b_prime": [1]}',
+    '{"slots": 1, "a": [1.0], "b": [1], "a_prime": [1], "b_prime": [1]}',
+    '{"slot": 0, "a_setting": "alpha", "b_setting": "beta", "a": true, "b": 1}',
+    '{"slot": 0, "a_setting": "alpha", "b_setting": "beta", "a": 1, "b": 1}\n'
+    '{"slot": true, "a_setting": "alpha", "b_setting": "beta", "a": 1, "b": 1}',
+], ids=["table-bool", "table-float", "event-bool", "slot-bool"])
+def test_lookalike_values_exit_3(cli, tmp_path, capsys, text):
+    path = tmp_path / "input.json"
+    path.write_text(text)
+    assert cli("analyze", "--input", str(path)) == 3
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_check_refuses_partial_table_without_schedule(cli, tmp_path, capsys):
+    tabfile = tmp_path / "partial.json"
+    fileio.write_json_atomic(
+        str(tabfile), fileio.table_to_json(table_from_run(refdata.fig5()))
+    )
+    data = json.loads(tabfile.read_text())
+    data["a"][0] = data["a_prime"][0] = None  # slot 0 now has no A setting
+    tabfile.write_text(json.dumps(data))
+    assert cli("sica-check", "--input", str(tabfile)) == 3
+    assert "without a schedule" in capsys.readouterr().err

@@ -6,12 +6,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bellseries import fileio
-from bellseries.errors import ParseError, StructuralError
+from bellseries.errors import ParseError, PreconditionError, StructuralError
 from bellseries.model import (
+    RecordedRun,
     SeriesTable,
     block_halves,
     project_table,
     random_per_slot,
+    validate,
 )
 
 from conftest import make_rng, random_table
@@ -118,3 +120,52 @@ def test_any_run_survives_serialization(seed, data):
     fileio.write_run_events(run, buf)
     buf.seek(0)
     assert fileio.read_run_events(buf) == run
+
+
+# --- values that only compare equal to an outcome are not outcomes ---------
+
+LOOKALIKES = (True, False, 1.0, "1")
+
+
+def _events(*slots_and_a):
+    return io.StringIO("\n".join(
+        json.dumps({"slot": slot, "a_setting": "alpha", "b_setting": "beta",
+                    "a": a, "b": -1})
+        for slot, a in slots_and_a
+    ))
+
+
+def _table_json(slots=1, cell=1):
+    return {"slots": slots, "a": [cell], "b": [1], "a_prime": [None], "b_prime": [None]}
+
+
+STRICT_ENTRY_POINTS = {
+    "from_rows": (StructuralError, lambda v: SeriesTable.from_rows((v,), (1,), (1,), (1,))),
+    "recorded_run": (
+        PreconditionError,
+        lambda v: RecordedRun(block_halves(4), (1, v, 1, 1), (1, 1, 1, 1)),
+    ),
+    "table_cell": (StructuralError, lambda v: fileio.table_from_json(_table_json(cell=v))),
+    "table_slots": (StructuralError, lambda v: fileio.table_from_json(_table_json(slots=v))),
+    "event_outcome": (ParseError, lambda v: fileio.read_run_events(_events((0, v)))),
+    "event_slot": (ParseError, lambda v: fileio.read_run_events(_events((0, 1), (v, 1)))),
+}
+
+
+@pytest.mark.parametrize("value", LOOKALIKES, ids=repr)
+@pytest.mark.parametrize("entry", sorted(STRICT_ENTRY_POINTS))
+def test_lookalike_values_are_rejected(entry, value):
+    error, build = STRICT_ENTRY_POINTS[entry]
+    with pytest.raises(error):
+        build(value)
+
+
+@pytest.mark.parametrize("value", LOOKALIKES, ids=repr)
+def test_validate_flags_lookalike_cells(value):
+    table = SeriesTable(1, (value,), (1,), (1,), (1,))
+    assert [v.rule for v in validate(table)] == ["cell-domain"]
+
+
+def test_duplicate_slots_are_named():
+    with pytest.raises(StructuralError, match=r"duplicate slot numbers: \[0, 2\]"):
+        fileio.read_run_events(_events((0, 1), (2, 1), (0, 1), (2, 1), (1, 1)))

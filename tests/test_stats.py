@@ -4,7 +4,8 @@ import pytest
 
 from bellseries import refdata
 from bellseries.errors import PreconditionError
-from bellseries.model import Pairing, SeriesTable
+from bellseries.model import Pairing, SeriesTable, random_per_slot
+from bellseries.simulate import SourceConfig, simulate
 from bellseries.stats import (
     BoundVerdict,
     cardinality_bound,
@@ -12,6 +13,7 @@ from bellseries.stats import (
     chsh_detail,
     clauser_horne_j,
     correlation,
+    correlation_over_slots,
     correlation_report,
     detector_efficiencies,
     efficiency_bound,
@@ -134,21 +136,88 @@ def test_detector_efficiencies_full_table():
 # --- cross-checks against the naive reference implementations --------------
 
 
+def _frac(node):
+    return None if node is None else Fraction(node["num"], node["den"])
+
+
 def test_matches_naive_on_random_tables():
     rng = make_rng(20)
-    for _ in range(300):
-        table = random_table(rng)
+    for i in range(600):
+        alphabet = (-1, 0, 1) if i % 2 else (-1, 0, 1, None)
+        table = random_table(rng, alphabet=alphabet)
         rows = table_rows(table)
+        report = correlation_report(table)
         for pairing in Pairing:
             stat = correlation(table, pairing)
             num, den = naive_stats.naive_correlation(
                 rows, pairing.a_row, pairing.b_row
             )
-            assert stat.n_c == den
+            assert (stat.n_c, stat.total) == (den, num)
             assert stat.e == naive_stats.naive_e(rows, pairing.a_row, pairing.b_row)
+            entry = report["pairings"][pairing.key]
+            assert (entry["n_c"], entry["total"], _frac(entry["e"])) == (
+                stat.n_c, stat.total, stat.e,
+            )
+            retention = naive_stats.naive_retention(rows, pairing.a_row, pairing.b_row)
+            assert station_retention(table, pairing) == retention
+            assert {
+                row: _frac(node)
+                for row, node in report["efficiency"]["retention"][pairing.key].items()
+            } == retention
         assert chsh(table) == naive_stats.naive_chsh(rows)
-        assert clauser_horne_j(table).j == naive_stats.naive_ch_j(rows)
+        assert _frac(report["chsh"]["s"]) == naive_stats.naive_chsh(rows)
+        ch = clauser_horne_j(table)
+        coincidences, singles_a, singles_b = naive_stats.naive_ch_counts(rows)
+        assert ch.j == naive_stats.naive_ch_j(rows)
+        assert {p.key: n for p, n in ch.coincidences.items()} == coincidences
+        assert (ch.singles_a, ch.singles_b) == (singles_a, singles_b)
+        assert report["clauser_horne"] == {
+            "j": ch.j, "coincidences": coincidences,
+            "singles_a": singles_a, "singles_b": singles_b,
+        }
         assert table_eta(table) == naive_stats.naive_eta(rows)
+        assert _frac(report["efficiency"]["eta"]) == naive_stats.naive_eta(rows)
+        for key, det in detector_efficiencies(table).items():
+            assert (det["recorded"], det["detections"]) == naive_stats.naive_row_counts(
+                rows, key
+            )
+        assert report["fully_measured"] == (None not in sum(rows.values(), ()))
+        if report["fully_measured"]:
+            st = set_stats(table)
+            sizes = naive_stats.naive_set_sizes(rows)
+            assert {name: getattr(st, name) for name in sizes} == sizes
+            assert {name: report["set_stats"][name] for name in sizes} == sizes
+
+
+def test_correlation_over_slots_matches_naive():
+    rng = make_rng(23)
+    for _ in range(300):
+        table = random_table(rng, alphabet=(-1, 0, 1, None))
+        rows = table_rows(table)
+        picks = int(rng.integers(0, 3 * table.slots))
+        slots = [int(i) for i in rng.integers(0, table.slots, size=picks)]
+        for pairing in Pairing:
+            stat = correlation_over_slots(table, pairing, slots)
+            num, den = naive_stats.naive_correlation_over_slots(
+                rows, pairing.a_row, pairing.b_row, slots
+            )
+            assert (stat.n_c, stat.total) == (den, num)
+            assert stat.e == (Fraction(num, den) if den else None)
+
+
+def test_run_detector_efficiencies_match_per_slot_loop():
+    for seed in range(20):
+        schedule = random_per_slot(40, seed)
+        run = simulate(SourceConfig("quantum", schedule, seed=seed, eta=0.6))
+        expected = naive_stats.naive_run_detectors(run)
+        det = run_detector_efficiencies(run)
+        assert list(det) == sorted(expected)
+        for label, (singles, coincidences) in expected.items():
+            assert det[label] == {
+                "singles": singles,
+                "coincidences": coincidences,
+                "efficiency": Fraction(coincidences, singles),
+            }
 
 
 def test_matches_naive_counting_bound():
