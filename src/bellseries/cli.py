@@ -17,7 +17,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import fileio, oracle, refdata
-from .errors import BellSeriesError, PreconditionError
+from .errors import BellSeriesError, ParseError, PreconditionError
 from .model import (
     PAIRINGS,
     RecordedRun,
@@ -61,20 +61,41 @@ def _make_schedule(spec: str, slots: int | None, seed: int | None) -> Schedule:
         return random_per_slot(slots, seed)
     if spec.startswith("file:"):
         path = spec[len("file:"):]
-        with open(path, "r", encoding="utf-8") as fp:
-            return schedule_from_json(json.load(fp))
+        try:
+            data = json.loads(_read_text(path))
+        except json.JSONDecodeError as exc:
+            raise ParseError(
+                f"schedule file {path} is not valid JSON: {exc.msg}", exc.lineno
+            ) from exc
+        return schedule_from_json(data)
     raise PreconditionError(
         f"unknown schedule {spec!r}: expected block, random, or file:<path>"
     )
 
 
-def _load_input(path: str):
-    """A table file is a single JSON object; anything else is an event log."""
+def _read_text(path: str) -> str:
     try:
         with open(path, "r", encoding="utf-8") as fp:
-            text = fp.read()
+            return fp.read()
     except OSError as exc:
         raise PreconditionError(f"cannot read {path}: {exc.strerror}") from exc
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path} is not UTF-8 text: {exc.reason}") from exc
+
+
+def _lines(text: str):
+    """The lines of ``text`` one at a time, as iterating a file yields them."""
+    start, end = 0, len(text)
+    while start < end:
+        stop = text.find("\n", start) + 1 or end
+        yield text[start:stop]
+        start = stop
+
+
+def _load_input(path: str):
+    """A table file is a single JSON object; anything else is an event log.
+    The file is read once and the log parsed from that text."""
+    text = _read_text(path)
     try:
         data = json.loads(text)
     except json.JSONDecodeError:
@@ -83,7 +104,7 @@ def _load_input(path: str):
         table = fileio.table_from_json(data)
         provenance = fileio.provenance_from_json(data)
         return table, provenance, None
-    run = fileio.read_run_file(path)
+    run = fileio.read_run_events(_lines(text))
     return table_from_run(run), None, run
 
 

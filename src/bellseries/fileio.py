@@ -19,10 +19,12 @@ import json
 import os
 import tempfile
 from collections import Counter
-from typing import Any, TextIO
+from contextlib import contextmanager
+from typing import Any, Iterable, Iterator, TextIO
 
 from .errors import ParseError, StructuralError
 from .model import (
+    MEASURED_VALUES,
     ROW_KEYS,
     ASetting,
     BSetting,
@@ -34,24 +36,46 @@ from .model import (
 
 _EVENT_FIELDS = ("slot", "a_setting", "b_setting", "a", "b")
 
+# json.dumps(event, sort_keys=True) for plain-int outcomes and setting names
+# that need no escaping, which is every value a RecordedRun can hold.
+_EVENT_LINE = (
+    '{"a": %d, "a_setting": "%s", "b": %d, "b_setting": "%s", "slot": %d}\n'
+)
+_A_SETTINGS = {s.value: s for s in ASetting}
+_B_SETTINGS = {s.value: s for s in BSetting}
+_SETTING_NAMES = {s: name for name, s in (*_A_SETTINGS.items(), *_B_SETTINGS.items())}
+
 
 def write_run_events(run: RecordedRun, fp: TextIO) -> None:
     if run.meta is not None:
         fp.write(json.dumps({"meta": run.meta}, sort_keys=True) + "\n")
-    for i in range(run.slots):
-        event = {
-            "slot": i,
-            "a_setting": run.schedule.a_settings[i].value,
-            "b_setting": run.schedule.b_settings[i].value,
-            "a": run.a_outcomes[i],
-            "b": run.b_outcomes[i],
-        }
-        fp.write(json.dumps(event, sort_keys=True) + "\n")
+    a_names = map(_SETTING_NAMES.__getitem__, run.schedule.a_settings)
+    b_names = map(_SETTING_NAMES.__getitem__, run.schedule.b_settings)
+    fp.writelines(
+        map(
+            _EVENT_LINE.__mod__,
+            zip(run.a_outcomes, a_names, run.b_outcomes, b_names, range(run.slots)),
+        )
+    )
 
 
-def read_run_events(fp: TextIO) -> RecordedRun:
+def _setting(names: dict, value, kind: str, lineno: int):
+    try:
+        return names[value]
+    except (KeyError, TypeError):
+        raise ParseError(f"{value!r} is not a valid {kind}", lineno) from None
+
+
+def read_run_events(fp: Iterable[str]) -> RecordedRun:
+    """Parse an event log from its lines (an open text file or any iterable
+    of strings).  Blank lines are skipped; events may come in any slot order."""
     meta: dict | None = None
-    events: list[dict] = []
+    seen_meta = False
+    slots: list[int] = []
+    a_settings: list[ASetting] = []
+    b_settings: list[BSetting] = []
+    a_out: list[int] = []
+    b_out: list[int] = []
     for lineno, raw in enumerate(fp, start=1):
         line = raw.strip()
         if not line:
@@ -63,53 +87,44 @@ def read_run_events(fp: TextIO) -> RecordedRun:
         if not isinstance(obj, dict):
             raise ParseError(f"expected an object, got {type(obj).__name__}", lineno)
         if "meta" in obj:
-            if events or meta is not None:
+            if slots or seen_meta:
                 raise ParseError("meta line must be the first line", lineno)
             meta = obj["meta"]
+            seen_meta = True
             continue
         for key in _EVENT_FIELDS:
             if key not in obj:
                 raise ParseError(f"event is missing field {key!r}", lineno)
-        try:
-            a_setting = ASetting(obj["a_setting"])
-            b_setting = BSetting(obj["b_setting"])
-        except ValueError as exc:
-            raise ParseError(str(exc), lineno) from exc
-        for station in ("a", "b"):
-            if not is_outcome(obj[station]):
-                raise ParseError(
-                    f"outcome {station}={obj[station]!r} not one of 1, -1, 0", lineno
-                )
-        if type(obj["slot"]) is not int:
-            raise ParseError(f"slot {obj['slot']!r} is not an integer", lineno)
-        events.append(
-            {
-                "slot": obj["slot"],
-                "a_setting": a_setting,
-                "b_setting": b_setting,
-                "a": obj["a"],
-                "b": obj["b"],
-            }
+        a_settings.append(_setting(_A_SETTINGS, obj["a_setting"], "ASetting", lineno))
+        b_settings.append(_setting(_B_SETTINGS, obj["b_setting"], "BSetting", lineno))
+        a, b, slot = obj["a"], obj["b"], obj["slot"]
+        if type(a) is not int or a not in MEASURED_VALUES:
+            raise ParseError(f"outcome a={a!r} not one of 1, -1, 0", lineno)
+        if type(b) is not int or b not in MEASURED_VALUES:
+            raise ParseError(f"outcome b={b!r} not one of 1, -1, 0", lineno)
+        if type(slot) is not int:
+            raise ParseError(f"slot {slot!r} is not an integer", lineno)
+        a_out.append(a)
+        b_out.append(b)
+        slots.append(slot)
+    expected = list(range(len(slots)))
+    if slots != expected:
+        seen = sorted(slots)
+        if seen != expected:
+            dupes = sorted(s for s, n in Counter(seen).items() if n > 1)
+            if dupes:
+                raise StructuralError(f"duplicate slot numbers: {dupes}")
+            raise StructuralError(
+                f"slots are not contiguous from 0: saw {seen[:8]}..."
+                if len(seen) > 8
+                else f"slots are not contiguous from 0: saw {seen}"
+            )
+        order = sorted(expected, key=slots.__getitem__)
+        a_settings, b_settings, a_out, b_out = (
+            [column[i] for i in order] for column in (a_settings, b_settings, a_out, b_out)
         )
-    seen = [e["slot"] for e in events]
-    if sorted(seen) != list(range(len(events))):
-        dupes = sorted(s for s, n in Counter(seen).items() if n > 1)
-        if dupes:
-            raise StructuralError(f"duplicate slot numbers: {dupes}")
-        raise StructuralError(
-            f"slots are not contiguous from 0: saw {sorted(seen)[:8]}..."
-            if len(seen) > 8
-            else f"slots are not contiguous from 0: saw {sorted(seen)}"
-        )
-    events.sort(key=lambda e: e["slot"])
-    schedule = custom_schedule(
-        [e["a_setting"] for e in events], [e["b_setting"] for e in events]
-    )
     return RecordedRun(
-        schedule,
-        tuple(e["a"] for e in events),
-        tuple(e["b"] for e in events),
-        meta=meta,
+        custom_schedule(a_settings, b_settings), tuple(a_out), tuple(b_out), meta=meta
     )
 
 
@@ -147,12 +162,18 @@ def provenance_from_json(data: dict) -> dict[str, tuple[str, ...]] | None:
     prov = data.get("provenance")
     if prov is None:
         return None
+    if not isinstance(prov, dict):
+        raise StructuralError(f"provenance must be an object, got {type(prov).__name__}")
     out = {}
     for key in ROW_KEYS:
         if key not in prov:
             raise StructuralError(f"provenance is missing row {key!r}")
         marks = prov[key]
-        if len(marks) != data["slots"] or any(m not in ("F", "C") for m in marks):
+        if (
+            not isinstance(marks, list)
+            or len(marks) != data["slots"]
+            or any(m not in ("F", "C") for m in marks)
+        ):
             raise StructuralError(f"provenance row {key!r} must be 'F'/'C' per slot")
         out[key] = tuple(marks)
     return out
@@ -167,14 +188,16 @@ def read_table(path: str) -> SeriesTable:
     return table_from_json(data)
 
 
-def write_text_atomic(path: str, text: str) -> None:
-    """Write via a sibling temp file and rename, so readers never see a
+@contextmanager
+def _atomic_writer(path: str) -> Iterator[TextIO]:
+    """A text file that replaces ``path`` only once it is completely written,
+    via a sibling temp file and a rename, so readers never see a
     half-written artifact."""
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix=".part")
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as fp:
-            fp.write(text)
+            yield fp
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -182,16 +205,18 @@ def write_text_atomic(path: str, text: str) -> None:
         raise
 
 
+def write_text_atomic(path: str, text: str) -> None:
+    with _atomic_writer(path) as fp:
+        fp.write(text)
+
+
 def write_json_atomic(path: str, data: Any) -> None:
     write_text_atomic(path, json.dumps(data, indent=2, sort_keys=True) + "\n")
 
 
 def write_run_file(run: RecordedRun, path: str) -> None:
-    import io
-
-    buf = io.StringIO()
-    write_run_events(run, buf)
-    write_text_atomic(path, buf.getvalue())
+    with _atomic_writer(path) as fp:
+        write_run_events(run, fp)
 
 
 def read_run_file(path: str) -> RecordedRun:

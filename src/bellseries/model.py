@@ -286,12 +286,18 @@ class RecordedRun:
 
 def table_from_run(run: RecordedRun) -> SeriesTable:
     """Lay the recorded outcomes into the four series; cells under inactive
-    settings stay unmeasured."""
-    rows: dict[str, list[Cell]] = {key: [None] * run.slots for key in ROW_KEYS}
-    for i in range(run.slots):
-        rows[run.schedule.a_settings[i].row][i] = run.a_outcomes[i]
-        rows[run.schedule.b_settings[i].row][i] = run.b_outcomes[i]
-    return SeriesTable.from_rows(rows["a"], rows["b"], rows["a_prime"], rows["b_prime"])
+    settings stay unmeasured.  The run has already checked its outcomes, so
+    the cells are not checked again."""
+    alpha, beta = ASetting.ALPHA, BSetting.BETA
+    a_set, b_set = run.schedule.a_settings, run.schedule.b_settings
+    a_out, b_out = run.a_outcomes, run.b_outcomes
+    return SeriesTable(
+        run.slots,
+        tuple([v if s is alpha else None for s, v in zip(a_set, a_out)]),
+        tuple([v if s is beta else None for s, v in zip(b_set, b_out)]),
+        tuple([None if s is alpha else v for s, v in zip(a_set, a_out)]),
+        tuple([None if s is beta else v for s, v in zip(b_set, b_out)]),
+    )
 
 
 def derive_schedule(table: SeriesTable) -> Schedule:

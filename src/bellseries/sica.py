@@ -18,6 +18,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import islice
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -432,23 +433,21 @@ def reorder_to_sica(run: RecordedRun, budget: int | None = None) -> ReorderOutco
         return ReorderOutcome(
             False, None, best, required, _greedy_obstruction(run, blocks)
         )
-    quads: list[tuple[int, int, int, int]] = []
-    for q in sorted(chosen):
-        quads.extend([q] * chosen[q])
+    # Each quadruple, in class order, takes the earliest unused slot of each
+    # block that carries its projection: one time-ordered queue per pair.
     block_orders: dict[Pairing, tuple[int, ...]] = {}
     kept: set[int] = set()
     for p in PAIRINGS:
-        unused = list(blocks[p])
-        order = []
-        for q in quads:
-            need = _class_pair(q, p)
-            for idx, slot in enumerate(unused):
-                if (run.a_outcomes[slot], run.b_outcomes[slot]) == need:
-                    order.append(slot)
-                    del unused[idx]
-                    break
-            else:
+        queues: dict[tuple[int, int], list[int]] = {}
+        for slot in blocks[p]:
+            queues.setdefault((run.a_outcomes[slot], run.b_outcomes[slot]), []).append(slot)
+        heads = {pair: iter(slots) for pair, slots in queues.items()}
+        order: list[int] = []
+        for q in sorted(chosen):
+            picked = list(islice(heads.get(_class_pair(q, p), iter(())), chosen[q]))
+            if len(picked) < chosen[q]:
                 raise AssertionError("arrangement certified feasible but not realizable")
+            order.extend(picked)
         block_orders[p] = tuple(order)
         kept.update(order)
     discarded = tuple(i for i in range(run.slots) if i not in kept)

@@ -2,6 +2,7 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 from bellseries.model import SeriesTable
 
@@ -30,6 +31,42 @@ def table_rows(table):
         "a_prime": table.a_prime,
         "b_prime": table.b_prime,
     }
+
+
+EVENT = {"slot": 0, "a_setting": "alpha", "b_setting": "beta", "a": 1, "b": -1}
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 3) | st.floats(allow_nan=False)
+    | st.sampled_from(("alpha", "alpha_prime", "beta", "beta_prime", "")) | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=6,
+)
+
+
+@st.composite
+def event_logs(draw):
+    """Event lines for slots 0, 1, ..., some with a field missing, replaced by
+    any JSON value or renumbered, some replaced by a meta line or any text."""
+    lines = []
+    slot = 0
+    for _ in range(draw(st.integers(0, 6))):
+        kind = draw(st.integers(0, 9))
+        if kind == 0:
+            lines.append(draw(st.text(max_size=20)).replace("\n", " "))
+            continue
+        if kind == 1:
+            lines.append(json.dumps({"meta": draw(json_values)}))
+            continue
+        event = dict(EVENT, slot=slot)
+        slot += 1
+        if kind == 2:
+            del event[draw(st.sampled_from(sorted(event)))]
+        elif kind == 3:
+            event[draw(st.sampled_from(sorted(event)))] = draw(json_values)
+        elif kind == 4:
+            event["slot"] = draw(st.integers(-1, 5))
+        lines.append(json.dumps(event))
+    return "".join(line + "\n" for line in lines)
 
 
 @pytest.fixture

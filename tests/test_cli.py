@@ -1,9 +1,12 @@
 import json
 
 import pytest
+from hypothesis import HealthCheck, given, settings
 
 from bellseries import fileio, refdata
 from bellseries.model import table_from_run
+
+from conftest import event_logs
 
 
 def test_simulate_is_reproducible(cli, tmp_path):
@@ -183,3 +186,67 @@ def test_check_refuses_partial_table_without_schedule(cli, tmp_path, capsys):
     tabfile.write_text(json.dumps(data))
     assert cli("sica-check", "--input", str(tabfile)) == 3
     assert "without a schedule" in capsys.readouterr().err
+
+
+_TABLE = {"slots": 2, "a": [1, -1], "b": [1, 1], "a_prime": [-1, -1], "b_prime": [1, -1]}
+
+
+@pytest.mark.parametrize("provenance", [
+    ["a", "b", "a_prime", "b_prime"],
+    "abab",
+    {"a": 1, "b": ["F", "C"], "a_prime": ["F", "C"], "b_prime": ["F", "C"]},
+], ids=["list", "string", "int-marks"])
+def test_malformed_provenance_exits_3(cli, tmp_path, capsys, provenance):
+    path = tmp_path / "table.json"
+    path.write_text(json.dumps(dict(_TABLE, provenance=provenance)))
+    assert cli("analyze", "--input", str(path)) == 3
+    assert "provenance" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("content", [None, '{"a_settings": ["alpha"'], ids=["missing", "bad-json"])
+def test_bad_schedule_file_exits_3(cli, tmp_path, capsys, content):
+    sched = tmp_path / "sched.json"
+    if content is not None:
+        sched.write_text(content)
+    out = tmp_path / "run.jsonl"
+    assert cli("simulate", "--seed", "1", "--slots", "4",
+               "--schedule", f"file:{sched}", "--output", str(out)) == 3
+    assert str(sched) in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_input_that_is_not_utf8_exits_3(cli, tmp_path, capsys):
+    path = tmp_path / "run.jsonl"
+    path.write_bytes(b'{"meta": "\xff"}\n')
+    assert cli("analyze", "--input", str(path)) == 3
+    assert "UTF-8" in capsys.readouterr().err
+
+
+def test_event_log_is_read_once(cli, tmp_path, capsys, monkeypatch):
+    import builtins
+
+    events = tmp_path / "red.jsonl"
+    fileio.write_run_file(refdata.fig6("red"), str(events))
+    opened = []
+    real_open = builtins.open
+
+    def counting_open(file, *args, **kwargs):
+        opened.append(str(file))
+        return real_open(file, *args, **kwargs)
+
+    monkeypatch.setattr(builtins, "open", counting_open)
+    assert cli("analyze", "--input", str(events)) == 0
+    assert opened.count(str(events)) == 1
+    assert json.loads(capsys.readouterr().out)["slots"] == refdata.fig6("red").slots
+
+
+@settings(max_examples=40, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(text=event_logs())
+def test_analyze_on_fuzzed_event_logs_exits_0_or_3(cli, tmp_path, capsys, text):
+    path = tmp_path / "fuzz.jsonl"
+    path.write_text(text, encoding="utf-8")
+    code = cli("analyze", "--input", str(path))
+    captured = capsys.readouterr()
+    assert code in (0, 3), captured.err
+    assert (code == 3) == captured.err.startswith("error: ")

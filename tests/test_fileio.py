@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bellseries import fileio
-from bellseries.errors import ParseError, PreconditionError, StructuralError
+from bellseries.errors import BellSeriesError, ParseError, PreconditionError, StructuralError
 from bellseries.model import (
     RecordedRun,
     SeriesTable,
@@ -15,8 +15,9 @@ from bellseries.model import (
     random_per_slot,
     validate,
 )
+from bellseries.simulate import SourceConfig, simulate
 
-from conftest import make_rng, random_table
+from conftest import EVENT, event_logs, make_rng, random_table
 
 
 def _sample_run(seed=3, slots=12):
@@ -169,3 +170,113 @@ def test_validate_flags_lookalike_cells(value):
 def test_duplicate_slots_are_named():
     with pytest.raises(StructuralError, match=r"duplicate slot numbers: \[0, 2\]"):
         fileio.read_run_events(_events((0, 1), (2, 1), (0, 1), (2, 1), (1, 1)))
+
+
+# --- the event-line writer against per-line json.dumps ---------------------
+
+
+def _reference_events_text(run):
+    """The event log as ``json.dumps(..., sort_keys=True)`` writes it, line by line."""
+    lines = []
+    if run.meta is not None:
+        lines.append(json.dumps({"meta": run.meta}, sort_keys=True))
+    for i in range(run.slots):
+        event = {
+            "slot": i,
+            "a_setting": run.schedule.a_settings[i].value,
+            "b_setting": run.schedule.b_settings[i].value,
+            "a": run.a_outcomes[i],
+            "b": run.b_outcomes[i],
+        }
+        lines.append(json.dumps(event, sort_keys=True))
+    return "".join(line + "\n" for line in lines)
+
+
+@pytest.mark.parametrize("meta", [None, {"seed": 3, "note": "é \"quoted\"", "angles": [0.0, 45.0]}])
+def test_event_lines_match_json_dumps(tmp_path, meta):
+    schedule = random_per_slot(400, 9)
+    config = SourceConfig(model="quantum", schedule=schedule, seed=10, eta=0.8)
+    run = simulate(config)
+    run = RecordedRun(run.schedule, run.a_outcomes, run.b_outcomes, meta=meta)
+    assert {-1, 0, 1} <= set(run.a_outcomes) | set(run.b_outcomes)
+    expected = _reference_events_text(run)
+    buf = io.StringIO()
+    fileio.write_run_events(run, buf)
+    assert buf.getvalue() == expected
+    path = tmp_path / "run.jsonl"
+    fileio.write_run_file(run, str(path))
+    assert path.read_bytes() == expected.encode("utf-8")
+
+
+# --- every malformed line names its line and says why ----------------------
+
+_GOOD = dict(EVENT, slot=1)
+_MISSING = object()
+
+
+def _with(**changes):
+    event = dict(_GOOD)
+    for key, value in changes.items():
+        if value is _MISSING:
+            del event[key]
+        else:
+            event[key] = value
+    return json.dumps(event)
+
+
+MALFORMED_LINES = {
+    **{f"missing-{key}": (_with(**{key: _MISSING}), f"event is missing field {key!r}")
+       for key in _GOOD},
+    **{f"{key}={value!r}": (_with(**{key: value}), f"{value!r} is not a valid {kind}")
+       for key, kind in (("a_setting", "ASetting"), ("b_setting", "BSetting"))
+       for value in ("gamma", "ALPHA", [], {}, None, 1, True)},
+    **{f"{key}={value!r}": (_with(**{key: value}), f"outcome {key}={value!r} not one of 1, -1, 0")
+       for key in ("a", "b")
+       for value in (True, False, 1.0, "1", 2, None, [], {})},
+    **{f"slot={value!r}": (_with(slot=value), f"slot {value!r} is not an integer")
+       for value in (True, False, 1.0, "1", None)},
+    "array": ("[1, 2]", "expected an object, got list"),
+    "number": ("3", "expected an object, got int"),
+    "null": ("null", "expected an object, got NoneType"),
+    "late-meta": ('{"meta": {}}', "meta line must be the first line"),
+    "bad-json": ("{oops", "not valid JSON: Expecting property name enclosed in double quotes"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(MALFORMED_LINES))
+def test_malformed_line_is_named(name):
+    line, message = MALFORMED_LINES[name]
+    first = json.dumps(dict(_GOOD, slot=0))
+    text = '{"meta": {"x": 1}}\n\n' + first + "\n" + line + "\n"
+    with pytest.raises(ParseError) as err:
+        fileio.read_run_events(io.StringIO(text))
+    assert err.value.line_number == 4
+    assert str(err.value) == f"line 4: {message}"
+
+
+@pytest.mark.parametrize("first_meta", ["null", "{}", '{"seed": 1}'])
+def test_second_meta_line_is_rejected(first_meta):
+    text = f'{{"meta": {first_meta}}}\n{{"meta": {{"seed": 2}}}}\n'
+    with pytest.raises(ParseError, match="line 2: meta line must be the first line"):
+        fileio.read_run_events(io.StringIO(text))
+
+
+def test_events_in_any_slot_order_load_in_slot_order():
+    run = _sample_run(seed=8, slots=16)
+    buf = io.StringIO()
+    fileio.write_run_events(run, buf)
+    meta, *events = buf.getvalue().splitlines(keepends=True)
+    shuffled = [meta] + events[8:] + events[::-1][8:]
+    assert fileio.read_run_events(iter(shuffled)) == run
+
+
+# --- fuzz: any line either loads or is refused with a named error -----------
+
+@settings(max_examples=150, deadline=None)
+@given(event_logs())
+def test_fuzzed_event_logs_load_or_raise_a_named_error(text):
+    try:
+        run = fileio.read_run_events(io.StringIO(text))
+    except BellSeriesError:
+        return
+    assert fileio.read_run_events(iter(_reference_events_text(run).splitlines(True))) == run

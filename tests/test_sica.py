@@ -1,4 +1,5 @@
 import itertools
+import random
 from fractions import Fraction
 
 import pytest
@@ -28,6 +29,8 @@ from bellseries.sica import (
 )
 from bellseries.simulate import SourceConfig, simulate
 from bellseries.stats import chsh, correlation
+
+from naive_sica import naive_plan
 
 
 def test_fully_measured_table_has_no_regimes_to_compare():
@@ -299,3 +302,34 @@ def test_solver_failure_is_an_error_not_an_obstruction(monkeypatch):
     monkeypatch.setattr(scipy.optimize, "milp", failed_milp)
     with pytest.raises(BellSeriesError, match="status 4.*solver gave up"):
         reorder_to_sica(refdata.fig6("red"))
+
+
+def _assert_realized_as_naive(run, budget=None):
+    outcome = reorder_to_sica(run, budget=budget)
+    assert outcome.success
+    block_orders, discarded, kept = naive_plan(run)
+    assert outcome.plan.block_orders == block_orders
+    assert outcome.plan.discarded_slots == discarded
+    assert outcome.plan.kept_per_block == kept
+
+
+def test_reorder_realization_matches_first_match_scan_on_red_run():
+    _assert_realized_as_naive(refdata.fig6("red"))
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_reorder_realization_matches_first_match_scan(seed):
+    rng = random.Random(seed)
+    slots = rng.choice((400, 800, 1200, 2000, 4000))
+    width = rng.choice((8, 16, 64))
+    instructions = SeriesTable.from_rows(
+        *([rng.choice((-1, 1)) for _ in range(width)] for _ in range(4))
+    )
+    config = SourceConfig(
+        model="deterministic",
+        schedule=random_per_slot(slots, seed),
+        seed=seed,
+        eta=rng.choice((1.0, 0.9)),
+        instructions=instructions,
+    )
+    _assert_realized_as_naive(simulate(config), budget=slots)
