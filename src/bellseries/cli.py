@@ -61,12 +61,7 @@ def _make_schedule(spec: str, slots: int | None, seed: int | None) -> Schedule:
         return random_per_slot(slots, seed)
     if spec.startswith("file:"):
         path = spec[len("file:"):]
-        try:
-            data = json.loads(_read_text(path))
-        except json.JSONDecodeError as exc:
-            raise ParseError(
-                f"schedule file {path} is not valid JSON: {exc.msg}", exc.lineno
-            ) from exc
+        data = fileio.parse_json(_read_text(path), name=f"schedule file {path}")
         return schedule_from_json(data)
     raise PreconditionError(
         f"unknown schedule {spec!r}: expected block, random, or file:<path>"
@@ -97,8 +92,8 @@ def _load_input(path: str):
     The file is read once and the log parsed from that text."""
     text = _read_text(path)
     try:
-        data = json.loads(text)
-    except json.JSONDecodeError:
+        data = fileio.parse_json(text)
+    except ParseError:
         data = None
     if isinstance(data, dict) and "slots" in data:
         table = fileio.table_from_json(data)

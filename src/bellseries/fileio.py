@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import json
 import os
+import re
 import tempfile
 from collections import Counter
 from contextlib import contextmanager
@@ -44,6 +45,28 @@ _EVENT_LINE = (
 _A_SETTINGS = {s.value: s for s in ASetting}
 _B_SETTINGS = {s.value: s for s in BSetting}
 _SETTING_NAMES = {s: name for name, s in (*_A_SETTINGS.items(), *_B_SETTINGS.items())}
+# The lines _EVENT_LINE writes, and only lines that json.loads reads to the
+# same values with every check passing.  The slot has ASCII digits, no leading
+# zero and at most 18 of them, so int() reads it as json.loads would and never
+# meets the interpreter's limit on integer-string length.
+_match_event = re.compile(
+    r'\{"a": (-1|0|1), "a_setting": "(alpha|alpha_prime)", '
+    r'"b": (-1|0|1), "b_setting": "(beta|beta_prime)", "slot": (0|[1-9][0-9]{0,17})\}'
+).fullmatch
+_OUTCOMES = {"-1": -1, "0": 0, "1": 1}
+
+
+def parse_json(text: str, lineno: int | None = None, name: str | None = None) -> Any:
+    """``json.loads`` on user input, with every way it can fail (bad syntax,
+    nesting too deep for the parser, an integer too long for ``int``) raised
+    as a :class:`ParseError` naming the file ``name`` and the line."""
+    what = f"{name} is not valid JSON" if name else "not valid JSON"
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ParseError(f"{what}: {exc.msg}", lineno or exc.lineno) from exc
+    except (RecursionError, ValueError) as exc:
+        raise ParseError(f"{what}: {exc}", lineno) from exc
 
 
 def write_run_events(run: RecordedRun, fp: TextIO) -> None:
@@ -68,7 +91,12 @@ def _setting(names: dict, value, kind: str, lineno: int):
 
 def read_run_events(fp: Iterable[str]) -> RecordedRun:
     """Parse an event log from its lines (an open text file or any iterable
-    of strings).  Blank lines are skipped; events may come in any slot order."""
+    of strings).  Blank lines are skipped; events may come in any slot order.
+
+    A line in the canonical shape ``write_run_events`` writes is decoded by
+    one regular expression; every other line goes through ``json.loads`` and
+    is checked field by field, so a bad line is named with the same line
+    number and message either way."""
     meta: dict | None = None
     seen_meta = False
     slots: list[int] = []
@@ -78,12 +106,18 @@ def read_run_events(fp: Iterable[str]) -> RecordedRun:
     b_out: list[int] = []
     for lineno, raw in enumerate(fp, start=1):
         line = raw.strip()
+        event = _match_event(line)
+        if event is not None:
+            a, a_name, b, b_name, slot = event.groups()
+            a_settings.append(_A_SETTINGS[a_name])
+            b_settings.append(_B_SETTINGS[b_name])
+            a_out.append(_OUTCOMES[a])
+            b_out.append(_OUTCOMES[b])
+            slots.append(int(slot))
+            continue
         if not line:
             continue
-        try:
-            obj = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"not valid JSON: {exc.msg}", lineno) from exc
+        obj = parse_json(line, lineno)
         if not isinstance(obj, dict):
             raise ParseError(f"expected an object, got {type(obj).__name__}", lineno)
         if "meta" in obj:
@@ -181,10 +215,7 @@ def provenance_from_json(data: dict) -> dict[str, tuple[str, ...]] | None:
 
 def read_table(path: str) -> SeriesTable:
     with open(path, encoding="utf-8") as fp:
-        try:
-            data = json.load(fp)
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"not valid JSON: {exc.msg}", exc.lineno) from exc
+        data = parse_json(fp.read())
     return table_from_json(data)
 
 

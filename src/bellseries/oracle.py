@@ -575,8 +575,9 @@ def census_complete_tables(
     schedule = run.schedule
     free: list[tuple[str, int, int]] = []
     consistent = True
+    regimes = _distant_regimes(schedule)
     for key in ROW_KEYS:
-        lefts, rights = _distant_regimes(schedule, key)
+        lefts, rights = regimes[key]
         if len(lefts) != len(rights):
             return CensusResult(0, None, (), space, time.perf_counter() - t0)
         # Both slot lists ascend, so the pairs come in the order of their

@@ -75,19 +75,20 @@ class SicaVerdict:
     note: str = ""
 
 
-def _distant_regimes(schedule: Schedule, row: str) -> tuple[list[int], list[int]]:
-    """Slots grouped by the distant station's setting, in time order."""
-    if row in ("a", "a_prime"):
-        left = [i for i in range(schedule.slots) if schedule.b_settings[i] is BSetting.BETA]
-        right = [
-            i for i in range(schedule.slots) if schedule.b_settings[i] is BSetting.BETA_PRIME
-        ]
-    else:
-        left = [i for i in range(schedule.slots) if schedule.a_settings[i] is ASetting.ALPHA]
-        right = [
-            i for i in range(schedule.slots) if schedule.a_settings[i] is ASetting.ALPHA_PRIME
-        ]
-    return left, right
+def _distant_regimes(schedule: Schedule) -> dict[str, tuple[list[int], list[int]]]:
+    """Per row, its slots grouped by the distant station's setting (unprimed,
+    then primed), in time order.  Rows a and a' share one split of B's
+    settings, rows b and b' one split of A's."""
+
+    def split(settings, first, second):
+        return (
+            [i for i, s in enumerate(settings) if s is first],
+            [i for i, s in enumerate(settings) if s is second],
+        )
+
+    by_b = split(schedule.b_settings, BSetting.BETA, BSetting.BETA_PRIME)
+    by_a = split(schedule.a_settings, ASetting.ALPHA, ASetting.ALPHA_PRIME)
+    return {"a": by_b, "a_prime": by_b, "b": by_a, "b_prime": by_a}
 
 
 def check_sica(
@@ -120,9 +121,10 @@ def check_sica(
             f"schedule covers {schedule.slots} slots, table has {table.slots}"
         )
     witnesses: list[SicaWitness] = []
+    regimes = _distant_regimes(schedule)
     for key in ROW_KEYS:
         row = table.row(key)
-        left_slots, right_slots = _distant_regimes(schedule, key)
+        left_slots, right_slots = regimes[key]
         left = [(i, row[i]) for i in left_slots if row[i] is not None]
         right = [(i, row[i]) for i in right_slots if row[i] is not None]
         if len(left) != len(right):
@@ -195,9 +197,10 @@ def _condense_full(
         raise PreconditionError(f"series identity fails, cannot condense: {lines}")
     rows: dict[str, list[Cell]] = {}
     sources: dict[str, tuple[int, ...]] = {}
+    regimes = _distant_regimes(schedule)
     for key in ROW_KEYS:
         row = table.row(key)
-        left_slots, right_slots = _distant_regimes(schedule, key)
+        left_slots, right_slots = regimes[key]
         if len(left_slots) != len(right_slots):
             raise PreconditionError(
                 f"row {key}: regimes cover {len(left_slots)} and {len(right_slots)} "
@@ -319,51 +322,55 @@ def _max_joint_arrangement(pair_counts) -> tuple[int, dict[tuple, int]]:
     return int(round(-res.fun)), chosen
 
 
+def _earliest_unused(items: Sequence, key):
+    """``take(value)``: the earliest of ``items`` whose ``key`` is ``value``
+    and that no earlier call took, or None.  One lazy queue per value, so
+    each value's scan passes over ``items`` once in all."""
+    queues: dict = {}
+
+    def take(value):
+        if value not in queues:
+            queues[value] = (item for item in items if key(item) == value)
+        return next(queues[value], None)
+
+    return take
+
+
 def _greedy_obstruction(run: RecordedRun, blocks) -> str:
-    """Walk the forced-matching cascade until it dead-ends, for the report."""
-    remaining = {p: [(i, (run.a_outcomes[i], run.b_outcomes[i])) for i in blocks[p]] for p in PAIRINGS}
+    """Walk the forced-matching cascade until it dead-ends, for the report.
+
+    Each of the first 64 slots of block (alpha, beta) takes, in each other
+    block, the earliest unused slot offering the value it forces."""
+    a_out, b_out = run.a_outcomes, run.b_outcomes
+    take_abp = _earliest_unused(blocks[Pairing.ABP], a_out.__getitem__)
+    take_apb = _earliest_unused(blocks[Pairing.APB], b_out.__getitem__)
+    take_apbp = _earliest_unused(blocks[Pairing.APBP], lambda s: (a_out[s], b_out[s]))
     steps: list[str] = []
-    for _ in range(min(len(blocks[Pairing.AB]), 64)):
-        if not remaining[Pairing.AB]:
-            break
-        slot_ab, (a, b) = remaining[Pairing.AB].pop(0)
-        pick_abp = next(
-            (e for e in remaining[Pairing.ABP] if e[1][0] == a), None
-        )
-        if pick_abp is None:
+    for slot_ab in blocks[Pairing.AB][:64]:
+        a, b = a_out[slot_ab], b_out[slot_ab]
+        slot_abp = take_abp(a)
+        if slot_abp is None:
             return (
                 f"slot {slot_ab} fixes a={a:+d} under ({Pairing.AB.key}); no slot in "
                 f"block ({Pairing.ABP.key}) still offers a={a:+d}. " + " ".join(steps)
             )
-        remaining[Pairing.ABP].remove(pick_abp)
-        b_prime = pick_abp[1][1]
-        pick_apb = next((e for e in remaining[Pairing.APB] if e[1][1] == b), None)
-        if pick_apb is None:
+        b_prime = b_out[slot_abp]
+        slot_apb = take_apb(b)
+        if slot_apb is None:
             return (
                 f"slot {slot_ab} fixes b={b:+d}; no slot in block ({Pairing.APB.key}) "
                 f"still offers b={b:+d}. " + " ".join(steps)
             )
-        remaining[Pairing.APB].remove(pick_apb)
-        a_prime = pick_apb[1][0]
-        pick_apbp = next(
-            (
-                e
-                for e in remaining[Pairing.APBP]
-                if e[1] == (a_prime, b_prime)
-            ),
-            None,
-        )
-        if pick_apbp is None:
+        a_prime = a_out[slot_apb]
+        slot_apbp = take_apbp((a_prime, b_prime))
+        if slot_apbp is None:
             return (
                 f"carrying a={a:+d}, b={b:+d} from slot {slot_ab} forces "
-                f"b'={b_prime:+d} (slot {pick_abp[0]}) and a'={a_prime:+d} "
-                f"(slot {pick_apb[0]}), but no slot in block ({Pairing.APBP.key}) "
+                f"b'={b_prime:+d} (slot {slot_abp}) and a'={a_prime:+d} "
+                f"(slot {slot_apb}), but no slot in block ({Pairing.APBP.key}) "
                 f"offers the pair (a'={a_prime:+d}, b'={b_prime:+d}). " + " ".join(steps)
             )
-        remaining[Pairing.APBP].remove(pick_apbp)
-        steps.append(
-            f"matched slots ({slot_ab},{pick_abp[0]},{pick_apb[0]},{pick_apbp[0]})."
-        )
+        steps.append(f"matched slots ({slot_ab},{slot_abp},{slot_apb},{slot_apbp}).")
     return "no single forced dead end; joint availability is the binding limit. " + " ".join(
         steps
     )
@@ -582,14 +589,12 @@ def _stable_match(
     """Pair each target (slot, value) with the earliest unused donor slot of
     equal value; unmatched targets are skipped.  Returns (donor, target)
     slot pairs in target order."""
-    unused = list(donors)
+    take = _earliest_unused(donors, lambda donor: donor[1])
     out = []
     for t_slot, t_val in targets:
-        for idx, (d_slot, d_val) in enumerate(unused):
-            if d_val == t_val:
-                out.append((d_slot, t_slot))
-                del unused[idx]
-                break
+        donor = take(t_val)
+        if donor is not None:
+            out.append((donor[0], t_slot))
     return out
 
 

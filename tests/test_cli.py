@@ -203,7 +203,15 @@ def test_malformed_provenance_exits_3(cli, tmp_path, capsys, provenance):
     assert "provenance" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("content", [None, '{"a_settings": ["alpha"'], ids=["missing", "bad-json"])
+_DEEP = "[" * 200_000
+_LONG = "1" * 5_000
+
+
+@pytest.mark.parametrize(
+    "content",
+    [None, '{"a_settings": ["alpha"', '{"a_settings": ' + _DEEP, '{"seed": ' + _LONG + "}"],
+    ids=["missing", "bad-json", "nested", "long-int"],
+)
 def test_bad_schedule_file_exits_3(cli, tmp_path, capsys, content):
     sched = tmp_path / "sched.json"
     if content is not None:
@@ -213,6 +221,23 @@ def test_bad_schedule_file_exits_3(cli, tmp_path, capsys, content):
                "--schedule", f"file:{sched}", "--output", str(out)) == 3
     assert str(sched) in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("text", [
+    _DEEP,
+    '{"meta": null}\n' + _DEEP,
+    '{"slots": 1, "a": ' + _DEEP,
+    '{"a": 1, "a_setting": "alpha", "b": 1, "b_setting": "beta", "slot": ' + _LONG + "}",
+    '{"meta": null}\n{"a": 1, "a_setting": "alpha", "b": 1, "b_setting": "beta", "slot": 0}\n'
+    '{"a": 1, "a_setting": "alpha", "b": 1, "b_setting": "beta", "slot": ' + _LONG + "}",
+    '{"slots": ' + _LONG + ', "a": [], "b": [], "a_prime": [], "b_prime": []}',
+], ids=["log-nested", "log-nested-line-2", "table-nested",
+        "log-long-slot", "log-long-slot-line-3", "table-long-slots"])
+def test_hostile_json_exits_3(cli, tmp_path, capsys, text):
+    path = tmp_path / "input.json"
+    path.write_text(text)
+    assert cli("analyze", "--input", str(path)) == 3
+    assert capsys.readouterr().err.startswith("error: ")
 
 
 def test_input_that_is_not_utf8_exits_3(cli, tmp_path, capsys):

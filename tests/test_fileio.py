@@ -1,5 +1,6 @@
 import io
 import json
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -280,3 +281,120 @@ def test_fuzzed_event_logs_load_or_raise_a_named_error(text):
     except BellSeriesError:
         return
     assert fileio.read_run_events(iter(_reference_events_text(run).splitlines(True))) == run
+
+
+# --- the canonical-line decoder against json.loads ---------------------------
+
+_DECODED = fileio._match_event.__self__
+
+
+@settings(max_examples=300)
+@given(st.from_regex(_DECODED, fullmatch=True))
+def test_every_line_the_decoder_accepts_reads_as_json_loads_reads_it(line):
+    a, a_name, b, b_name, slot = fileio._match_event(line).groups()
+    decoded = {
+        "a": fileio._OUTCOMES[a],
+        "a_setting": fileio._A_SETTINGS[a_name].value,
+        "b": fileio._OUTCOMES[b],
+        "b_setting": fileio._B_SETTINGS[b_name].value,
+        "slot": int(slot),
+    }
+    loaded = json.loads(line)
+    assert decoded == loaded
+    assert [type(v) for v in decoded.values()] == [type(loaded[k]) for k in decoded]
+
+
+def _outcome(text, decoder):
+    """What read_run_events makes of ``text`` with the given line decoder: the
+    run and its meta, or the error's type and message."""
+    with mock.patch.object(fileio, "_match_event", decoder):
+        try:
+            run = fileio.read_run_events(io.StringIO(text))
+        except BellSeriesError as exc:
+            return type(exc), str(exc)
+    return run, run.meta
+
+
+def _json_only(line):
+    return None
+
+
+_CANONICAL = '{"a": 1, "a_setting": "alpha", "b": -1, "b_setting": "beta", "slot": %d}'
+
+# Lines that read_run_events must hand to json.loads, each with what it does.
+NEAR_MISSES = {
+    "minus-zero": lambda s: _CANONICAL.replace('"a": 1', '"a": -0') % s,
+    "leading-zero-outcome": lambda s: _CANONICAL.replace('"a": 1', '"a": 01') % s,
+    "plus-one": lambda s: _CANONICAL.replace('"a": 1', '"a": +1') % s,
+    "float": lambda s: _CANONICAL.replace('"b": -1', '"b": -1.0') % s,
+    "true": lambda s: _CANONICAL.replace('"a": 1', '"a": true') % s,
+    "leading-zero-slot": lambda s: _CANONICAL.replace("%d", "0%d") % s,
+    "arabic-indic-slot": lambda s: _CANONICAL.replace("%d", "%s") % chr(0x660 + s % 10),
+    "fullwidth-slot": lambda s: _CANONICAL.replace("%d", "%s") % chr(0xFF10 + s % 10),
+    "long-slot": lambda s: _CANONICAL.replace("%d", "%s") % ("1" * 19),
+    "escaped-setting": lambda s: _CANONICAL.replace('"alpha"', '"alph\\u0061"') % s,
+    "compact": lambda s: json.dumps(json.loads(_CANONICAL % s), separators=(",", ":"),
+                                    sort_keys=True),
+    "key-order": lambda s: json.dumps(dict(EVENT, slot=s)),
+    "inner-space": lambda s: (_CANONICAL % s)[:-1] + " }",
+    "trailing-space": lambda s: _CANONICAL % s + " \t",
+    "crlf": lambda s: _CANONICAL % s + "\r",
+}
+
+
+@pytest.mark.parametrize("name", sorted(NEAR_MISSES))
+def test_near_miss_lines_read_as_json_loads_reads_them(name):
+    line = NEAR_MISSES[name](1)
+    if name in ("trailing-space", "crlf"):
+        # whitespace around a line is stripped before anything reads it
+        assert fileio._match_event(line.strip()) is not None
+    else:
+        assert fileio._match_event(line.strip()) is None
+    text = '{"meta": null}\n' + _CANONICAL % 0 + "\n" + line + "\n" + _CANONICAL % 2 + "\n"
+    assert _outcome(text, fileio._match_event) == _outcome(text, _json_only)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.sampled_from(sorted(NEAR_MISSES)) | st.none(), max_size=8), st.booleans())
+def test_logs_with_near_misses_read_as_with_json_loads_alone(kinds, meta):
+    lines = ['{"meta": {"seed": 1}}'] if meta else []
+    for slot, kind in enumerate(kinds):
+        lines.append(_CANONICAL % slot if kind is None else NEAR_MISSES[kind](slot))
+    text = "".join(line + "\n" for line in lines)
+    assert _outcome(text, fileio._match_event) == _outcome(text, _json_only)
+
+
+@pytest.mark.parametrize("meta", [None, {"seed": 4}])
+def test_written_event_lines_decode_without_json_loads(monkeypatch, meta):
+    config = SourceConfig(model="quantum", schedule=random_per_slot(400, 4), seed=4, eta=0.8)
+    run = simulate(config)
+    run = RecordedRun(run.schedule, run.a_outcomes, run.b_outcomes, meta=meta)
+    assert {-1, 0, 1} <= set(run.a_outcomes) & set(run.b_outcomes)
+    buf = io.StringIO()
+    fileio.write_run_events(run, buf)
+    calls = []
+    real_loads = json.loads
+
+    def counting_loads(text, *args, **kwargs):
+        calls.append(text)
+        return real_loads(text, *args, **kwargs)
+
+    monkeypatch.setattr(json, "loads", counting_loads)
+    again = fileio.read_run_events(io.StringIO(buf.getvalue()))
+    assert again == run and again.meta == meta
+    assert calls == ([] if meta is None else ['{"meta": {"seed": 4}}'])
+
+
+_HOSTILE = {"nested": "[" * 200_000, "long-slot": _CANONICAL.replace("%d", "1" * 5_000)}
+
+
+@pytest.mark.parametrize("name", sorted(_HOSTILE))
+def test_hostile_json_is_a_parse_error(tmp_path, name):
+    text = _CANONICAL % 0 + "\n" + _HOSTILE[name] + "\n"
+    with pytest.raises(ParseError) as err:
+        fileio.read_run_events(io.StringIO(text))
+    assert err.value.line_number == 2
+    path = tmp_path / "table.json"
+    path.write_text('{"slots": 1, "a": ' + _HOSTILE[name])
+    with pytest.raises(ParseError):
+        fileio.read_table(str(path))

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from bellseries import refdata
+from bellseries import refdata, sica
 from bellseries.errors import BellSeriesError, PreconditionError
 from bellseries.model import (
     Pairing,
@@ -12,6 +12,7 @@ from bellseries.model import (
     SeriesTable,
     block_halves,
     pairing_blocks,
+    project_table,
     random_per_slot,
     table_from_run,
 )
@@ -30,7 +31,7 @@ from bellseries.sica import (
 from bellseries.simulate import SourceConfig, simulate
 from bellseries.stats import chsh, correlation
 
-from naive_sica import naive_plan
+from naive_sica import naive_greedy_obstruction, naive_plan, naive_stable_match
 
 
 def test_fully_measured_table_has_no_regimes_to_compare():
@@ -333,3 +334,84 @@ def test_reorder_realization_matches_first_match_scan(seed):
         instructions=instructions,
     )
     _assert_realized_as_naive(simulate(config), budget=slots)
+
+
+# --- the obstruction walk and completion's matching against list scans -------
+
+
+def test_obstruction_matches_list_scan_on_a_large_quantum_run():
+    config = SourceConfig(
+        model="quantum", schedule=random_per_slot(200_000, 2), seed=3, eta=0.9
+    )
+    run = simulate(config)
+    blocks = pairing_blocks(run)
+    text = sica._greedy_obstruction(run, blocks)
+    assert text == naive_greedy_obstruction(run, blocks)
+    assert text.count("matched slots") == 64
+
+
+def test_obstruction_matches_list_scan_on_every_branch():
+    branches = {"under (": "a", "; no slot in block (alpha_prime:beta)": "b",
+                "carrying": "pair", "no single": "none"}
+    reached = set()
+    for seed in range(300):
+        rng = random.Random(seed)
+        slots = rng.randrange(4, 41)
+        values = rng.choice(((-1, 1), (-1, 0, 1)))
+        run = RecordedRun(
+            random_per_slot(slots, seed),
+            tuple(rng.choice(values) for _ in range(slots)),
+            tuple(rng.choice(values) for _ in range(slots)),
+        )
+        blocks = pairing_blocks(run)
+        text = sica._greedy_obstruction(run, blocks)
+        assert text == naive_greedy_obstruction(run, blocks), seed
+        reached.update(kind for marker, kind in branches.items() if marker in text)
+    assert reached == {"a", "b", "pair", "none"}
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_stable_match_matches_list_scan(seed):
+    rng = random.Random(seed)
+    values = rng.choice(((-1, 1), (-1, 0, 1), (1,)))
+    donors = [(i, rng.choice(values)) for i in range(rng.randrange(60))]
+    targets = [(100 + i, rng.choice(values)) for i in range(rng.randrange(60))]
+    assert sica._stable_match(donors, targets) == naive_stable_match(donors, targets)
+
+
+def _completion(run, budget=None):
+    result = build_complete_table(run, [1, 0] * run.slots, [0, 1] * run.slots, budget)
+    return result.complete.table, result.complete.provenance, result.discarded_slots, result.note
+
+
+def _adversarial_block_run(slots):
+    """Quarter 1 holds a=+1 then a=-1, quarter 2 the reverse: every target of
+    the first-match scan sits half a quarter into its donors."""
+    q = slots // 4
+    half = q // 2
+    a = [1] * half + [-1] * (q - half) + [-1] * half + [1] * (q - half)
+    a += [(-1) ** i for i in range(2 * q)]
+    b = [1 if (i * 7) % 3 else -1 for i in range(slots)]
+    return RecordedRun(block_halves(slots), tuple(a), tuple(b))
+
+
+@pytest.mark.parametrize(
+    "run",
+    [_adversarial_block_run(4000)]
+    + [
+        project_table(
+            SeriesTable.from_rows(
+                *([random.Random(seed * 4 + k).choice((-1, 1)) for _ in range(slots)]
+                  for k in range(4))
+            ),
+            block_halves(slots),
+        )
+        for seed, slots in enumerate((8, 40, 400, 2000))
+    ],
+    ids=["adversarial-4000", "seeded-8", "seeded-40", "seeded-400", "seeded-2000"],
+)
+def test_completion_matches_list_scan_matching(run, monkeypatch):
+    budget = run.slots // 4
+    fast = _completion(run, budget)
+    monkeypatch.setattr(sica, "_stable_match", naive_stable_match)
+    assert fast == _completion(run, budget)
