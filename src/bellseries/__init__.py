@@ -32,9 +32,7 @@ from .model import (
     pairing_blocks,
     project_table,
     random_per_slot,
-    run_from_table,
     table_from_run,
-    validate,
 )
 from .oracle import (
     EnumSpec,
@@ -53,7 +51,6 @@ from .sica import (
     condense,
     enumerate_complete_tables,
     fill_counterfactual,
-    normalize_to_block_halves,
     reorder_to_sica,
 )
 from .simulate import DEFAULT_ANGLES, SourceConfig, expected_chsh, replay, simulate
@@ -117,19 +114,16 @@ __all__ = [
     "max_chsh",
     "max_clauser_horne",
     "max_s_eta",
-    "normalize_to_block_halves",
     "overlap_fraction",
     "pairing_blocks",
     "project_table",
     "random_per_slot",
     "replay",
     "reorder_to_sica",
-    "run_from_table",
     "set_stats",
     "simulate",
     "station_retention",
     "sweep_cardinality_bound",
     "table_eta",
     "table_from_run",
-    "validate",
 ]

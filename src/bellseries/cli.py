@@ -19,7 +19,6 @@ import numpy as np
 from . import fileio, oracle, refdata
 from .errors import BellSeriesError, ParseError, PreconditionError
 from .model import (
-    PAIRINGS,
     RecordedRun,
     Schedule,
     SeriesTable,
@@ -61,21 +60,11 @@ def _make_schedule(spec: str, slots: int | None, seed: int | None) -> Schedule:
         return random_per_slot(slots, seed)
     if spec.startswith("file:"):
         path = spec[len("file:"):]
-        data = fileio.parse_json(_read_text(path), name=f"schedule file {path}")
+        data = fileio.parse_json(fileio.read_text(path), name=f"schedule file {path}")
         return schedule_from_json(data)
     raise PreconditionError(
         f"unknown schedule {spec!r}: expected block, random, or file:<path>"
     )
-
-
-def _read_text(path: str) -> str:
-    try:
-        with open(path, "r", encoding="utf-8") as fp:
-            return fp.read()
-    except OSError as exc:
-        raise PreconditionError(f"cannot read {path}: {exc.strerror}") from exc
-    except UnicodeDecodeError as exc:
-        raise ParseError(f"{path} is not UTF-8 text: {exc.reason}") from exc
 
 
 def _lines(text: str):
@@ -90,7 +79,7 @@ def _lines(text: str):
 def _load_input(path: str):
     """A table file is a single JSON object; anything else is an event log.
     The file is read once and the log parsed from that text."""
-    text = _read_text(path)
+    text = fileio.read_text(path)
     try:
         data = fileio.parse_json(text)
     except ParseError:
@@ -125,6 +114,11 @@ def _parse_free_choices(text: str, quarter: int) -> tuple[tuple[int, ...], tuple
     )
 
 
+def _non_negative(flag: str, value: int | None) -> None:
+    if value is not None and value < 0:
+        raise PreconditionError(f"{flag} must be non-negative, got {value}")
+
+
 def _parse_constraint(text: str):
     if text in ("none", ""):
         return None
@@ -138,7 +132,12 @@ def _parse_constraint(text: str):
         ("eta<", "eta_below"),
     ):
         if text.startswith(prefix):
-            return (kind, Fraction(text[len(prefix):]))
+            try:
+                return (kind, Fraction(text[len(prefix):]))
+            except (ValueError, ZeroDivisionError):
+                raise PreconditionError(
+                    f"constraint {text!r}: {text[len(prefix):]!r} is not a rational number"
+                ) from None
     raise PreconditionError(
         f"unknown constraint {text!r}: expected none, equal-nc, sica, "
         "eta>=Q, eta<=Q, or eta<Q"
@@ -176,16 +175,6 @@ def _render_text(report: dict) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _emit(args, report: dict) -> None:
-    if getattr(args, "output_report", None):
-        fileio.write_json_atomic(args.output_report, report)
-    if args.format == "text":
-        sys.stdout.write(_render_text(report))
-    else:
-        json.dump(report, sys.stdout, indent=2, sort_keys=True)
-        sys.stdout.write("\n")
-
-
 def _print_json(data: dict, args) -> None:
     if args.format == "text":
         for key, value in data.items():
@@ -202,6 +191,8 @@ def _print_json(data: dict, args) -> None:
 
 
 def _cmd_simulate(args) -> int:
+    _non_negative("--seed", args.seed)
+    _non_negative("--slots", args.slots)
     schedule_seed, source_seed = _split_seed(args.seed)
     schedule = _make_schedule(args.schedule, args.slots, schedule_seed)
     instructions = None
@@ -212,9 +203,14 @@ def _cmd_simulate(args) -> int:
             )
         table, _, _ = _load_input(args.input)
         instructions = table
-    angles = tuple(float(x) for x in args.angles.split(","))
+    try:
+        angles = tuple(float(x) for x in args.angles.split(","))
+    except ValueError:
+        angles = ()
     if len(angles) != 4:
-        raise PreconditionError("--angles wants four comma-separated degrees")
+        raise PreconditionError(
+            f"--angles wants four comma-separated degrees, got {args.angles!r}"
+        )
     config = SourceConfig(
         model=args.model,
         schedule=schedule,
@@ -248,8 +244,12 @@ def _cmd_analyze(args) -> int:
             }
             for label, rec in run_detector_efficiencies(run).items()
         }
-    args.output_report = args.output
-    _emit(args, report)
+    if args.output:
+        fileio.write_json_atomic(args.output, report)
+    if args.format == "text":
+        sys.stdout.write(_render_text(report))
+    else:
+        _print_json(report, args)
     return 0
 
 
@@ -291,10 +291,30 @@ def _cmd_sica_check(args) -> int:
     return 0
 
 
-def _cmd_sica_reorder(args) -> int:
+def _run_input(args, what: str) -> RecordedRun:
+    """The event log at ``--input`` for a command that takes ``--budget``."""
+    _non_negative("--budget", args.budget)
     _, _, run = _load_input(args.input)
     if run is None:
-        raise PreconditionError("reordering works on event logs, not full tables")
+        raise PreconditionError(f"{what} works on event logs, not full tables")
+    return run
+
+
+def _complete(args, run: RecordedRun):
+    """``sica-complete`` and ``fill sica``: the completion of ``run`` under
+    the ``--free-choices`` words."""
+    if run.slots % 4 != 0:
+        raise PreconditionError(
+            f"completion needs a slot count divisible by 4, got {run.slots}"
+        )
+    if args.free_choices is None:
+        raise PreconditionError("completion needs --free-choices")
+    bits_a, bits_ap = _parse_free_choices(args.free_choices, run.slots // 4)
+    return build_complete_table(run, bits_a, bits_ap, budget=args.budget)
+
+
+def _cmd_sica_reorder(args) -> int:
+    run = _run_input(args, "reordering")
     outcome = reorder_to_sica(run, budget=args.budget)
     report = {
         "command": "sica-reorder",
@@ -343,15 +363,7 @@ def _cmd_sica_condense(args) -> int:
 
 
 def _cmd_sica_complete(args) -> int:
-    _, _, run = _load_input(args.input)
-    if run is None:
-        raise PreconditionError("completion works on event logs, not full tables")
-    if run.slots % 4 != 0:
-        raise PreconditionError(
-            f"completion needs a slot count divisible by 4, got {run.slots}"
-        )
-    bits_a, bits_ap = _parse_free_choices(args.free_choices, run.slots // 4)
-    result = build_complete_table(run, bits_a, bits_ap, budget=args.budget)
+    result = _complete(args, _run_input(args, "completion"))
     complete = result.complete
     if args.output:
         fileio.write_json_atomic(
@@ -374,18 +386,12 @@ def _cmd_sica_complete(args) -> int:
 
 
 def _cmd_fill(args) -> int:
-    _, _, run = _load_input(args.input)
-    if run is None:
-        raise PreconditionError("fill works on event logs, not full tables")
+    run = _run_input(args, "fill")
     if args.policy == "zeros":
-        table = fill_counterfactual(run, "zeros")
-        provenance = None
+        table, provenance = fill_counterfactual(run, "zeros"), None
     else:
-        bits_a, bits_ap = _parse_free_choices(args.free_choices, run.slots // 4)
-        result = fill_counterfactual(
-            run, "sica", bits_a, bits_ap, budget=args.budget
-        )
-        table, provenance = result.complete.table, result.complete.provenance
+        complete = _complete(args, run).complete
+        table, provenance = complete.table, complete.provenance
     if args.output:
         fileio.write_json_atomic(args.output, fileio.table_to_json(table, provenance))
     report = {
@@ -542,7 +548,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--input", help="instruction table for --model deterministic")
     _add_common(p, output_help="event log to write")
     p.set_defaults(func=_cmd_simulate)
-    p._required_output = True
 
     p = subs.add_parser("analyze", help="statistics report for a run or table")
     p.add_argument("--input", required=True)

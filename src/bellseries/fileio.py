@@ -23,7 +23,7 @@ from collections import Counter
 from contextlib import contextmanager
 from typing import Any, Iterable, Iterator, TextIO
 
-from .errors import ParseError, StructuralError
+from .errors import ParseError, PreconditionError, StructuralError
 from .model import (
     MEASURED_VALUES,
     ROW_KEYS,
@@ -213,10 +213,21 @@ def provenance_from_json(data: dict) -> dict[str, tuple[str, ...]] | None:
     return out
 
 
+def read_text(path: str) -> str:
+    """The whole of a UTF-8 file.  A file that cannot be opened raises
+    :class:`PreconditionError`, one that is not UTF-8 :class:`ParseError`;
+    both name the file."""
+    try:
+        with open(path, "r", encoding="utf-8") as fp:
+            return fp.read()
+    except OSError as exc:
+        raise PreconditionError(f"cannot read {path}: {exc.strerror}") from exc
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path} is not UTF-8 text: {exc.reason}") from exc
+
+
 def read_table(path: str) -> SeriesTable:
-    with open(path, encoding="utf-8") as fp:
-        data = parse_json(fp.read())
-    return table_from_json(data)
+    return table_from_json(parse_json(read_text(path)))
 
 
 @contextmanager
@@ -252,4 +263,7 @@ def write_run_file(run: RecordedRun, path: str) -> None:
 
 def read_run_file(path: str) -> RecordedRun:
     with open(path, encoding="utf-8") as fp:
-        return read_run_events(fp)
+        try:
+            return read_run_events(fp)
+        except UnicodeDecodeError as exc:
+            raise ParseError(f"{path} is not UTF-8 text: {exc.reason}") from exc

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Iterable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -92,16 +92,12 @@ class Pairing(Enum):
 PAIRINGS = (Pairing.AB, Pairing.ABP, Pairing.APB, Pairing.APBP)
 
 
-def _as_cells(values: Iterable[Cell]) -> tuple[Cell, ...]:
-    return tuple(values)
-
-
 @dataclass(frozen=True)
 class SeriesTable:
     """Four aligned outcome series over ``slots`` time slots.
 
-    The constructor stores data as given; use :func:`validate` to obtain a
-    report of structural problems instead of an exception.
+    The constructor stores data as given; :meth:`from_rows` checks the row
+    lengths and cells and raises :class:`StructuralError` on a bad one.
     """
 
     slots: int
@@ -112,12 +108,12 @@ class SeriesTable:
 
     def __post_init__(self):
         for key in ROW_KEYS:
-            object.__setattr__(self, key, _as_cells(getattr(self, key)))
+            object.__setattr__(self, key, tuple(getattr(self, key)))
 
     @classmethod
     def from_rows(cls, a, b, a_prime, b_prime) -> "SeriesTable":
         """Build a table from four equal-length rows, checking the cells."""
-        rows = [_as_cells(r) for r in (a, b, a_prime, b_prime)]
+        rows = [tuple(r) for r in (a, b, a_prime, b_prime)]
         lengths = {len(r) for r in rows}
         if len(lengths) != 1:
             raise StructuralError(
@@ -135,9 +131,6 @@ class SeriesTable:
         if key not in ROW_KEYS:
             raise KeyError(key)
         return getattr(self, key)
-
-    def rows(self) -> dict[str, tuple[Cell, ...]]:
-        return {key: getattr(self, key) for key in ROW_KEYS}
 
     @property
     def fully_measured(self) -> bool:
@@ -325,14 +318,6 @@ def derive_schedule(table: SeriesTable) -> Schedule:
     return custom_schedule(a_settings, b_settings)
 
 
-def run_from_table(table: SeriesTable, meta: dict | None = None) -> RecordedRun:
-    """Inverse of :func:`table_from_run` for run-derived tables."""
-    schedule = derive_schedule(table)
-    a_out = tuple(table.row(schedule.a_settings[i].row)[i] for i in range(table.slots))
-    b_out = tuple(table.row(schedule.b_settings[i].row)[i] for i in range(table.slots))
-    return RecordedRun(schedule, a_out, b_out, meta=meta)
-
-
 def project_table(table: SeriesTable, schedule: Schedule, meta: dict | None = None) -> RecordedRun:
     """Sample a fully measured table through a schedule of the same length,
     reading each active row at the same slot index."""
@@ -353,72 +338,3 @@ def pairing_blocks(run: RecordedRun) -> dict[Pairing, list[int]]:
     for i in range(run.slots):
         blocks[run.schedule.pairing(i)].append(i)
     return blocks
-
-
-@dataclass(frozen=True)
-class Violation:
-    rule: str
-    detail: str
-    row: str | None = None
-    slot: int | None = None
-
-
-def validate(table: SeriesTable, schedule: Schedule | None = None) -> list[Violation]:
-    """Report structural problems with a table.  Never raises.
-
-    With a schedule, additionally checks that measured cells sit exactly
-    under the active settings.
-    """
-    out: list[Violation] = []
-    for key in ROW_KEYS:
-        row = table.row(key)
-        if len(row) != table.slots:
-            out.append(
-                Violation(
-                    "row-length",
-                    f"row {key} has {len(row)} cells, expected {table.slots}",
-                    row=key,
-                )
-            )
-            continue
-        for i, v in enumerate(row):
-            if v is not None and not is_outcome(v):
-                out.append(
-                    Violation(
-                        "cell-domain",
-                        f"row {key} slot {i} holds {v!r}, not +1/-1/0/unmeasured",
-                        row=key,
-                        slot=i,
-                    )
-                )
-    if schedule is not None and schedule.slots == table.slots and not out:
-        for i in range(table.slots):
-            active = {schedule.a_settings[i].row, schedule.b_settings[i].row}
-            for key in ROW_KEYS:
-                v = table.row(key)[i]
-                if key in active and v is None:
-                    out.append(
-                        Violation(
-                            "active-unmeasured",
-                            f"row {key} slot {i} is active but holds no value",
-                            row=key,
-                            slot=i,
-                        )
-                    )
-                if key not in active and v is not None:
-                    out.append(
-                        Violation(
-                            "inactive-measured",
-                            f"row {key} slot {i} is inactive but holds {v}",
-                            row=key,
-                            slot=i,
-                        )
-                    )
-    elif schedule is not None and schedule.slots != table.slots:
-        out.append(
-            Violation(
-                "schedule-length",
-                f"schedule covers {schedule.slots} slots, table has {table.slots}",
-            )
-        )
-    return out

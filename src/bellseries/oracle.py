@@ -45,6 +45,7 @@ from .model import (
     RecordedRun,
     SeriesTable,
     block_halves,
+    pairing_blocks,
     table_from_run,
 )
 from .sica import _distant_regimes, _is_block_halves, check_sica
@@ -611,17 +612,12 @@ def census_complete_tables(
         samples.append(
             SeriesTable.from_rows(rows["a"], rows["b"], rows["a_prime"], rows["b_prime"])
         )
+    blocks = pairing_blocks(run)
+    want = {p: correlation_over_slots(base, p, blocks[p]) for p in PAIRINGS}
     for sample in samples:
         for p in PAIRINGS:
-            factual = [
-                i
-                for i in range(run.slots)
-                if schedule.a_settings[i] is p.a_setting
-                and schedule.b_settings[i] is p.b_setting
-            ]
-            got = correlation_over_slots(sample, p, factual)
-            want = correlation_over_slots(base, p, factual)
-            if got.n_c != want.n_c or got.total != want.total:
+            got = correlation_over_slots(sample, p, blocks[p])
+            if got.n_c != want[p].n_c or got.total != want[p].total:
                 raise AssertionError("census sample does not preserve factual counts")
     return CensusResult(
         count, construction_count, tuple(samples), space, time.perf_counter() - t0

@@ -16,7 +16,7 @@ identity, while the factual cells keep their recorded values.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice
 from typing import Iterator, Sequence
@@ -252,7 +252,6 @@ class ReorderPlan:
     block_orders: dict[Pairing, tuple[int, ...]]
     discarded_slots: tuple[int, ...]
     kept_per_block: int
-    note: str = ""
 
 
 @dataclass(frozen=True)
@@ -635,7 +634,8 @@ def build_complete_table(
         raise PreconditionError(f"completion needs a slot count divisible by 4, got {t}")
     if not _is_block_halves(run.schedule):
         raise PreconditionError(
-            "completion needs the block layout; normalize_to_block_halves first"
+            "completion needs the block layout: alpha on the first half of "
+            "the slots, beta on the middle half"
         )
     if any(v == 0 for v in run.a_outcomes) or any(v == 0 for v in run.b_outcomes):
         raise PreconditionError(
@@ -763,39 +763,3 @@ def enumerate_complete_tables(
         for word_ap in range(1 << quarter):
             bits_ap = [(word_ap >> (quarter - 1 - j)) & 1 for j in range(quarter)]
             yield build_complete_table(run, bits_a, bits_ap)
-
-
-def normalize_to_block_halves(
-    run: RecordedRun, budget: int | None = None
-) -> tuple[RecordedRun, ReorderPlan]:
-    """Gather the four setting-pair blocks into the contiguous block layout
-    (pair (alpha, beta') first, then (alpha, beta), (alpha', beta),
-    (alpha', beta')), keeping each block's events in time order.  Blocks of
-    unequal size are trimmed to the smallest, within the discard budget."""
-    if budget is None:
-        budget = default_discard_budget(run.slots)
-    blocks = pairing_blocks(run)
-    empty = [p.key for p in PAIRINGS if not blocks[p]]
-    if empty:
-        raise PreconditionError(f"never-measured setting pairs: {', '.join(empty)}")
-    m = min(len(blocks[p]) for p in PAIRINGS)
-    overflow = max(len(blocks[p]) - m for p in PAIRINGS)
-    if overflow > budget:
-        sizes = {p.key: len(blocks[p]) for p in PAIRINGS}
-        raise PreconditionError(
-            f"block sizes {sizes} need {overflow} discards to balance, "
-            f"budget is {budget}"
-        )
-    order = (Pairing.ABP, Pairing.AB, Pairing.APB, Pairing.APBP)
-    kept_by_block = {p: tuple(blocks[p][:m]) for p in order}
-    sequence = [i for p in order for i in kept_by_block[p]]
-    a_out = tuple(run.a_outcomes[i] for i in sequence)
-    b_out = tuple(run.b_outcomes[i] for i in sequence)
-    new_run = RecordedRun(block_halves(4 * m), a_out, b_out, meta=run.meta)
-    discarded = tuple(
-        i for p in PAIRINGS for i in blocks[p][m:]
-    )
-    plan = ReorderPlan(
-        kept_by_block, tuple(sorted(discarded)), m, note="normalized to block layout"
-    )
-    return new_run, plan

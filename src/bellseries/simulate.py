@@ -1,7 +1,8 @@
 """Run generation: correlated two-station sources and table replay.
 
-The quantum-style source draws joint sign outcomes from a configurable
-correlation law E(theta_A, theta_B) with unbiased marginals:
+The quantum-style source draws joint sign outcomes from the cosine
+correlation law E(theta_A, theta_B) = cos 2(theta_A - theta_B) with
+unbiased marginals:
 
     P(same sign) = (1 + E) / 2,  split evenly between ++ and --
     P(opposite)  = (1 - E) / 2,  split evenly between +- and -+
@@ -21,7 +22,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -59,7 +59,6 @@ class SourceConfig:
     angles: tuple[float, float, float, float] = DEFAULT_ANGLES
     eta: float = 1.0
     instructions: SeriesTable | None = None
-    correlation: Callable[[float, float], float] | None = None
 
     def __post_init__(self):
         if self.model not in ("quantum", "deterministic"):
@@ -73,13 +72,10 @@ class SourceConfig:
                 raise PreconditionError("deterministic model needs an instruction table")
             if not self.instructions.fully_measured:
                 raise PreconditionError("instruction table must be fully measured")
-        else:
-            for p in PAIRINGS:
-                e = self.pairing_correlation(p)
-                if not -1.0 <= e <= 1.0:
-                    raise PreconditionError(
-                        f"correlation law gives E={e} for {p.key}, outside [-1, 1]"
-                    )
+        elif not all(math.isfinite(a - b) for a, b in map(self.pairing_angles, PAIRINGS)):
+            raise PreconditionError(
+                f"angles and their differences must be finite degrees, got {self.angles}"
+            )
 
     def pairing_angles(self, pairing: Pairing) -> tuple[float, float]:
         theta_a = self.angles[0] if pairing.a_row == "a" else self.angles[1]
@@ -87,12 +83,11 @@ class SourceConfig:
         return theta_a, theta_b
 
     def pairing_correlation(self, pairing: Pairing) -> float:
-        law = self.correlation or cosine_correlation
-        return law(*self.pairing_angles(pairing))
+        return cosine_correlation(*self.pairing_angles(pairing))
 
 
 def expected_chsh(config: SourceConfig) -> float:
-    """The CHSH value implied by the configured correlation law alone."""
+    """The CHSH value implied by the correlation law at the configured angles."""
     return chsh_combination(*(config.pairing_correlation(p) for p in PAIRINGS))
 
 

@@ -108,10 +108,6 @@ def _correlations(columns: Counter) -> dict[Pairing, PairingStat]:
     return {p: _pairing_stat(p, _pair_cells(columns, p)) for p in PAIRINGS}
 
 
-def correlations(table: SeriesTable) -> dict[Pairing, PairingStat]:
-    return _correlations(_column_counts(table))
-
-
 def chsh_combination(e_ab, e_abp, e_apb, e_apbp):
     """S = |E(a,b) - E(a,b')| + |E(a',b) + E(a',b')|, or None when any of
     the four correlations is undefined.  Exact on Fractions, plain on

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import strategies as st
 
-from bellseries.model import SeriesTable
+from bellseries.model import ROW_KEYS, SeriesTable
 
 
 def make_rng(seed):
@@ -67,6 +67,42 @@ def event_logs(draw):
             event["slot"] = draw(st.integers(-1, 5))
         lines.append(json.dumps(event))
     return "".join(line + "\n" for line in lines)
+
+
+@st.composite
+def table_objects(draw):
+    """Table objects of up to 8 slots: fully measured, run-shaped (one A and
+    one B cell per slot) or any mix of cells, with or without provenance,
+    then sometimes damaged: the slot count, a row, a cell, a provenance row
+    or a key replaced by any JSON value or dropped."""
+    slots = draw(st.integers(0, 8))
+    shape = draw(st.sampled_from(("full", "run", "any")))
+    cells = st.sampled_from((-1, 0, 1) if shape == "full" else (-1, 0, 1, None))
+    rows = {key: draw(st.lists(cells, min_size=slots, max_size=slots)) for key in ROW_KEYS}
+    if shape == "run":
+        for i in range(slots):
+            for pair in (("a", "a_prime"), ("b", "b_prime")):
+                active = draw(st.sampled_from(pair))
+                value = draw(st.sampled_from((-1, 0, 1)))
+                for key in pair:
+                    rows[key][i] = value if key == active else None
+    data = dict(rows, slots=slots)
+    if draw(st.booleans()):
+        marks = st.lists(st.sampled_from("FC"), min_size=slots, max_size=slots)
+        data["provenance"] = {key: draw(marks) for key in ROW_KEYS}
+    for _ in range(draw(st.integers(0, 2))):
+        target = draw(st.sampled_from(("slots", *ROW_KEYS, "cell", "provenance", "drop")))
+        if target == "drop":
+            data.pop(draw(st.sampled_from(sorted(data))), None)
+        elif target == "cell":
+            row = data.get(draw(st.sampled_from(ROW_KEYS)))
+            if isinstance(row, list) and row:
+                row[draw(st.integers(0, len(row) - 1))] = draw(json_values)
+        elif target == "provenance" and isinstance(data.get(target), dict) and draw(st.booleans()):
+            data[target][draw(st.sampled_from(ROW_KEYS))] = draw(json_values)
+        else:
+            data[target] = draw(json_values)
+    return data
 
 
 @pytest.fixture

@@ -6,7 +6,7 @@ from hypothesis import HealthCheck, given, settings
 from bellseries import fileio, refdata
 from bellseries.model import table_from_run
 
-from conftest import event_logs
+from conftest import event_logs, table_objects
 
 
 def test_simulate_is_reproducible(cli, tmp_path):
@@ -272,6 +272,70 @@ def test_analyze_on_fuzzed_event_logs_exits_0_or_3(cli, tmp_path, capsys, text):
     path = tmp_path / "fuzz.jsonl"
     path.write_text(text, encoding="utf-8")
     code = cli("analyze", "--input", str(path))
+    captured = capsys.readouterr()
+    assert code in (0, 3), captured.err
+    assert (code == 3) == captured.err.startswith("error: ")
+
+
+def test_fill_sica_writes_the_completion_table(cli, tmp_path, read_json):
+    events = tmp_path / "black.jsonl"
+    fileio.write_run_file(refdata.fig6("black"), str(events))
+    complete, filled = tmp_path / "complete.json", tmp_path / "filled.json"
+    assert cli("sica-complete", "--input", str(events),
+               "--free-choices", "1,2", "--output", str(complete)) == 0
+    assert cli("fill", "sica", "--input", str(events),
+               "--free-choices", "1,2", "--output", str(filled)) == 0
+    assert read_json(filled) == read_json(complete)
+
+
+_SIM = ("simulate", "--seed", "1", "--slots", "8")
+_LOG = "{log}"
+
+
+@pytest.mark.parametrize("argv, message", [
+    ((*_SIM, "--angles", "a,0,0,0"), "--angles"),
+    ((*_SIM, "--angles", "inf,0,0,0"), "finite"),
+    ((*_SIM, "--angles", "nan,0,0,0"), "finite"),
+    ((*_SIM, "--angles", "1e308,0,-1e308,0"), "finite"),
+    (("simulate", "--seed", "1", "--slots", "-4", "--schedule", "random"), "--slots"),
+    (("simulate", "--seed", "-1", "--slots", "8"), "--seed"),
+    (("oracle", "--objective", "chsh", "--slots", "2", "--constraint", "eta>=abc"),
+     "not a rational number"),
+    (("oracle", "--objective", "chsh", "--slots", "2", "--constraint", "eta>=1/0"),
+     "not a rational number"),
+    (("fill", "sica", "--input", _LOG), "--free-choices"),
+    (("sica-reorder", "--input", _LOG, "--budget", "-3"), "--budget"),
+    (("sica-complete", "--input", _LOG, "--free-choices", "1,2", "--budget", "-3"),
+     "--budget"),
+    (("fill", "zeros", "--input", _LOG, "--budget", "-3"), "--budget"),
+    (("fill", "sica", "--input", _LOG, "--free-choices", "1,2", "--budget", "-3"),
+     "--budget"),
+], ids=["angles-word", "angles-inf", "angles-nan", "angles-overflow", "negative-slots",
+        "negative-seed", "constraint-word", "constraint-div-zero", "fill-sica-no-choices",
+        "reorder-budget", "complete-budget", "fill-zeros-budget", "fill-sica-budget"])
+def test_bad_arguments_exit_3(cli, tmp_path, capsys, argv, message):
+    log = tmp_path / "black.jsonl"
+    fileio.write_run_file(refdata.fig6("black"), str(log))
+    out = tmp_path / "out.jsonl"
+    argv = [str(log) if a == _LOG else a for a in argv]
+    if argv[0] == "simulate":
+        argv += ["--output", str(out)]
+    assert cli(*argv) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ("analyze",), ("sica-check",), ("sica-condense",), ("sica-condense", "--schedule", "block"),
+], ids=["analyze", "sica-check", "sica-condense", "sica-condense-block"])
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=table_objects())
+def test_table_commands_on_fuzzed_tables_exit_0_or_3(cli, tmp_path, capsys, argv, data):
+    path = tmp_path / "fuzz.json"
+    path.write_text(json.dumps(data), encoding="utf-8")
+    code = cli(*argv, "--input", str(path))
     captured = capsys.readouterr()
     assert code in (0, 3), captured.err
     assert (code == 3) == captured.err.startswith("error: ")

@@ -14,7 +14,6 @@ from bellseries.model import (
     block_halves,
     project_table,
     random_per_slot,
-    validate,
 )
 from bellseries.simulate import SourceConfig, simulate
 
@@ -162,10 +161,15 @@ def test_lookalike_values_are_rejected(entry, value):
         build(value)
 
 
-@pytest.mark.parametrize("value", LOOKALIKES, ids=repr)
-def test_validate_flags_lookalike_cells(value):
-    table = SeriesTable(1, (value,), (1,), (1,), (1,))
-    assert [v.rule for v in validate(table)] == ["cell-domain"]
+@pytest.mark.parametrize("read, content", [
+    (fileio.read_table, b'{"slots": "\xff"}'),
+    (fileio.read_run_file, b'{"meta": "\xff"}\n'),
+], ids=["table", "event-log"])
+def test_file_that_is_not_utf8_is_a_parse_error(tmp_path, read, content):
+    path = tmp_path / "input.json"
+    path.write_bytes(content)
+    with pytest.raises(ParseError, match="not UTF-8"):
+        read(str(path))
 
 
 def test_duplicate_slots_are_named():

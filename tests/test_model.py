@@ -15,10 +15,8 @@ from bellseries.model import (
     pairing_blocks,
     project_table,
     random_per_slot,
-    run_from_table,
     schedule_from_json,
     table_from_run,
-    validate,
 )
 
 from conftest import make_rng, random_table
@@ -91,8 +89,6 @@ def test_project_then_derive_round_trip():
     sched = block_halves(16)
     run = project_table(table, sched)
     assert derive_schedule(table_from_run(run)) == sched
-    back = run_from_table(table_from_run(run))
-    assert back.schedule == sched
 
 
 def test_project_leaves_inactive_cells_unmeasured():
@@ -104,15 +100,6 @@ def test_project_leaves_inactive_cells_unmeasured():
     # slot 0 pairs alpha with beta_prime, so b and a_prime are unmeasured there
     assert t.a[0] == PLUS and t.b_prime[0] == MINUS
     assert t.b[0] is None and t.a_prime[0] is None
-
-
-def test_validate_flags_stray_cells():
-    sched = block_halves(4)
-    table = SeriesTable.from_rows(
-        (PLUS,) * 4, (MINUS,) * 4, (PLUS,) * 4, (MINUS,) * 4
-    )
-    problems = validate(table, sched)
-    assert problems, "a fully measured table cannot match a one-pairing-per-slot schedule"
 
 
 def test_pairing_blocks_partition_slots():

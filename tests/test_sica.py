@@ -25,7 +25,6 @@ from bellseries.sica import (
     default_discard_budget,
     enumerate_complete_tables,
     fill_counterfactual,
-    normalize_to_block_halves,
     reorder_to_sica,
 )
 from bellseries.simulate import SourceConfig, simulate
@@ -205,7 +204,7 @@ def test_completion_requires_block_layout():
     run = simulate(
         SourceConfig(model="quantum", schedule=random_per_slot(8, 1), seed=2)
     )
-    with pytest.raises(PreconditionError, match="normalize_to_block_halves"):
+    with pytest.raises(PreconditionError, match="needs the block layout"):
         build_complete_table(run, (0, 1), (1, 0))
 
 
@@ -226,18 +225,6 @@ def test_fill_zeros_marks_counterfactuals_as_missed():
     table = fill_counterfactual(run, "zeros")
     assert table.fully_measured
     assert table.b[0] == 0  # slot 0 measured beta_prime, so beta got nothing
-
-
-def test_normalize_gathers_blocks():
-    sched = random_per_slot(16, 77)
-    run = simulate(SourceConfig(model="quantum", schedule=sched, seed=78))
-    normalized, plan = normalize_to_block_halves(run, budget=16)
-    assert "block layout" in plan.note
-    blocks = pairing_blocks(normalized)
-    sizes = {p: len(ids) for p, ids in blocks.items()}
-    assert len(set(sizes.values())) == 1
-    assert normalized.slots % 4 == 0
-    assert blocks[Pairing.ABP][0] == 0
 
 
 # --- exhaustive small-size checks -------------------------------------------
