@@ -30,6 +30,7 @@ from .model import (
 from .sica import (
     CompleteTable,
     CondensedTable,
+    _bits,
     apply_plan,
     build_complete_table,
     check_sica,
@@ -109,9 +110,7 @@ def _parse_free_choices(text: str, quarter: int) -> tuple[tuple[int, ...], tuple
             raise PreconditionError(
                 f"free-choice word 0x{w:x} does not fit {quarter} bits"
             )
-    return tuple(
-        tuple((w >> (quarter - 1 - j)) & 1 for j in range(quarter)) for w in words
-    )
+    return tuple(_bits(w, quarter) for w in words)
 
 
 def _non_negative(flag: str, value: int | None) -> None:

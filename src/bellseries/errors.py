@@ -32,9 +32,9 @@ class BudgetExceeded(BellSeriesError):
     """An exhaustive sweep would visit more cases than the configured budget.
 
     ``required`` is the number of tables the refused sweep would have to
-    enumerate.
+    enumerate, or None when that number is too large to be worth building.
     """
 
-    def __init__(self, message: str, required: int):
+    def __init__(self, message: str, required: int | None):
         super().__init__(message)
         self.required = required

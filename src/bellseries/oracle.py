@@ -9,8 +9,8 @@ Enumeration order is fixed and documented so witnesses are reproducible:
 a table is a base-K numeral whose digits are its slot columns, first slot
 most significant; a column (a, b, a', b') is indexed lexicographically with
 cell values ordered -1 < 0 < +1.  Identity-constrained sweeps enumerate the
-free cells of the block layout instead (see :func:`_sica_component`) and
-order witnesses by that free-cell numeral.
+free cells of the block layout instead (see :func:`_component_slot_vars`)
+and order witnesses by that free-cell numeral.
 
 Every objective and constraint sees a table only through the sum of its
 columns' property vectors, so scans meet in the middle (Horowitz & Sahni,
@@ -48,7 +48,7 @@ from .model import (
     pairing_blocks,
     table_from_run,
 )
-from .sica import _distant_regimes, _is_block_halves, check_sica
+from .sica import _bits, _fill_identity_pairs, check_sica
 from .stats import chsh, clauser_horne_j, correlation_over_slots, table_eta
 
 DEFAULT_BUDGET = 2**26
@@ -76,11 +76,13 @@ class EnumSpec:
     budget: int = DEFAULT_BUDGET
 
     @property
+    def _cells(self) -> int:
+        """Free cells per table: the identity ties each cell to a partner."""
+        return (2 if self.constraint == "sica" else 4) * self.slots
+
+    @property
     def space_size(self) -> int:
-        k = len(_VALUES[self.alphabet])
-        if self.constraint == "sica":
-            return k ** (2 * self.slots)
-        return k ** (4 * self.slots)
+        return len(_VALUES[self.alphabet]) ** self._cells
 
     def validate(self) -> None:
         if self.alphabet not in _VALUES:
@@ -100,6 +102,14 @@ class EnumSpec:
                 raise PreconditionError(f"efficiency threshold out of range: {q}")
         elif self.constraint not in (None, "equal_nc", "sica"):
             raise PreconditionError(f"unknown constraint {self.constraint!r}")
+        k = len(_VALUES[self.alphabet])
+        if self._cells * math.log2(k) > self.budget.bit_length() + 64:
+            # Over 2^64 times the budget: refused without building the count,
+            # which can be too large to build or print.
+            raise BudgetExceeded(
+                f"sweep needs {k}^{self._cells} tables, budget is {self.budget}",
+                required=None,
+            )
         if self.space_size > self.budget:
             raise BudgetExceeded(
                 f"sweep needs {self.space_size} tables, budget is {self.budget}",
@@ -203,11 +213,19 @@ def _prefix_half(alphabet: str, n_slots: int) -> _Half:
     return _distinct(out)
 
 
-# The identity-constrained grid.  Under the block layout each row is two
-# interleaved copies of its free half, which couples the slots into two
-# independent groups; each group is 4 slots driven by 8 free cells, and both
-# groups share the same structure:
-_COMPONENT_SLOT_VARS = ((0, 2, 4, 6), (0, 3, 4, 7), (1, 2, 5, 6), (1, 3, 5, 7))
+@lru_cache(maxsize=None)
+def _component_slot_vars() -> tuple[tuple[int, int, int, int], ...]:
+    """Per slot of the 4-slot block layout, the free cell each column
+    (a, b, a', b') reads: its index among the layout's free pairs.
+
+    This is the identity-constrained grid.  Under the block layout each row
+    is two interleaved copies of its free half, which couples the slots into
+    independent groups of 4 (every other slot, at 8 slots), each laid out as
+    the 4-slot block layout and driven by its own 8 free cells."""
+    rows = {key: [None] * 4 for key in ROW_KEYS}
+    free = _fill_identity_pairs(rows, block_halves(4))
+    var = {(key, slot): j for j, (key, l, r) in enumerate(free) for slot in (l, r)}
+    return tuple(tuple(var[key, slot] for key in ROW_KEYS) for slot in range(4))
 
 
 @lru_cache(maxsize=None)
@@ -221,7 +239,7 @@ def _sica_component(alphabet: str) -> _Half:
         digits[:, j] = (idx // k ** (7 - j)) % k
     col = _column_props(alphabet)
     out = np.zeros((n, _PROPS), dtype=np.int64)
-    for va, vb, vap, vbp in _COMPONENT_SLOT_VARS:
+    for va, vb, vap, vbp in _component_slot_vars():
         cls = (
             (digits[:, va] * k + digits[:, vb]) * k + digits[:, vap]
         ) * k + digits[:, vbp]
@@ -315,33 +333,21 @@ def _table_from_index(spec: EnumSpec, global_idx: int, n_right: int) -> SeriesTa
     values = _VALUES[spec.alphabet]
     k = len(values)
     if spec.constraint == "sica":
-        va = [values[d] for d in _digits(li, k, 8)]
-        if spec.slots == 4:
-            v = va
-            return SeriesTable.from_rows(
-                a=(v[0], v[0], v[1], v[1]),
-                b=(v[2], v[3], v[2], v[3]),
-                a_prime=(v[4], v[4], v[5], v[5]),
-                b_prime=(v[6], v[7], v[6], v[7]),
-            )
-        vb = [values[d] for d in _digits(ri, k, 8)]
-        return SeriesTable.from_rows(
-            a=(va[0], vb[0], va[0], vb[0], va[1], vb[1], va[1], vb[1]),
-            b=(va[2], vb[2], va[3], vb[3], va[2], vb[2], va[3], vb[3]),
-            a_prime=(va[4], vb[4], va[4], vb[4], va[5], vb[5], va[5], vb[5]),
-            b_prime=(va[6], vb[6], va[7], vb[7], va[6], vb[6], va[7], vb[7]),
-        )
-    classes = _column_classes(spec.alphabet)
-    kk = len(classes)
-    left = spec.slots // 2
-    cols = [classes[d] for d in _digits(li, kk, left)]
-    cols += [classes[d] for d in _digits(ri, kk, spec.slots - left)]
-    return SeriesTable.from_rows(
-        a=[c[0] for c in cols],
-        b=[c[1] for c in cols],
-        a_prime=[c[2] for c in cols],
-        b_prime=[c[3] for c in cols],
-    )
+        # The 8-slot table interleaves two groups: even slots from the left
+        # half's free cells, odd slots from the right half's.
+        groups = [_digits(li, k, 8)] + ([_digits(ri, k, 8)] if spec.slots == 8 else [])
+        cols = [
+            tuple(values[cells[j]] for j in slot_vars)
+            for slot_vars in _component_slot_vars()
+            for cells in groups
+        ]
+    else:
+        classes = _column_classes(spec.alphabet)
+        kk = len(classes)
+        left = spec.slots // 2
+        cols = [classes[d] for d in _digits(li, kk, left)]
+        cols += [classes[d] for d in _digits(ri, kk, spec.slots - left)]
+    return SeriesTable.from_rows(*([c[r] for c in cols] for r in range(4)))
 
 
 # ---------------------------------------------------------------------------
@@ -555,14 +561,11 @@ def census_complete_tables(
     filled from the numeral's bits (0 as minus, 1 as plus, first missing
     cell most significant, cells ordered by row then slot).
 
-    The identity only equates cells: under a balanced schedule it ties the
-    k-th slot of each row under one distant setting to the k-th under the
-    other, so the cells fall into pairs.  A pair holding two different
-    factual values, or a factual 0 that no +-1 fill can match, admits no
-    extension; a pair with one factual cell fixes the other; a pair with
-    none is free.  So the count is 2^(free pairs), and the satisfying
-    numerals in increasing order are the binary numbers 0, 1, 2, ... over
-    the free pairs, ordered by their more significant cell.
+    The identity only equates cells, so the cells fall into pairs (see
+    :func:`~bellseries.sica._fill_identity_pairs`): the count is 2^(free
+    pairs), or 0 when no extension exists, and the satisfying numerals in
+    increasing order are the binary numbers 0, 1, 2, ... over the free
+    pairs, ordered by their more significant cell.
     """
     t0 = time.perf_counter()
     base = table_from_run(run)
@@ -573,41 +576,20 @@ def census_complete_tables(
         raise BudgetExceeded(
             f"census needs {space} extensions, budget is {budget}", required=space
         )
-    schedule = run.schedule
-    free: list[tuple[str, int, int]] = []
-    consistent = True
-    regimes = _distant_regimes(schedule)
-    for key in ROW_KEYS:
-        lefts, rights = regimes[key]
-        if len(lefts) != len(rights):
-            return CensusResult(0, None, (), space, time.perf_counter() - t0)
-        # Both slot lists ascend, so the pairs come in the order of their
-        # earlier slot: the free pairs are listed most significant first.
-        for l, r in zip(lefts, rights):
-            vl, vr = rows[key][l], rows[key][r]
-            if vl is None and vr is None:
-                free.append((key, l, r))
-            elif vl is None or vr is None:
-                fixed = vr if vl is None else vl
-                consistent &= fixed != 0
-                rows[key][l] = rows[key][r] = fixed
-            else:
-                consistent &= vl == vr
+    free = _fill_identity_pairs(rows, run.schedule)
     construction_count = None
     if (
         run.slots % 4 == 0
         and run.slots > 0
-        and _is_block_halves(schedule)
+        and run.schedule == block_halves(run.slots)
         and all(v != 0 for v in run.a_outcomes)
         and all(v != 0 for v in run.b_outcomes)
     ):
         construction_count = 1 << (run.slots // 2)
-    count = 1 << len(free) if consistent else 0
+    count = 0 if free is None else 1 << len(free)
     samples: list[SeriesTable] = []
-    width = len(free)
     for numeral in range(min(count, sample_cap)):
-        for j, (key, l, r) in enumerate(free):
-            bit = (numeral >> (width - 1 - j)) & 1
+        for (key, l, r), bit in zip(free, _bits(numeral, len(free))):
             rows[key][l] = rows[key][r] = 1 if bit else -1
         samples.append(
             SeriesTable.from_rows(rows["a"], rows["b"], rows["a_prime"], rows["b_prime"])

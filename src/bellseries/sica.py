@@ -91,6 +91,50 @@ def _distant_regimes(schedule: Schedule) -> dict[str, tuple[list[int], list[int]
     return {"a": by_b, "a_prime": by_b, "b": by_a, "b_prime": by_a}
 
 
+def _fill_identity_pairs(
+    rows: dict[str, list[Cell]], schedule: Schedule
+) -> list[tuple[str, int, int]] | None:
+    """Fill, in place, every cell of ``rows`` that the series identity
+    forces under ``schedule``, and return the pairs it leaves free.
+
+    Per row, the identity ties the k-th slot under one distant setting to
+    the k-th under the other.  A pair with one recorded cell copies it to
+    the other; a pair with none is free.  The free pairs come as (row, slot,
+    slot), row by row and each row's pairs by their earlier slot (both of a
+    row's regimes ascend).  Returns None when no +-1 extension exists: a
+    row's regimes differ in length, a pair holds two different values, or a
+    recorded 0 would be copied.
+    """
+    regimes = _distant_regimes(schedule)
+    free: list[tuple[str, int, int]] = []
+    for key in ROW_KEYS:
+        row = rows[key]
+        lefts, rights = regimes[key]
+        if len(lefts) != len(rights):
+            return None
+        for l, r in zip(lefts, rights):
+            vl, vr = row[l], row[r]
+            if vl is None and vr is None:
+                free.append((key, l, r))
+            elif vl is None or vr is None:
+                fixed = vr if vl is None else vl
+                if fixed == ZERO:
+                    return None
+                row[l] = row[r] = fixed
+            elif vl != vr:
+                return None
+    return free
+
+
+def _recorded(
+    row: Sequence[Cell], regime: tuple[list[int], list[int]]
+) -> tuple[list[int], list[int]]:
+    """The slots of ``row``'s recorded cells under each distant setting
+    (``regime``, from :func:`_distant_regimes`), in time order.  The
+    identity compares the k-th of one list with the k-th of the other."""
+    return tuple([i for i in slots if row[i] is not None] for slots in regime)
+
+
 def check_sica(
     table: SeriesTable, schedule: Schedule | None = None, max_witnesses: int = 8
 ) -> SicaVerdict:
@@ -124,9 +168,7 @@ def check_sica(
     regimes = _distant_regimes(schedule)
     for key in ROW_KEYS:
         row = table.row(key)
-        left_slots, right_slots = regimes[key]
-        left = [(i, row[i]) for i in left_slots if row[i] is not None]
-        right = [(i, row[i]) for i in right_slots if row[i] is not None]
+        left, right = _recorded(row, regimes[key])
         if len(left) != len(right):
             witnesses.append(
                 SicaWitness(
@@ -137,7 +179,8 @@ def check_sica(
                 )
             )
             continue
-        for pos, ((sl, vl), (sr, vr)) in enumerate(zip(left, right)):
+        for pos, (sl, sr) in enumerate(zip(left, right)):
+            vl, vr = row[sl], row[sr]
             if vl != vr:
                 witnesses.append(
                     SicaWitness(
@@ -159,37 +202,16 @@ def check_sica(
 # Condensation
 
 
-def _condense_run_table(table: SeriesTable, schedule: Schedule) -> SeriesTable:
-    verdict = check_sica(table, schedule)
-    if not verdict.holds:
-        lines = "; ".join(w.detail for w in verdict.witnesses[:3])
-        raise PreconditionError(f"series identity fails, cannot condense: {lines}")
-    blocks: dict[Pairing, list[int]] = {p: [] for p in PAIRINGS}
-    for i in range(schedule.slots):
-        blocks[schedule.pairing(i)].append(i)
-    sizes = {p: len(blocks[p]) for p in PAIRINGS}
-    if len(set(sizes.values())) != 1 or min(sizes.values()) == 0:
-        raise PreconditionError(
-            "condensation needs all four setting pairs measured equally often, "
-            f"got {dict((p.key, n) for p, n in sizes.items())}"
-        )
-    n = sizes[Pairing.AB]
-    a = [table.a[blocks[Pairing.AB][j]] for j in range(n)]
-    b = [table.b[blocks[Pairing.AB][j]] for j in range(n)]
-    a_prime = [table.a_prime[blocks[Pairing.APB][j]] for j in range(n)]
-    b_prime = [table.b_prime[blocks[Pairing.ABP][j]] for j in range(n)]
-    return SeriesTable.from_rows(a, b, a_prime, b_prime)
-
-
-def _condense_full(
+def _condense_pairs(
     table: SeriesTable, schedule: Schedule
 ) -> tuple[SeriesTable, dict[str, tuple[int, ...]]]:
-    """Condense a fully measured table along a regime structure.
+    """Condense a table along a regime structure.
 
-    Each row appears once under each distant setting; the two copies are
-    equal by the identity check, and per position the copy from the earlier
-    slot is kept.  Returns the condensed table and, per row, the original
-    slot each kept cell came from.
+    Per row, the recorded cells that :func:`check_sica` compares are paired,
+    the k-th under one distant setting with the k-th under the other; the
+    two are equal once the check passes, and the cell from the earlier slot
+    is kept.  Returns the condensed table and, per row, the original slot
+    each kept cell came from.
     """
     verdict = check_sica(table, schedule)
     if not verdict.holds:
@@ -200,13 +222,7 @@ def _condense_full(
     regimes = _distant_regimes(schedule)
     for key in ROW_KEYS:
         row = table.row(key)
-        left_slots, right_slots = regimes[key]
-        if len(left_slots) != len(right_slots):
-            raise PreconditionError(
-                f"row {key}: regimes cover {len(left_slots)} and {len(right_slots)} "
-                "slots; cannot pair the two copies"
-            )
-        kept_slots = [min(l, r) for l, r in zip(left_slots, right_slots)]
+        kept_slots = [min(l, r) for l, r in zip(*_recorded(row, regimes[key]))]
         rows[key] = [row[s] for s in kept_slots]
         sources[key] = tuple(kept_slots)
     out = SeriesTable.from_rows(rows["a"], rows["b"], rows["a_prime"], rows["b_prime"])
@@ -216,23 +232,28 @@ def _condense_full(
 def condense(table: SeriesTable, schedule: Schedule | None = None) -> SeriesTable:
     """Halve a table that satisfies the series identity.
 
-    Run-derived tables condense to one slot per setting-pair block position,
-    eliminating all unmeasured cells; the four measured correlations are
-    preserved exactly.  A fully measured table condenses along the given
-    schedule's regime structure (keeping the earlier copy of each cell), or,
-    with no schedule, to its first half.
+    The table condenses along the schedule's regime structure, or, for a
+    run-derived table given none, the schedule its unmeasured cells follow;
+    a run-derived table thereby loses all its unmeasured cells and keeps its
+    four measured correlations exactly.  A partially measured table whose
+    unmeasured cells do not follow the given schedule is refused.  A fully
+    measured table with no schedule condenses to its first half.
     """
-    if not table.fully_measured:
-        return _condense_run_table(table, schedule or derive_schedule(table))
-    if schedule is not None:
-        out, _ = _condense_full(table, schedule)
-        return out
-    if table.slots % 2 != 0:
-        raise PreconditionError(f"cannot halve a table of {table.slots} slots")
-    half = table.slots // 2
-    return SeriesTable.from_rows(
-        table.a[:half], table.b[:half], table.a_prime[:half], table.b_prime[:half]
-    )
+    if schedule is None and table.fully_measured:
+        if table.slots % 2 != 0:
+            raise PreconditionError(f"cannot halve a table of {table.slots} slots")
+        half = table.slots // 2
+        return SeriesTable.from_rows(
+            table.a[:half], table.b[:half], table.a_prime[:half], table.b_prime[:half]
+        )
+    if schedule is None:
+        schedule = derive_schedule(table)
+    elif not table.fully_measured and derive_schedule(table) != schedule:
+        raise PreconditionError(
+            "the table's unmeasured cells do not follow the given schedule"
+        )
+    out, _ = _condense_pairs(table, schedule)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -522,7 +543,7 @@ class CompleteTable:
         }
 
     def condense(self) -> "CondensedTable":
-        out, sources = _condense_full(self.table, self.schedule)
+        out, sources = _condense_pairs(self.table, self.schedule)
         provenance = {
             key: tuple(self.provenance[key][s] for s in sources[key]) for key in ROW_KEYS
         }
@@ -573,15 +594,6 @@ class CompletionResult:
     note: str = ""
 
 
-def _is_block_halves(schedule: Schedule) -> bool:
-    if schedule.slots % 4 != 0:
-        return False
-    ref = block_halves(schedule.slots)
-    return (
-        schedule.a_settings == ref.a_settings and schedule.b_settings == ref.b_settings
-    )
-
-
 def _stable_match(
     donors: Sequence[tuple[int, int]], targets: Sequence[tuple[int, int]]
 ) -> list[tuple[int, int]]:
@@ -595,6 +607,11 @@ def _stable_match(
         if donor is not None:
             out.append((donor[0], t_slot))
     return out
+
+
+def _bits(word: int, width: int) -> tuple[int, ...]:
+    """The ``width`` low bits of ``word``, most significant first."""
+    return tuple((word >> (width - 1 - j)) & 1 for j in range(width))
 
 
 def _bits_to_values(bits: Sequence[int], m: int, what: str) -> list[int]:
@@ -616,13 +633,15 @@ def build_complete_table(
     """Constructive completion of a block-layout run.
 
     With quarters Q1..Q4 of the block layout, the factual cells are
-    a over Q1+Q2, a' over Q3+Q4, b over Q2+Q3, b' over Q1+Q4.
-    The construction: reorder Q1 so the a-values repeat Q2 (carrying b'
-    along), reorder Q3 so the a'-values repeat Q4 (carrying b along), take
-    the counterfactual a-quarter Q3 from the free bits and copy it to Q4
-    (likewise a' over Q1 copied to Q2), then the counterfactual b and b'
-    quarters are forced: b|Q1 := reordered b|Q3, b|Q4 := b|Q2,
-    b'|Q2 := b'|Q4, b'|Q3 := reordered b'|Q1.
+    a over Q1+Q2, a' over Q3+Q4, b over Q2+Q3, b' over Q1+Q4.  Each slot of
+    Q2 is matched with the earliest unused slot of Q1 carrying the same
+    a-value, and each slot of Q4 with one of Q3 carrying the same a'-value;
+    the trimmed run holds the matched Q1 slots, then Q2, Q3 and Q4, each
+    quarter in the order of its targets, under the block layout.  Its
+    table is then filled as the identity ties its cells (see
+    :func:`_fill_identity_pairs`): the free pairs, a over Q3+Q4 then a'
+    over Q1+Q2, take the free bits, and every other unmeasured cell copies
+    a factual one.  So each completion is one sample of the census.
 
     Quarters whose value counts disagree are trimmed by the discard budget
     (default ceiling of sqrt(T/4) slots); beyond it, the deficient quarter
@@ -632,7 +651,7 @@ def build_complete_table(
     t = run.slots
     if t % 4 != 0:
         raise PreconditionError(f"completion needs a slot count divisible by 4, got {t}")
-    if not _is_block_halves(run.schedule):
+    if run.schedule != block_halves(t):
         raise PreconditionError(
             "completion needs the block layout: alpha on the first half of "
             "the slots, beta on the middle half"
@@ -644,16 +663,10 @@ def build_complete_table(
     quarter = t // 4
     if budget is None:
         budget = default_discard_budget(t)
-    table = table_from_run(run)
     q = [range(k * quarter, (k + 1) * quarter) for k in range(4)]
-
-    a_pairs_1 = [(i, table.a[i]) for i in q[0]]
-    a_pairs_2 = [(i, table.a[i]) for i in q[1]]
-    ap_pairs_3 = [(i, table.a_prime[i]) for i in q[2]]
-    ap_pairs_4 = [(i, table.a_prime[i]) for i in q[3]]
-
-    match_a = _stable_match(a_pairs_1, a_pairs_2)
-    match_ap = _stable_match(ap_pairs_3, ap_pairs_4)
+    a_out = run.a_outcomes
+    match_a = _stable_match([(i, a_out[i]) for i in q[0]], [(i, a_out[i]) for i in q[1]])
+    match_ap = _stable_match([(i, a_out[i]) for i in q[2]], [(i, a_out[i]) for i in q[3]])
     m = min(len(match_a), len(match_ap))
     min_keep = max(1, quarter - budget)
     if m < min_keep:
@@ -664,87 +677,49 @@ def build_complete_table(
             f"unbalanced factual quarters ({where}): only {m} of {quarter} slots "
             f"can be matched, budget allows discarding {min(budget, quarter - 1)}"
         )
-    match_a = match_a[:m]
-    match_ap = match_ap[:m]
-
-    donors_q1 = [d for d, _ in match_a]
-    kept_q2 = sorted(t_ for _, t_ in match_a)
-    donors_q3 = [d for d, _ in match_ap]
-    kept_q4 = sorted(t_ for _, t_ in match_ap)
-    # Donor order must track the kept targets in their final (sorted) order.
-    donor_for_target_a = dict((t_, d) for d, t_ in match_a)
-    donor_for_target_ap = dict((t_, d) for d, t_ in match_ap)
-    donors_q1 = [donor_for_target_a[t_] for t_ in kept_q2]
-    donors_q3 = [donor_for_target_ap[t_] for t_ in kept_q4]
-
-    a_f = [table.a[i] for i in kept_q2]
-    bp_f = [table.b_prime[i] for i in donors_q1]
-    b_q2 = [table.b[i] for i in kept_q2]
-    ap_f = [table.a_prime[i] for i in kept_q4]
-    b_f = [table.b[i] for i in donors_q3]
-    bp_q4 = [table.b_prime[i] for i in kept_q4]
-
     free_a = _bits_to_values(free_choice_a, m, "free_choice_a")
     free_ap = _bits_to_values(free_choice_aprime, m, "free_choice_aprime")
 
-    a_row = a_f + a_f + free_a + free_a
-    ap_row = free_ap + free_ap + ap_f + ap_f
-    b_row = b_f + b_q2 + b_f + b_q2
-    bp_row = bp_f + bp_q4 + bp_f + bp_q4
-
-    f = ["F"] * m
-    c = ["C"] * m
+    # Both matches list their pairs in target order.
+    donors_a, targets_a = zip(*match_a[:m])
+    donors_ap, targets_ap = zip(*match_ap[:m])
+    kept = donors_a + targets_a + donors_ap + targets_ap
+    trimmed = RecordedRun(
+        block_halves(4 * m),
+        tuple(a_out[i] for i in kept),
+        tuple(run.b_outcomes[i] for i in kept),
+    )
+    factual = table_from_run(trimmed)
+    rows = {key: list(factual.row(key)) for key in ROW_KEYS}
+    free = _fill_identity_pairs(rows, trimmed.schedule)
+    if free is None or len(free) != 2 * m:
+        raise AssertionError("matched quarters do not leave two free quarter patterns")
+    for (key, l, r), value in zip(free, free_a + free_ap):
+        rows[key][l] = rows[key][r] = value
     provenance = {
-        "a": tuple(f + f + c + c),
-        "b": tuple(c + f + f + c),
-        "a_prime": tuple(c + c + f + f),
-        "b_prime": tuple(f + c + c + f),
+        key: tuple("C" if v is None else "F" for v in factual.row(key)) for key in ROW_KEYS
     }
-    out_table = SeriesTable.from_rows(a_row, b_row, ap_row, bp_row)
-    complete = CompleteTable(out_table, provenance, block_halves(4 * m))
-    verdict = complete.check()
-    if not verdict.holds:
-        raise AssertionError(
-            "constructed table fails its own identity check: "
-            + "; ".join(w.detail for w in verdict.witnesses[:3])
-        )
-    kept_all = set(donors_q1) | set(kept_q2) | set(donors_q3) | set(kept_q4)
+    out_table = SeriesTable.from_rows(rows["a"], rows["b"], rows["a_prime"], rows["b_prime"])
+    complete = CompleteTable(out_table, provenance, trimmed.schedule)
+    kept_all = set(kept)
     discarded = tuple(i for i in range(t) if i not in kept_all)
     note = "" if not discarded else f"trimmed {len(discarded)} slots to balance quarters"
     return CompletionResult(complete, discarded, note)
 
 
-def fill_counterfactual(
-    run: RecordedRun,
-    policy: str,
-    free_choice_a: Sequence[int] | None = None,
-    free_choice_aprime: Sequence[int] | None = None,
-    budget: int | None = None,
-):
+def fill_counterfactual(run: RecordedRun, policy: str) -> SeriesTable:
     """Fill the never-measured cells of a run's table.
 
-    ``"zeros"`` writes 0 everywhere a setting was inactive and returns the
-    resulting :class:`~bellseries.model.SeriesTable`; under the block layout
-    every pairing then retains at most half of each station's detections.
-    ``"sica"`` delegates to :func:`build_complete_table` and returns its
-    :class:`CompletionResult`.
+    ``"zeros"`` writes 0 everywhere a setting was inactive; under the block
+    layout every pairing then retains at most half of each station's
+    detections.  The identity-preserving completion is
+    :func:`build_complete_table`.
     """
-    if policy == "zeros":
-        table = table_from_run(run)
-        rows = {
-            key: tuple(ZERO if v is None else v for v in table.row(key))
-            for key in ROW_KEYS
-        }
-        return SeriesTable.from_rows(
-            rows["a"], rows["b"], rows["a_prime"], rows["b_prime"]
-        )
-    if policy == "sica":
-        if free_choice_a is None or free_choice_aprime is None:
-            raise PreconditionError(
-                "policy 'sica' needs free_choice_a and free_choice_aprime bits"
-            )
-        return build_complete_table(run, free_choice_a, free_choice_aprime, budget=budget)
-    raise PreconditionError(f"unknown fill policy {policy!r}")
+    if policy != "zeros":
+        raise PreconditionError(f"unknown fill policy {policy!r}")
+    table = table_from_run(run)
+    rows = {key: tuple(ZERO if v is None else v for v in table.row(key)) for key in ROW_KEYS}
+    return SeriesTable.from_rows(rows["a"], rows["b"], rows["a_prime"], rows["b_prime"])
 
 
 def enumerate_complete_tables(
@@ -759,7 +734,5 @@ def enumerate_complete_tables(
             f"enumerating {total} completions exceeds the budget of {budget}", total
         )
     for word_a in range(1 << quarter):
-        bits_a = [(word_a >> (quarter - 1 - j)) & 1 for j in range(quarter)]
         for word_ap in range(1 << quarter):
-            bits_ap = [(word_ap >> (quarter - 1 - j)) & 1 for j in range(quarter)]
-            yield build_complete_table(run, bits_a, bits_ap)
+            yield build_complete_table(run, _bits(word_a, quarter), _bits(word_ap, quarter))

@@ -69,10 +69,6 @@ class PairingStat:
     total: int
     e: Fraction | None
 
-    @property
-    def defined(self) -> bool:
-        return self.e is not None
-
 
 def _pairing_stat(pairing: Pairing, cells: Counter) -> PairingStat:
     n_c = 0
@@ -122,10 +118,6 @@ class ChshDetail:
     stats: dict[Pairing, PairingStat]
     s: Fraction | None
     nc_equal: bool
-
-    @property
-    def defined(self) -> bool:
-        return self.s is not None
 
 
 def _chsh_detail(columns: Counter) -> ChshDetail:

@@ -25,19 +25,30 @@ def tables(alphabet, slots, sica=False):
 
     Unconstrained: the columns (a, b, a', b') of each slot run through the
     cell values lexicographically, first slot most significant.  Identity
-    constrained (4 slots, block layout): the eight free cells (a0, a1, b0,
+    constrained (block layout): at 4 slots the eight free cells (a0, a1, b0,
     b1, a'0, a'1, b'0, b'1) run through the values, first cell most
-    significant, and each row repeats them as the layout requires.
+    significant, and each row repeats them as the layout requires; at 8
+    slots sixteen free cells do, eight for the even slots (va) and then
+    eight for the odd ones (vb).
     """
     values = VALUES[alphabet]
     if sica:
-        assert slots == 4
-        for v in itertools.product(values, repeat=8):
+        assert slots in (4, 8)
+        for v in itertools.product(values, repeat=2 * slots):
+            if slots == 4:
+                yield SeriesTable.from_rows(
+                    (v[0], v[0], v[1], v[1]),
+                    (v[2], v[3], v[2], v[3]),
+                    (v[4], v[4], v[5], v[5]),
+                    (v[6], v[7], v[6], v[7]),
+                )
+                continue
+            va, vb = v[:8], v[8:]
             yield SeriesTable.from_rows(
-                (v[0], v[0], v[1], v[1]),
-                (v[2], v[3], v[2], v[3]),
-                (v[4], v[4], v[5], v[5]),
-                (v[6], v[7], v[6], v[7]),
+                (va[0], vb[0], va[0], vb[0], va[1], vb[1], va[1], vb[1]),
+                (va[2], vb[2], va[3], vb[3], va[2], vb[2], va[3], vb[3]),
+                (va[4], vb[4], va[4], vb[4], va[5], vb[5], va[5], vb[5]),
+                (va[6], vb[6], va[7], vb[7], va[6], vb[6], va[7], vb[7]),
             )
         return
     columns = list(itertools.product(values, repeat=4))

@@ -11,10 +11,23 @@ comparison tests only the realization.
 ``naive_greedy_obstruction`` and ``naive_stable_match`` follow the same
 earliest-unused rule for the reorder failure report and for completion, by
 copying every slot and removing each one taken.
+
+``naive_build_complete_table`` and ``naive_condense_run_table`` write the
+block-layout completion and the condensation of a run-derived table out by
+hand, quarter by quarter and block by block, instead of filling and pairing
+cells by the series identity.
 """
 
 from bellseries import sica
-from bellseries.model import PAIRINGS, Pairing, pairing_blocks
+from bellseries.errors import PreconditionError
+from bellseries.model import (
+    PAIRINGS,
+    Pairing,
+    SeriesTable,
+    block_halves,
+    pairing_blocks,
+    table_from_run,
+)
 
 
 def naive_plan(run):
@@ -98,3 +111,108 @@ def naive_stable_match(donors, targets):
                 del unused[idx]
                 break
     return out
+
+
+def naive_build_complete_table(run, free_choice_a, free_choice_aprime, budget=None):
+    """``sica.build_complete_table`` with its rows and provenance assembled
+    by hand.  With quarters Q1..Q4: reorder Q1 so the a-values repeat Q2
+    (carrying b' along), reorder Q3 so the a'-values repeat Q4 (carrying b
+    along), take the counterfactual a-quarter Q3 from the free bits and copy
+    it to Q4 (likewise a' over Q1 copied to Q2), then the counterfactual b
+    and b' quarters are forced: b|Q1 := reordered b|Q3, b|Q4 := b|Q2,
+    b'|Q2 := b'|Q4, b'|Q3 := reordered b'|Q1."""
+    t = run.slots
+    if t % 4 != 0:
+        raise PreconditionError(f"completion needs a slot count divisible by 4, got {t}")
+    if run.schedule != block_halves(t):
+        raise PreconditionError(
+            "completion needs the block layout: alpha on the first half of "
+            "the slots, beta on the middle half"
+        )
+    if any(v == 0 for v in run.a_outcomes) or any(v == 0 for v in run.b_outcomes):
+        raise PreconditionError(
+            "completion of runs with missed detections is not supported"
+        )
+    quarter = t // 4
+    if budget is None:
+        budget = sica.default_discard_budget(t)
+    table = table_from_run(run)
+    q = [range(k * quarter, (k + 1) * quarter) for k in range(4)]
+    match_a = naive_stable_match(
+        [(i, table.a[i]) for i in q[0]], [(i, table.a[i]) for i in q[1]]
+    )
+    match_ap = naive_stable_match(
+        [(i, table.a_prime[i]) for i in q[2]], [(i, table.a_prime[i]) for i in q[3]]
+    )
+    m = min(len(match_a), len(match_ap))
+    if m < max(1, quarter - budget):
+        where = (
+            "row a, quarters 1-2" if len(match_a) < len(match_ap) else "row a_prime, quarters 3-4"
+        )
+        raise PreconditionError(
+            f"unbalanced factual quarters ({where}): only {m} of {quarter} slots "
+            f"can be matched, budget allows discarding {min(budget, quarter - 1)}"
+        )
+    match_a = match_a[:m]
+    match_ap = match_ap[:m]
+    kept_q2 = sorted(t_ for _, t_ in match_a)
+    kept_q4 = sorted(t_ for _, t_ in match_ap)
+    donor_for_target_a = dict((t_, d) for d, t_ in match_a)
+    donor_for_target_ap = dict((t_, d) for d, t_ in match_ap)
+    donors_q1 = [donor_for_target_a[t_] for t_ in kept_q2]
+    donors_q3 = [donor_for_target_ap[t_] for t_ in kept_q4]
+
+    a_f = [table.a[i] for i in kept_q2]
+    bp_f = [table.b_prime[i] for i in donors_q1]
+    b_q2 = [table.b[i] for i in kept_q2]
+    ap_f = [table.a_prime[i] for i in kept_q4]
+    b_f = [table.b[i] for i in donors_q3]
+    bp_q4 = [table.b_prime[i] for i in kept_q4]
+
+    free_a = sica._bits_to_values(free_choice_a, m, "free_choice_a")
+    free_ap = sica._bits_to_values(free_choice_aprime, m, "free_choice_aprime")
+
+    a_row = a_f + a_f + free_a + free_a
+    ap_row = free_ap + free_ap + ap_f + ap_f
+    b_row = b_f + b_q2 + b_f + b_q2
+    bp_row = bp_f + bp_q4 + bp_f + bp_q4
+
+    f = ["F"] * m
+    c = ["C"] * m
+    provenance = {
+        "a": tuple(f + f + c + c),
+        "b": tuple(c + f + f + c),
+        "a_prime": tuple(c + c + f + f),
+        "b_prime": tuple(f + c + c + f),
+    }
+    out_table = SeriesTable.from_rows(a_row, b_row, ap_row, bp_row)
+    complete = sica.CompleteTable(out_table, provenance, block_halves(4 * m))
+    kept_all = set(donors_q1) | set(kept_q2) | set(donors_q3) | set(kept_q4)
+    discarded = tuple(i for i in range(t) if i not in kept_all)
+    note = "" if not discarded else f"trimmed {len(discarded)} slots to balance quarters"
+    return sica.CompletionResult(complete, discarded, note)
+
+
+def naive_condense_run_table(table, schedule):
+    """Condense a run-derived table block by block: the j-th condensed slot
+    takes a and b from the j-th slot of block (alpha, beta), a' from the
+    j-th of (alpha', beta) and b' from the j-th of (alpha, beta')."""
+    verdict = sica.check_sica(table, schedule)
+    if not verdict.holds:
+        lines = "; ".join(w.detail for w in verdict.witnesses[:3])
+        raise PreconditionError(f"series identity fails, cannot condense: {lines}")
+    blocks = {p: [] for p in PAIRINGS}
+    for i in range(schedule.slots):
+        blocks[schedule.pairing(i)].append(i)
+    sizes = {p: len(blocks[p]) for p in PAIRINGS}
+    if len(set(sizes.values())) != 1 or min(sizes.values()) == 0:
+        raise PreconditionError(
+            "condensation needs all four setting pairs measured equally often, "
+            f"got {dict((p.key, n) for p, n in sizes.items())}"
+        )
+    return SeriesTable.from_rows(
+        [table.a[i] for i in blocks[Pairing.AB]],
+        [table.b[i] for i in blocks[Pairing.AB]],
+        [table.a_prime[i] for i in blocks[Pairing.APB]],
+        [table.b_prime[i] for i in blocks[Pairing.ABP]],
+    )

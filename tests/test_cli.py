@@ -2,9 +2,17 @@ import json
 
 import pytest
 from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from bellseries import fileio, refdata
-from bellseries.model import table_from_run
+from bellseries.model import (
+    ASetting,
+    BSetting,
+    RecordedRun,
+    block_halves,
+    custom_schedule,
+    table_from_run,
+)
 
 from conftest import event_logs, table_objects
 
@@ -310,9 +318,11 @@ _LOG = "{log}"
     (("fill", "zeros", "--input", _LOG, "--budget", "-3"), "--budget"),
     (("fill", "sica", "--input", _LOG, "--free-choices", "1,2", "--budget", "-3"),
      "--budget"),
+    (("oracle", "--objective", "chsh", "--slots", "4000"), "2^16000 tables"),
 ], ids=["angles-word", "angles-inf", "angles-nan", "angles-overflow", "negative-slots",
         "negative-seed", "constraint-word", "constraint-div-zero", "fill-sica-no-choices",
-        "reorder-budget", "complete-budget", "fill-zeros-budget", "fill-sica-budget"])
+        "reorder-budget", "complete-budget", "fill-zeros-budget", "fill-sica-budget",
+        "oracle-huge-slots"])
 def test_bad_arguments_exit_3(cli, tmp_path, capsys, argv, message):
     log = tmp_path / "black.jsonl"
     fileio.write_run_file(refdata.fig6("black"), str(log))
@@ -323,7 +333,68 @@ def test_bad_arguments_exit_3(cli, tmp_path, capsys, argv, message):
     assert cli(*argv) == 3
     err = capsys.readouterr().err
     assert err.startswith("error: ") and message in err
+    assert len(err) < 200
     assert not out.exists()
+
+
+def test_condense_refuses_cells_off_the_schedule(cli, tmp_path, capsys):
+    path = tmp_path / "table.json"
+    path.write_text(json.dumps({"slots": 4, "a": [None, None, 1, 1], "b": [1, 1, 1, 1],
+                                "a_prime": [None] * 4, "b_prime": [None] * 4}))
+    out = tmp_path / "condensed.json"
+    assert cli("sica-condense", "--input", str(path), "--schedule", "block",
+               "--output", str(out)) == 3
+    assert "not run-derived" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@st.composite
+def completion_inputs(draw):
+    """An event log (block layout or any settings, with or without zeros)
+    and a --free-choices text: two fitting hex words, or any text, one or
+    three words, non-hex or too wide words."""
+    slots = 4 * draw(st.integers(0, 3))
+    if draw(st.integers(0, 4)) == 4:
+        slots += draw(st.integers(1, 3))
+    if slots % 4 == 0 and draw(st.integers(0, 3)):
+        schedule = block_halves(slots)
+    else:
+        pick = st.lists(st.booleans(), min_size=slots, max_size=slots)
+        schedule = custom_schedule(
+            [ASetting.ALPHA_PRIME if x else ASetting.ALPHA for x in draw(pick)],
+            [BSetting.BETA_PRIME if x else BSetting.BETA for x in draw(pick)],
+        )
+    values = st.sampled_from(draw(st.sampled_from(((-1, 1), (-1, 1), (-1, 0, 1)))))
+    outcomes = st.lists(values, min_size=slots, max_size=slots)
+    run = RecordedRun(schedule, tuple(draw(outcomes)), tuple(draw(outcomes)))
+    quarter = max(slots // 4, 1)
+    word = st.integers(0, (1 << quarter) - 1).map(lambda w: f"{w:x}")
+    odd_word = st.one_of(
+        word, st.integers(1 << quarter, 1 << (quarter + 8)).map(lambda w: f"{w:x}"),
+        st.text(max_size=4),
+    )
+    choices = draw(st.one_of(
+        st.tuples(word, word).map(",".join),
+        st.lists(odd_word, min_size=1, max_size=3).map(",".join),
+        st.text(max_size=8),
+    ))
+    return run, choices
+
+
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(case=completion_inputs(), budget=st.sampled_from((None, 0, 1, 2)))
+def test_completion_commands_on_fuzzed_inputs_exit_0_or_3(cli, tmp_path, capsys, case, budget):
+    run, choices = case
+    log = tmp_path / "run.jsonl"
+    fileio.write_run_file(run, str(log))
+    extra = [] if budget is None else ["--budget", str(budget)]
+    for argv in (("sica-complete", f"--free-choices={choices}"),
+                 ("fill", "sica", f"--free-choices={choices}"), ("fill", "zeros")):
+        code = cli(*argv, "--input", str(log), *extra)
+        captured = capsys.readouterr()
+        assert code in (0, 3), captured.err
+        assert (code == 3) == captured.err.startswith("error: ")
 
 
 @pytest.mark.parametrize("argv", [

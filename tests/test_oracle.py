@@ -78,6 +78,19 @@ def test_identity_constrained_eight_slots():
     assert check_sica(result.witnesses[0], block_halves(8)).holds
 
 
+def test_eight_slot_identity_witnesses_follow_the_block_layout():
+    result = max_chsh(EnumSpec(slots=8, constraint="sica"), witness_cap=10)
+    first = []
+    for table in naive_oracle.tables("pm", 8, sica=True):
+        s = chsh(table)
+        assert s is None or s <= result.max_value
+        if s == result.max_value:
+            first.append(table)
+            if len(first) == 10:
+                break
+    assert result.witnesses == tuple(first)
+
+
 def test_counting_bound_sweep_small():
     sweep = sweep_cardinality_bound(EnumSpec(slots=2, alphabet="pmz"))
     assert sweep.tables_scanned == 6561

@@ -27,10 +27,17 @@ from bellseries.sica import (
     fill_counterfactual,
     reorder_to_sica,
 )
+from bellseries.oracle import census_complete_tables
 from bellseries.simulate import SourceConfig, simulate
 from bellseries.stats import chsh, correlation
 
-from naive_sica import naive_greedy_obstruction, naive_plan, naive_stable_match
+from naive_sica import (
+    naive_build_complete_table,
+    naive_condense_run_table,
+    naive_greedy_obstruction,
+    naive_plan,
+    naive_stable_match,
+)
 
 
 def test_fully_measured_table_has_no_regimes_to_compare():
@@ -402,3 +409,134 @@ def test_completion_matches_list_scan_matching(run, monkeypatch):
     fast = _completion(run, budget)
     monkeypatch.setattr(sica, "_stable_match", naive_stable_match)
     assert fast == _completion(run, budget)
+
+
+# --- completion and condensation against the hand-assembled references -------
+
+
+def _result_or_refusal(build):
+    try:
+        result = build()
+    except PreconditionError as exc:
+        return str(exc)
+    complete = result.complete
+    return (complete.table, complete.provenance, complete.schedule,
+            result.discarded_slots, result.note)
+
+
+def test_completion_matches_hand_assembled_rows():
+    kinds = set()
+    for seed in range(200):
+        rng = random.Random(seed)
+        slots = 4 * rng.randrange(1, 9)
+        quarter = slots // 4
+        values = (-1, 1) if seed % 10 else (-1, 0, 1)
+        run = RecordedRun(
+            block_halves(slots) if seed % 17 else random_per_slot(slots, seed),
+            tuple(rng.choice(values) for _ in range(slots)),
+            tuple(rng.choice(values) for _ in range(slots)),
+        )
+        width = quarter - (seed % 13 == 0)
+        bits_a = [rng.randrange(2) for _ in range(width)]
+        bits_ap = [rng.randrange(2) for _ in range(width)]
+        for budget in (None, *range(quarter + 1)):
+            got = _result_or_refusal(lambda: build_complete_table(run, bits_a, bits_ap, budget))
+            want = _result_or_refusal(
+                lambda: naive_build_complete_table(run, bits_a, bits_ap, budget)
+            )
+            assert got == want, (seed, budget)
+            if isinstance(got, str):
+                kinds.add(got.split(":")[0].split(" (")[0])
+            else:
+                kinds.add("trimmed" if got[3] else "whole")
+    assert kinds == {
+        "whole", "trimmed", "unbalanced factual quarters", "free_choice_a",
+        "completion needs the block layout",
+        "completion of runs with missed detections is not supported",
+    }
+
+
+def _run_derived_tables():
+    """Reordered deterministic runs on random schedules, and tables whose
+    block-layout projection repeats each row's factual values across the
+    two regimes (half of them with one cell changed), with their schedules."""
+    for seed in range(30):
+        rng = random.Random(seed)
+        slots, width = rng.choice((40, 80, 200)), rng.choice((4, 8))
+        instructions = SeriesTable.from_rows(
+            *([rng.choice((-1, 1)) for _ in range(width)] for _ in range(4))
+        )
+        run = simulate(SourceConfig(model="deterministic", schedule=random_per_slot(slots, seed),
+                                    seed=seed, instructions=instructions))
+        outcome = reorder_to_sica(run, budget=slots)
+        if outcome.success:
+            run = apply_plan(run, outcome.plan)
+        yield table_from_run(run), run.schedule
+    for seed in range(30):
+        rng = random.Random(100 + seed)
+        q = rng.randrange(1, 6)
+
+        def halves():
+            return [rng.choice((-1, 0, 1)) for _ in range(q)], [rng.choice((-1, 0, 1)) for _ in range(q)]
+
+        (u, w), (x, y), (u2, w2), (x2, y2) = halves(), halves(), halves(), halves()
+        rows = [u + u + w + w, x + y + y + x, u2 + u2 + w2 + w2, x2 + y2 + y2 + x2]
+        if seed % 2:
+            rows[rng.randrange(4)][rng.randrange(4 * q)] = 1 - 2 * rng.randrange(2)
+        run = project_table(SeriesTable.from_rows(*rows), block_halves(4 * q))
+        yield table_from_run(run), run.schedule
+
+
+def test_condensing_run_derived_tables_matches_block_by_block_reference():
+    condensed = 0
+    for table, schedule in _run_derived_tables():
+        try:
+            want = naive_condense_run_table(table, schedule)
+        except PreconditionError as exc:
+            want = str(exc)
+        for given in (schedule, None):
+            try:
+                got = condense(table, given)
+            except PreconditionError as exc:
+                got = str(exc)
+            assert got == want
+        condensed += not isinstance(want, str)
+    assert 40 <= condensed < 60
+
+
+def test_condense_refuses_cells_off_the_schedule():
+    table = SeriesTable.from_rows(
+        (None, None, 1, 1), (1, 1, 1, 1), (None,) * 4, (None,) * 4
+    )
+    with pytest.raises(PreconditionError, match="run-derived"):
+        condense(table, block_halves(4))
+    run = RecordedRun(random_per_slot(8, 3), (1,) * 8, (1,) * 8)
+    with pytest.raises(PreconditionError, match="do not follow the given schedule"):
+        condense(table_from_run(run), block_halves(8))
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_each_completion_is_the_census_sample_of_its_free_bits(seed):
+    """The paper's closing construction, in order: completing a run whose
+    factual cells already satisfy the identity with the free words (wa, wap)
+    gives census sample number wa * 2^q + wap."""
+    if seed == 0:
+        run = refdata.fig6("black")
+    else:
+        rng = random.Random(seed)
+        quarter = rng.choice((1, 2, 3))
+        a_half = [rng.choice((-1, 1)) for _ in range(quarter)]
+        ap_half = [rng.choice((-1, 1)) for _ in range(quarter)]
+        run = RecordedRun(
+            block_halves(4 * quarter),
+            tuple(a_half * 2 + ap_half * 2),
+            tuple(rng.choice((-1, 1)) for _ in range(4 * quarter)),
+        )
+    q = run.slots // 4
+    census = census_complete_tables(run, sample_cap=1 << (2 * q))
+    assert census.count == len(census.samples) == 1 << (2 * q)
+    for wa in range(1 << q):
+        for wap in range(1 << q):
+            result = build_complete_table(run, sica._bits(wa, q), sica._bits(wap, q))
+            assert result.discarded_slots == ()
+            assert result.complete.table == census.samples[wa << q | wap]
