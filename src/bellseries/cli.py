@@ -31,6 +31,7 @@ from .sica import (
     CompleteTable,
     CondensedTable,
     _bits,
+    _completion_quarter,
     apply_plan,
     build_complete_table,
     check_sica,
@@ -302,13 +303,9 @@ def _run_input(args, what: str) -> RecordedRun:
 def _complete(args, run: RecordedRun):
     """``sica-complete`` and ``fill sica``: the completion of ``run`` under
     the ``--free-choices`` words."""
-    if run.slots % 4 != 0:
-        raise PreconditionError(
-            f"completion needs a slot count divisible by 4, got {run.slots}"
-        )
     if args.free_choices is None:
         raise PreconditionError("completion needs --free-choices")
-    bits_a, bits_ap = _parse_free_choices(args.free_choices, run.slots // 4)
+    bits_a, bits_ap = _parse_free_choices(args.free_choices, _completion_quarter(run.slots))
     return build_complete_table(run, bits_a, bits_ap, budget=args.budget)
 
 

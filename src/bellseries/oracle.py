@@ -13,7 +13,10 @@ free cells of the block layout instead (see :func:`_component_slot_vars`)
 and order witnesses by that free-cell numeral.
 
 Every objective and constraint sees a table only through the sum of its
-columns' property vectors, so scans meet in the middle (Horowitz & Sahni,
+columns' property vectors: the counts :func:`~bellseries.stats.column_props`
+gives, the same counts every statistic in :mod:`bellseries.stats` reads,
+fed to the same formulas (``chsh_combination``, ``RETENTIONS``,
+``cardinality_sides``).  So scans meet in the middle (Horowitz & Sahni,
 JACM 21(2), 1974): each half table's vectors are reduced to their distinct
 values with multiplicities, and distinct left vectors are summed against
 distinct right vectors.  The work grows with the number of distinct pairs,
@@ -49,16 +52,37 @@ from .model import (
     table_from_run,
 )
 from .sica import _bits, _fill_identity_pairs, check_sica
-from .stats import chsh, clauser_horne_j, correlation_over_slots, table_eta
+from .stats import (
+    COINCIDENCE,
+    DETECTION,
+    PRODUCT,
+    RETENTIONS,
+    cardinality_sides,
+    chsh,
+    chsh_combination,
+    clauser_horne_j,
+    column_props,
+    correlation_over_slots,
+    table_eta,
+)
 
 DEFAULT_BUDGET = 2**26
 
-_PROPS = 15
-_U1, _U2, _U3, _U4 = 0, 1, 2, 3
-_N1, _N2, _N3, _N4 = 4, 5, 6, 7
-_NA, _NB, _NAP, _NBP = 8, 9, 10, 11
-_QBS, _QBD = 12, 13
-_JT = 14
+#: The counts of :func:`~bellseries.stats.column_props` the sweeps scan, in
+#: the order of a property vector's entries.
+_SCANNED = (
+    *PRODUCT.values(), *COINCIDENCE.values(), *DETECTION.values(),
+    "n_alpha_both_same", "n_alpha_prime_both_diff", "j",
+)
+_PROPS = len(_SCANNED)
+
+#: Per efficiency constraint: how one retention is compared with the
+#: threshold, and how the eight comparisons combine.
+_ETA_CONSTRAINTS = {
+    "eta_at_least": (np.greater_equal, np.logical_and),
+    "eta_at_most": (np.less_equal, np.logical_or),
+    "eta_below": (np.less, np.logical_or),
+}
 
 _VALUES = {"pm": (-1, 1), "pmz": (-1, 0, 1)}
 
@@ -96,7 +120,7 @@ class EnumSpec:
             )
         if isinstance(self.constraint, tuple):
             kind, q = self.constraint
-            if kind not in ("eta_at_least", "eta_at_most", "eta_below"):
+            if kind not in _ETA_CONSTRAINTS:
                 raise PreconditionError(f"unknown constraint {self.constraint!r}")
             if not 0 <= q <= 1:
                 raise PreconditionError(f"efficiency threshold out of range: {q}")
@@ -157,29 +181,10 @@ def _column_classes(alphabet: str) -> tuple[tuple[int, int, int, int], ...]:
 
 @lru_cache(maxsize=None)
 def _column_props(alphabet: str) -> np.ndarray:
-    classes = _column_classes(alphabet)
-    out = np.zeros((len(classes), _PROPS), dtype=np.int64)
-    for idx, (a, b, ap, bp) in enumerate(classes):
-        ia, ib = int(a == 1), int(b == 1)
-        iap, ibp = int(ap == 1), int(bp == 1)
-        out[idx] = (
-            a * b,
-            a * bp,
-            ap * b,
-            ap * bp,
-            abs(a * b),
-            abs(a * bp),
-            abs(ap * b),
-            abs(ap * bp),
-            abs(a),
-            abs(b),
-            abs(ap),
-            abs(bp),
-            abs(a) if (b != 0 and b == bp) else 0,
-            abs(ap) if (b != 0 and bp != 0 and b != bp) else 0,
-            ia * ib + ia * ibp + iap * ib - iap * ibp - ia - ib,
-        )
-    return out
+    return np.array(
+        [[column_props(col)[name] for name in _SCANNED] for col in _column_classes(alphabet)],
+        dtype=np.int64,
+    )
 
 
 @dataclass(frozen=True)
@@ -270,18 +275,17 @@ def _pair_blocks(left: _Half, right: _Half):
     """Every distinct (left, right) pair, a block of left rows at a time.
 
     Yields the flat index (left row times distinct rights, plus right row)
-    of the block's first pair, the summed property vectors with the right
-    row varying fastest, and the number of tables each pair covers.  The
-    sums are column-major, so each property the objectives read is one
-    contiguous column.
+    of the block's first pair, the summed counts by name (one contiguous
+    array each, the right row varying fastest), and the number of tables
+    each pair covers.
     """
     n_right = len(right.vectors)
     step = max(1, _BLOCK_PAIRS // n_right)
     for i0 in range(0, len(left.vectors), step):
         rows = slice(i0, i0 + step)
-        c = (left.vectors.T[:, rows, None] + right.vectors.T[:, None, :]).reshape(_PROPS, -1).T
+        sums = (left.vectors.T[:, rows, None] + right.vectors.T[:, None, :]).reshape(_PROPS, -1)
         weight = (left.counts[rows, None] * right.counts[None, :]).reshape(-1)
-        yield i0 * n_right, c, weight
+        yield i0 * n_right, dict(zip(_SCANNED, sums)), weight
 
 
 class _ArgMax:
@@ -354,78 +358,47 @@ def _table_from_index(spec: EnumSpec, global_idx: int, n_right: int) -> SeriesTa
 # Objectives (scaled integers for the scan, exact rationals at the end)
 
 
-def _constraint_mask(spec: EnumSpec, c: np.ndarray) -> np.ndarray:
-    mask = np.ones(len(c), dtype=bool)
+def _eta_defined(c: dict) -> np.ndarray:
+    return np.logical_and.reduce([c[n_r] >= 1 for n_r in DETECTION.values()])
+
+
+def _constraint_mask(spec: EnumSpec, c: dict) -> np.ndarray:
     if spec.constraint == "equal_nc":
-        mask &= (
-            (c[:, _N1] == c[:, _N2])
-            & (c[:, _N1] == c[:, _N3])
-            & (c[:, _N1] == c[:, _N4])
-            & (c[:, _N1] >= 1)
-        )
-    elif isinstance(spec.constraint, tuple):
+        n = [c[COINCIDENCE[p]] for p in PAIRINGS]
+        return (n[0] >= 1) & (n[0] == n[1]) & (n[0] == n[2]) & (n[0] == n[3])
+    if isinstance(spec.constraint, tuple):
         kind, q = spec.constraint
-        qn, qd = q.numerator, q.denominator
-        pairs = (
-            (_N1, _NA), (_N1, _NB),
-            (_N2, _NA), (_N2, _NBP),
-            (_N3, _NAP), (_N3, _NB),
-            (_N4, _NAP), (_N4, _NBP),
-        )
-        defined = (c[:, [_NA, _NB, _NAP, _NBP]] >= 1).all(axis=1)
-        if kind == "eta_at_least":
-            ok = defined.copy()
-            for ni, nr in pairs:
-                ok &= c[:, ni] * qd >= qn * c[:, nr]
-        elif kind == "eta_at_most":
-            any_le = np.zeros(len(c), dtype=bool)
-            for ni, nr in pairs:
-                any_le |= c[:, ni] * qd <= qn * c[:, nr]
-            ok = defined & any_le
-        else:  # eta_below, strict
-            any_lt = np.zeros(len(c), dtype=bool)
-            for ni, nr in pairs:
-                any_lt |= c[:, ni] * qd < qn * c[:, nr]
-            ok = defined & any_lt
-        mask &= ok
-    return mask
+        compare, combine = _ETA_CONSTRAINTS[kind]
+        hits = [compare(c[n_c] * q.denominator, q.numerator * c[n_r]) for n_c, n_r in RETENTIONS]
+        return _eta_defined(c) & combine.reduce(hits)
+    return np.ones(len(c["j"]), dtype=bool)
 
 
-# Each scaled objective takes the summed vectors and ``per_count``, where
+# Each scaled objective takes the summed counts and ``per_count``, where
 # per_count[n] = M // n (0 for n = 0), and returns where the objective is
 # defined together with its value times M**power as int64.
 
 
-def _chsh_scaled(c: np.ndarray, per_count: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    n = c[:, _N1:_N4 + 1]
-    e = c[:, _U1:_U4 + 1] * per_count[n]
-    s = np.abs(e[:, 0] - e[:, 1]) + np.abs(e[:, 2] + e[:, 3])
-    return (n >= 1).all(axis=1), s
+def _chsh_scaled(c: dict, per_count: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    n = [c[COINCIDENCE[p]] for p in PAIRINGS]
+    e = [c[PRODUCT[p]] * per_count[n_c] for p, n_c in zip(PAIRINGS, n)]
+    return np.logical_and.reduce([n_c >= 1 for n_c in n]), chsh_combination(*e)
 
 
-def _eta_scaled(c: np.ndarray, per_count: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    singles = c[:, [_NA, _NB, _NAP, _NBP]]
-    scale = per_count[singles]
-    ratios = np.stack(
-        [
-            c[:, _N1] * scale[:, 0], c[:, _N1] * scale[:, 1],
-            c[:, _N2] * scale[:, 0], c[:, _N2] * scale[:, 3],
-            c[:, _N3] * scale[:, 2], c[:, _N3] * scale[:, 1],
-            c[:, _N4] * scale[:, 2], c[:, _N4] * scale[:, 3],
-        ],
-        axis=1,
-    )
-    return (singles >= 1).all(axis=1), ratios.min(axis=1)
+def _eta_scaled(c: dict, per_count: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    scale = {n_r: per_count[c[n_r]] for n_r in DETECTION.values()}
+    ratios = [c[n_c] * scale[n_r] for n_c, n_r in RETENTIONS]
+    return _eta_defined(c), np.minimum.reduce(ratios)
 
 
-def _s_eta_scaled(c: np.ndarray, per_count: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _s_eta_scaled(c: dict, per_count: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     s_ok, s = _chsh_scaled(c, per_count)
     eta_ok, eta = _eta_scaled(c, per_count)
     return s_ok & eta_ok, s * eta
 
 
-def _ch_scaled(c: np.ndarray, _per_count: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    return np.ones(len(c), dtype=bool), c[:, _JT]
+def _ch_scaled(c: dict, _per_count: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    return np.ones(len(c["j"]), dtype=bool), c["j"]
 
 
 def _exact_chsh(table: SeriesTable) -> Fraction | None:
@@ -433,11 +406,8 @@ def _exact_chsh(table: SeriesTable) -> Fraction | None:
 
 
 def _exact_s_eta(table: SeriesTable) -> Fraction | None:
-    s = chsh(table)
-    eta = table_eta(table)
-    if s is None or eta is None:
-        return None
-    return s * eta
+    s, eta = chsh(table), table_eta(table)
+    return None if s is None or eta is None else s * eta
 
 
 def _exact_ch(table: SeriesTable) -> Fraction:
@@ -532,14 +502,10 @@ def sweep_cardinality_bound(spec: EnumSpec) -> CardinalitySweep:
     violations = 0
     tightest = _ArgMax(left, right)  # of the negated slack
     for first_pair, c, weight in _pair_blocks(left, right):
-        lhs = np.abs(c[:, _U1] - c[:, _U2]) + np.abs(c[:, _U3] + c[:, _U4])
-        rhs = (
-            c[:, _N1] + c[:, _N2] + c[:, _N3] + c[:, _N4]
-            - 2 * c[:, _QBS] - 2 * c[:, _QBD]
-        )
+        lhs, rhs = cardinality_sides(c)
         slack = rhs - lhs
         violations += int(weight[slack < 0].sum())
-        tightest.update(first_pair, -slack, np.ones(len(c), dtype=bool))
+        tightest.update(first_pair, -slack, np.ones(len(slack), dtype=bool))
     (first_idx,) = tightest.first_tables(1)
     return CardinalitySweep(
         left.raw_size * right.raw_size,
@@ -574,7 +540,7 @@ def census_complete_tables(
     space = 1 << n_missing
     if space > budget:
         raise BudgetExceeded(
-            f"census needs {space} extensions, budget is {budget}", required=space
+            f"census needs 2^{n_missing} extensions, budget is {budget}", required=space
         )
     free = _fill_identity_pairs(rows, run.schedule)
     construction_count = None

@@ -135,6 +135,28 @@ def _recorded(
     return tuple([i for i in slots if row[i] is not None] for slots in regime)
 
 
+def _check_follows(table: SeriesTable, schedule: Schedule) -> None:
+    """Refuse a schedule of another length, or a partially measured table
+    whose unmeasured cells are not those of the settings it leaves inactive."""
+    if schedule.slots != table.slots:
+        raise PreconditionError(
+            f"schedule covers {schedule.slots} slots, table has {table.slots}"
+        )
+    if table.fully_measured:
+        return
+    for settings, primed, row, primed_row in (
+        (schedule.a_settings, ASetting.ALPHA_PRIME, table.a, table.a_prime),
+        (schedule.b_settings, BSetting.BETA_PRIME, table.b, table.b_prime),
+    ):
+        is_primed = [s is primed for s in settings]
+        if ([v is None for v in row] != is_primed
+                or [v is not None for v in primed_row] != is_primed):
+            derive_schedule(table)  # names the first slot that is not run-derived
+            raise PreconditionError(
+                "the table's unmeasured cells do not follow the given schedule"
+            )
+
+
 def check_sica(
     table: SeriesTable, schedule: Schedule | None = None, max_witnesses: int = 8
 ) -> SicaVerdict:
@@ -145,8 +167,9 @@ def check_sica(
     subsequences, aligned in time order, and compared term by term.  A fully
     measured table with no schedule has one value per cell and nothing to
     compare, so the condition holds by construction.  A partially measured
-    table whose schedule can neither be given nor recovered cannot be
-    checked, and raises :class:`PreconditionError` rather than pass.
+    table with no schedule given or recovered, or whose unmeasured cells do
+    not follow the given one, raises :class:`PreconditionError` rather than
+    pass.
     """
     if schedule is None:
         try:
@@ -160,10 +183,8 @@ def check_sica(
                 "cannot check the series identity of a partially measured table "
                 f"without a schedule: {exc}"
             ) from exc
-    if schedule.slots != table.slots:
-        raise PreconditionError(
-            f"schedule covers {schedule.slots} slots, table has {table.slots}"
-        )
+    else:
+        _check_follows(table, schedule)
     witnesses: list[SicaWitness] = []
     regimes = _distant_regimes(schedule)
     for key in ROW_KEYS:
@@ -248,10 +269,6 @@ def condense(table: SeriesTable, schedule: Schedule | None = None) -> SeriesTabl
         )
     if schedule is None:
         schedule = derive_schedule(table)
-    elif not table.fully_measured and derive_schedule(table) != schedule:
-        raise PreconditionError(
-            "the table's unmeasured cells do not follow the given schedule"
-        )
     out, _ = _condense_pairs(table, schedule)
     return out
 
@@ -624,6 +641,15 @@ def _bits_to_values(bits: Sequence[int], m: int, what: str) -> list[int]:
     return [PLUS if b else MINUS for b in bits[:m]]
 
 
+def _completion_quarter(slots: int) -> int:
+    """A run's quarter length; completion needs a positive multiple of 4 slots."""
+    if slots <= 0 or slots % 4 != 0:
+        raise PreconditionError(
+            f"completion needs a positive slot count divisible by 4, got {slots}"
+        )
+    return slots // 4
+
+
 def build_complete_table(
     run: RecordedRun,
     free_choice_a: Sequence[int],
@@ -649,8 +675,7 @@ def build_complete_table(
     an open problem, not a supported path.
     """
     t = run.slots
-    if t % 4 != 0:
-        raise PreconditionError(f"completion needs a slot count divisible by 4, got {t}")
+    quarter = _completion_quarter(t)
     if run.schedule != block_halves(t):
         raise PreconditionError(
             "completion needs the block layout: alpha on the first half of "
@@ -660,7 +685,6 @@ def build_complete_table(
         raise PreconditionError(
             "completion of runs with missed detections is not supported"
         )
-    quarter = t // 4
     if budget is None:
         budget = default_discard_budget(t)
     q = [range(k * quarter, (k + 1) * quarter) for k in range(4)]
@@ -731,7 +755,7 @@ def enumerate_complete_tables(
     total = 1 << (2 * quarter)
     if total > budget:
         raise BudgetExceeded(
-            f"enumerating {total} completions exceeds the budget of {budget}", total
+            f"enumerating 2^{2 * quarter} completions exceeds the budget of {budget}", total
         )
     for word_a in range(1 << quarter):
         for word_ap in range(1 << quarter):

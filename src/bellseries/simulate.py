@@ -72,6 +72,8 @@ class SourceConfig:
                 raise PreconditionError("deterministic model needs an instruction table")
             if not self.instructions.fully_measured:
                 raise PreconditionError("instruction table must be fully measured")
+            if self.instructions.slots == 0:
+                raise PreconditionError("instruction table has no slots")
         elif not all(math.isfinite(a - b) for a, b in map(self.pairing_angles, PAIRINGS)):
             raise PreconditionError(
                 f"angles and their differences must be finite degrees, got {self.angles}"

@@ -1,8 +1,12 @@
 """Correlation and bound statistics over series tables.
 
-Every per-table statistic depends only on how many slots hold each column
-(a, b, a', b'), so each one is read off a single count of those columns
-(:func:`_column_counts`): at most 4**4 classes, whatever the table length.
+Every per-table statistic is a sum over the slots of what each slot's
+column (a, b, a', b') adds to a few named integer counts
+(:func:`column_props`), so each one is read off a single count of those
+columns: at most 4**4 classes, whatever the table length.  The exhaustive
+sweeps in :mod:`bellseries.oracle` scan the same counts and evaluate the
+same formulas (:func:`chsh_combination`, :data:`RETENTIONS`,
+:func:`cardinality_sides`).
 
 All ratio-valued statistics are computed with exact rational arithmetic
 (:class:`fractions.Fraction`); nothing here rounds.  Decimal renderings are
@@ -12,11 +16,12 @@ produced only at the reporting edge.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 from enum import Enum
 from fractions import Fraction
-
-from typing import Callable, Iterable
+from functools import lru_cache
+from types import MappingProxyType
+from typing import Iterable, Mapping
 
 from .errors import PreconditionError
 from .model import (
@@ -25,6 +30,7 @@ from .model import (
     PLUS,
     ROW_KEYS,
     ZERO,
+    Cell,
     Pairing,
     RecordedRun,
     SeriesTable,
@@ -32,31 +38,69 @@ from .model import (
 
 SCHEMA_VERSION = 1
 
-_DETECTED = (PLUS, MINUS)
-_INDEX = {key: i for i, key in enumerate(ROW_KEYS)}
+#: Per pairing, the names of its outcome-product sum and coincidence count.
+PRODUCT = {p: f"u_{p.name.lower()}" for p in PAIRINGS}
+COINCIDENCE = {p: f"n_{p.name.lower()}" for p in PAIRINGS}
+_PLUS_PLUS = {p: f"pp_{p.name.lower()}" for p in PAIRINGS}
+#: Per row, the name of its detection count: the size of its set.
+DETECTION = {"a": "n_alpha", "b": "n_beta", "a_prime": "n_alpha_prime", "b_prime": "n_beta_prime"}
+#: The eight station retentions whose smallest is a table's efficiency:
+#: per pairing and each of its rows, (coincidence count, row detections).
+RETENTIONS = tuple(
+    (COINCIDENCE[p], DETECTION[row]) for p in PAIRINGS for row in (p.a_row, p.b_row)
+)
 
 
-def _column_counts(table: SeriesTable) -> Counter:
-    """How many slots hold each column, in :data:`ROW_KEYS` order."""
-    return Counter(zip(*(table.row(key) for key in ROW_KEYS)))
+@lru_cache(maxsize=None)
+def column_props(col: tuple[Cell, Cell, Cell, Cell]) -> Mapping[str, int]:
+    """What one slot's column (a, b, a', b') adds to each count a statistic
+    reads.  Only +1 and -1 are detections; 0 and None (unrecorded) are not.
+
+    Per pairing: the outcome product ``u_*`` and the coincidence ``n_*``
+    where both rows detected, and the ++ coincidence ``pp_*``.  Per row:
+    ``recorded_*`` and its detection (:data:`DETECTION`).  Then the other
+    set sizes of :class:`SetStats`, the CH singles ``singles_a`` and
+    ``singles_b`` (a +1 in row a or b), and ``j``, the column's part of the
+    CH combination.
+    """
+    cell = dict(zip(ROW_KEYS, col))
+    det = {key: int(v in (PLUS, MINUS)) for key, v in cell.items()}
+    plus = {key: int(v == PLUS) for key, v in cell.items()}
+    props = {}
+    for p in PAIRINGS:
+        props[COINCIDENCE[p]] = det[p.a_row] * det[p.b_row]
+        props[PRODUCT[p]] = cell[p.a_row] * cell[p.b_row] if props[COINCIDENCE[p]] else 0
+        props[_PLUS_PLUS[p]] = plus[p.a_row] * plus[p.b_row]
+    for key in ROW_KEYS:
+        props[f"recorded_{key}"] = int(cell[key] is not None)
+        props[DETECTION[key]] = det[key]
+    both = det["b"] * det["b_prime"]
+    same = both * int(cell["b"] == cell["b_prime"])
+    props.update(n_both_same=same, n_both_diff=both - same)
+    props.update(singles_a=plus["a"], singles_b=plus["b"])
+    for name, hit in (("beta_beta_prime", both), ("both_same", same), ("both_diff", both - same)):
+        props[f"n_alpha_{name}"] = det["a"] * hit
+        props[f"n_alpha_prime_{name}"] = det["a_prime"] * hit
+    pp = [props[_PLUS_PLUS[p]] for p in PAIRINGS]
+    props["j"] = pp[0] + pp[1] + pp[2] - pp[3] - plus["a"] - plus["b"]
+    return MappingProxyType(props)
 
 
-def _count(classes: Counter, hit: Callable[..., bool]) -> int:
-    """Slots whose class (unpacked into ``hit``'s arguments) satisfies ``hit``."""
-    return sum(n for cls, n in classes.items() if hit(*cls))
-
-
-def _fully_measured(columns: Counter) -> bool:
-    return not any(None in col for col in columns)
-
-
-def _pair_cells(columns: Counter, pairing: Pairing) -> Counter:
-    """How many slots hold each (x, y) cell pair of the pairing's two rows."""
-    i, j = _INDEX[pairing.a_row], _INDEX[pairing.b_row]
-    cells: Counter = Counter()
+def _sum_props(columns: Mapping) -> dict[str, int]:
+    """Each count of :func:`column_props`, summed over the columns' slots."""
+    totals = dict.fromkeys(column_props((None,) * 4), 0)
     for col, n in columns.items():
-        cells[col[i], col[j]] += n
-    return cells
+        for name, v in column_props(col).items():
+            totals[name] += n * v
+    return totals
+
+
+def _counts(table: SeriesTable) -> dict[str, int]:
+    return _sum_props(Counter(zip(*(table.row(key) for key in ROW_KEYS))))
+
+
+def _ratio(num: int, den: int) -> Fraction | None:
+    return Fraction(num, den) if den else None
 
 
 @dataclass(frozen=True)
@@ -70,15 +114,9 @@ class PairingStat:
     e: Fraction | None
 
 
-def _pairing_stat(pairing: Pairing, cells: Counter) -> PairingStat:
-    n_c = 0
-    total = 0
-    for (x, y), n in cells.items():
-        if x in _DETECTED and y in _DETECTED:
-            n_c += n
-            total += n * x * y
-    e = Fraction(total, n_c) if n_c else None
-    return PairingStat(pairing, n_c, total, e)
+def _pairing_stat(pairing: Pairing, counts: Mapping[str, int]) -> PairingStat:
+    n_c, total = counts[COINCIDENCE[pairing]], counts[PRODUCT[pairing]]
+    return PairingStat(pairing, n_c, total, _ratio(total, n_c))
 
 
 def correlation(table: SeriesTable, pairing: Pairing) -> PairingStat:
@@ -87,7 +125,7 @@ def correlation(table: SeriesTable, pairing: Pairing) -> PairingStat:
     A 0 on either side removes the slot from the coincidence count; an
     unmeasured cell does too.
     """
-    return _pairing_stat(pairing, _pair_cells(_column_counts(table), pairing))
+    return _pairing_stat(pairing, _counts(table))
 
 
 def correlation_over_slots(
@@ -95,19 +133,21 @@ def correlation_over_slots(
 ) -> PairingStat:
     """Same as :func:`correlation`, but restricted to the given slots; a slot
     listed twice counts twice."""
-    a_row = table.row(pairing.a_row)
-    b_row = table.row(pairing.b_row)
-    return _pairing_stat(pairing, Counter((a_row[i], b_row[i]) for i in slots))
-
-
-def _correlations(columns: Counter) -> dict[Pairing, PairingStat]:
-    return {p: _pairing_stat(p, _pair_cells(columns, p)) for p in PAIRINGS}
+    a_key, b_key = pairing.a_row, pairing.b_row
+    a_row, b_row = table.row(a_key), table.row(b_key)
+    counts = dict.fromkeys((COINCIDENCE[pairing], PRODUCT[pairing]), 0)
+    for (x, y), n in Counter((a_row[i], b_row[i]) for i in slots).items():
+        cells = {a_key: x, b_key: y}
+        props = column_props(tuple(map(cells.get, ROW_KEYS)))
+        for name in counts:
+            counts[name] += n * props[name]
+    return _pairing_stat(pairing, counts)
 
 
 def chsh_combination(e_ab, e_abp, e_apb, e_apbp):
     """S = |E(a,b) - E(a,b')| + |E(a',b) + E(a',b')|, or None when any of
     the four correlations is undefined.  Exact on Fractions, plain on
-    floats."""
+    floats, elementwise on integer arrays."""
     if any(e is None for e in (e_ab, e_abp, e_apb, e_apbp)):
         return None
     return abs(e_ab - e_abp) + abs(e_apb + e_apbp)
@@ -120,8 +160,8 @@ class ChshDetail:
     nc_equal: bool
 
 
-def _chsh_detail(columns: Counter) -> ChshDetail:
-    stats = _correlations(columns)
+def _chsh_detail(counts: Mapping[str, int]) -> ChshDetail:
+    stats = {p: _pairing_stat(p, counts) for p in PAIRINGS}
     nc_equal = len({st.n_c for st in stats.values()}) == 1
     s = chsh_combination(*(stats[p].e for p in PAIRINGS))
     return ChshDetail(stats, s, nc_equal)
@@ -136,7 +176,7 @@ def chsh_detail(table: SeriesTable) -> ChshDetail:
     single-sum form normalized by the common count; ``nc_equal`` reports
     whether that held.
     """
-    return _chsh_detail(_column_counts(table))
+    return _chsh_detail(_counts(table))
 
 
 def chsh(table: SeriesTable) -> Fraction | None:
@@ -151,19 +191,9 @@ class ClauserHorneDetail:
     singles_b: int
 
 
-def _clauser_horne(columns: Counter) -> ClauserHorneDetail:
-    coincidences = {p: _pair_cells(columns, p)[PLUS, PLUS] for p in PAIRINGS}
-    singles_a = _count(columns, lambda a, b, ap, bp: a == PLUS)
-    singles_b = _count(columns, lambda a, b, ap, bp: b == PLUS)
-    j = (
-        coincidences[Pairing.AB]
-        + coincidences[Pairing.ABP]
-        + coincidences[Pairing.APB]
-        - coincidences[Pairing.APBP]
-        - singles_a
-        - singles_b
-    )
-    return ClauserHorneDetail(j, coincidences, singles_a, singles_b)
+def _clauser_horne(counts: Mapping[str, int]) -> ClauserHorneDetail:
+    coincidences = {p: counts[_PLUS_PLUS[p]] for p in PAIRINGS}
+    return ClauserHorneDetail(counts["j"], coincidences, counts["singles_a"], counts["singles_b"])
 
 
 def clauser_horne_j(table: SeriesTable) -> ClauserHorneDetail:
@@ -176,7 +206,7 @@ def clauser_horne_j(table: SeriesTable) -> ClauserHorneDetail:
     On a fully measured table each slot contributes -2, -1 or 0, so J
     cannot be positive there.
     """
-    return _clauser_horne(_column_counts(table))
+    return _clauser_horne(_counts(table))
 
 
 @dataclass(frozen=True)
@@ -217,53 +247,25 @@ class SetStats:
         return self.n_ab + self.n_abp + self.n_apb + self.n_apbp
 
 
-def _same(b, bp) -> bool:
-    return b != ZERO and b == bp
+#: The set-size fields of :class:`SetStats`, in report order.
+_SET_SIZES = tuple(f.name for f in fields(SetStats))[:12]
 
 
-def _diff(b, bp) -> bool:
-    return ZERO not in (b, bp) and b != bp
+def _fully_measured(table: SeriesTable, counts: Mapping[str, int]) -> bool:
+    return all(counts[f"recorded_{key}"] == table.slots for key in ROW_KEYS)
 
 
-#: Each set-size field of :class:`SetStats` and the column test it counts.
-_SET_SIZES = (
-    ("n_alpha", lambda a, b, ap, bp: a != ZERO),
-    ("n_beta", lambda a, b, ap, bp: b != ZERO),
-    ("n_alpha_prime", lambda a, b, ap, bp: ap != ZERO),
-    ("n_beta_prime", lambda a, b, ap, bp: bp != ZERO),
-    ("n_both_same", lambda a, b, ap, bp: _same(b, bp)),
-    ("n_both_diff", lambda a, b, ap, bp: _diff(b, bp)),
-    ("n_alpha_beta_beta_prime", lambda a, b, ap, bp: ZERO not in (a, b, bp)),
-    ("n_alpha_prime_beta_beta_prime", lambda a, b, ap, bp: ZERO not in (ap, b, bp)),
-    ("n_alpha_both_same", lambda a, b, ap, bp: a != ZERO and _same(b, bp)),
-    ("n_alpha_both_diff", lambda a, b, ap, bp: a != ZERO and _diff(b, bp)),
-    ("n_alpha_prime_both_same", lambda a, b, ap, bp: ap != ZERO and _same(b, bp)),
-    ("n_alpha_prime_both_diff", lambda a, b, ap, bp: ap != ZERO and _diff(b, bp)),
-)
-
-
-def _set_stats(columns: Counter) -> SetStats:
-    if not _fully_measured(columns):
+def _set_stats(table: SeriesTable, counts: Mapping[str, int]) -> SetStats:
+    if not _fully_measured(table, counts):
         raise PreconditionError(
             "set statistics need every cell recorded; complete the table first "
             "(fill or condense)"
         )
-    e = _correlations(columns)
-    return SetStats(
-        **{name: _count(columns, hit) for name, hit in _SET_SIZES},
-        u_ab=e[Pairing.AB].total,
-        u_abp=e[Pairing.ABP].total,
-        u_apb=e[Pairing.APB].total,
-        u_apbp=e[Pairing.APBP].total,
-        n_ab=e[Pairing.AB].n_c,
-        n_abp=e[Pairing.ABP].n_c,
-        n_apb=e[Pairing.APB].n_c,
-        n_apbp=e[Pairing.APBP].n_c,
-    )
+    return SetStats(**{f.name: counts[f.name] for f in fields(SetStats)})
 
 
 def set_stats(table: SeriesTable) -> SetStats:
-    return _set_stats(_column_counts(table))
+    return _set_stats(table, _counts(table))
 
 
 @dataclass(frozen=True)
@@ -286,12 +288,18 @@ class CardinalityBound:
         return self.lhs <= self.rhs
 
 
+def cardinality_sides(counts: Mapping):
+    """(lhs, rhs) of the :class:`CardinalityBound` inequality from named
+    counts: integers of one table, or arrays over many."""
+    lhs = chsh_combination(*(counts[PRODUCT[p]] for p in PAIRINGS))
+    overlaps = counts["n_alpha_both_same"] + counts["n_alpha_prime_both_diff"]
+    return lhs, sum(counts[COINCIDENCE[p]] for p in PAIRINGS) - 2 * overlaps
+
+
 def _cardinality_bound(st: SetStats) -> CardinalityBound:
-    n1 = st.n_alpha_both_same
-    n2 = st.n_alpha_prime_both_diff
-    lhs = abs(st.u_ab - st.u_abp) + abs(st.u_apb + st.u_apbp)
-    rhs = st.coincidence_total - 2 * n1 - 2 * n2
-    return CardinalityBound(lhs, rhs, n1, n2)
+    return CardinalityBound(
+        *cardinality_sides(vars(st)), st.n_alpha_both_same, st.n_alpha_prime_both_diff
+    )
 
 
 def cardinality_bound(table: SeriesTable) -> CardinalityBound:
@@ -327,42 +335,31 @@ class EfficiencyBound:
     verdict: BoundVerdict
 
 
-def _retention(columns: Counter, pairing: Pairing) -> dict[str, Fraction | None]:
-    cells = _pair_cells(columns, pairing)
-    n_a = _count(cells, lambda x, y: x in _DETECTED)
-    n_b = _count(cells, lambda x, y: y in _DETECTED)
-    n_c = _pairing_stat(pairing, cells).n_c
-    return {
-        pairing.a_row: Fraction(n_c, n_a) if n_a else None,
-        pairing.b_row: Fraction(n_c, n_b) if n_b else None,
-    }
+def _retention(counts: Mapping[str, int], pairing: Pairing) -> dict[str, Fraction | None]:
+    n_c = counts[COINCIDENCE[pairing]]
+    return {row: _ratio(n_c, counts[DETECTION[row]]) for row in (pairing.a_row, pairing.b_row)}
 
 
 def station_retention(table: SeriesTable, pairing: Pairing) -> dict[str, Fraction | None]:
     """For one pairing, the fraction of each station's detections that also
     saw the other station detect (coincidences / singles)."""
-    return _retention(_column_counts(table), pairing)
+    return _retention(_counts(table), pairing)
 
 
-def _table_eta(columns: Counter) -> Fraction | None:
-    ratios: list[Fraction] = []
-    for p in PAIRINGS:
-        for ratio in _retention(columns, p).values():
-            if ratio is None:
-                return None
-            ratios.append(ratio)
-    return min(ratios)
+def _table_eta(counts: Mapping[str, int]) -> Fraction | None:
+    ratios = [_ratio(counts[n_c], counts[n_r]) for n_c, n_r in RETENTIONS]
+    return None if any(r is None for r in ratios) else min(ratios)
 
 
 def table_eta(table: SeriesTable) -> Fraction | None:
     """The table's working efficiency: the smallest of the eight
     per-pairing station retentions, or None when some station never
     detected under some pairing."""
-    return _table_eta(_column_counts(table))
+    return _table_eta(_counts(table))
 
 
-def _efficiency_bound(columns: Counter, s: Fraction | None) -> EfficiencyBound:
-    eta = _table_eta(columns)
+def _efficiency_bound(counts: Mapping[str, int], s: Fraction | None) -> EfficiencyBound:
+    eta = _table_eta(counts)
     if s is None or eta is None:
         return EfficiencyBound(s, eta, None, BoundVerdict.NOT_APPLICABLE)
     product = s * eta
@@ -373,12 +370,12 @@ def _efficiency_bound(columns: Counter, s: Fraction | None) -> EfficiencyBound:
 
 
 def efficiency_bound(table: SeriesTable) -> EfficiencyBound:
-    columns = _column_counts(table)
-    return _efficiency_bound(columns, _chsh_detail(columns).s)
+    counts = _counts(table)
+    return _efficiency_bound(counts, _chsh_detail(counts).s)
 
 
-def _station_overlap_min(columns: Counter, row: str) -> Fraction | None:
-    etas = [_retention(columns, p)[row] for p in PAIRINGS if row in (p.a_row, p.b_row)]
+def _station_overlap_min(counts: Mapping[str, int], row: str) -> Fraction | None:
+    etas = [_retention(counts, p)[row] for p in PAIRINGS if row in (p.a_row, p.b_row)]
     if any(e is None for e in etas):
         return None
     return overlap_fraction(min(etas))
@@ -393,7 +390,7 @@ def station_overlap_min(table: SeriesTable, row: str) -> Fraction | None:
     must share at least (2*eta - 1)/eta of them.  None when a retention is
     undefined.
     """
-    return _station_overlap_min(_column_counts(table), row)
+    return _station_overlap_min(_counts(table), row)
 
 
 def run_detector_efficiencies(run: RecordedRun) -> dict[str, dict[str, object]]:
@@ -419,7 +416,7 @@ def run_detector_efficiencies(run: RecordedRun) -> dict[str, dict[str, object]]:
         out[label] = {
             "singles": singles,
             "coincidences": coincidences,
-            "efficiency": Fraction(coincidences, singles) if singles else None,
+            "efficiency": _ratio(coincidences, singles),
         }
     return out
 
@@ -427,19 +424,17 @@ def run_detector_efficiencies(run: RecordedRun) -> dict[str, dict[str, object]]:
 def detector_efficiencies(table: SeriesTable) -> dict[str, dict[str, object]]:
     """Per-row detection bookkeeping: recorded slots, detections (nonzero),
     and for each pairing the row participates in, its coincidence retention."""
-    columns = _column_counts(table)
-    out: dict[str, dict[str, object]] = {}
-    for key, k in _INDEX.items():
-        out[key] = {
-            "recorded": _count(columns, lambda *col: col[k] is not None),
-            "detections": _count(columns, lambda *col: col[k] in _DETECTED),
+    counts = _counts(table)
+    return {
+        key: {
+            "recorded": counts[f"recorded_{key}"],
+            "detections": counts[DETECTION[key]],
             "retention_by_pairing": {
-                p.key: _retention(columns, p)[key]
-                for p in PAIRINGS
-                if key in (p.a_row, p.b_row)
+                p.key: _retention(counts, p)[key] for p in PAIRINGS if key in (p.a_row, p.b_row)
             },
         }
-    return out
+        for key in ROW_KEYS
+    }
 
 
 def _frac_json(x: Fraction | None) -> dict | None:
@@ -454,35 +449,31 @@ def _frac_json(x: Fraction | None) -> dict | None:
 
 def correlation_report(table: SeriesTable) -> dict:
     """Everything the analyzer computes for one table, JSON-shaped."""
-    columns = _column_counts(table)
-    fully_measured = _fully_measured(columns)
-    detail = _chsh_detail(columns)
+    counts = _counts(table)
+    fully_measured = _fully_measured(table, counts)
+    detail = _chsh_detail(counts)
     report: dict = {
         "schema_version": SCHEMA_VERSION,
         "slots": table.slots,
         "fully_measured": fully_measured,
-        "pairings": {},
+        "pairings": {
+            p.key: {"n_c": st.n_c, "total": st.total, "e": _frac_json(st.e)}
+            for p, st in detail.stats.items()
+        },
         "chsh": {
             "s": _frac_json(detail.s),
             "nc_equal": detail.nc_equal,
             "n_c_common": detail.stats[Pairing.AB].n_c if detail.nc_equal else None,
         },
     }
-    for p in PAIRINGS:
-        st = detail.stats[p]
-        report["pairings"][p.key] = {
-            "n_c": st.n_c,
-            "total": st.total,
-            "e": _frac_json(st.e),
-        }
-    ch = _clauser_horne(columns)
+    ch = _clauser_horne(counts)
     report["clauser_horne"] = {
         "j": ch.j,
         "coincidences": {p.key: ch.coincidences[p] for p in PAIRINGS},
         "singles_a": ch.singles_a,
         "singles_b": ch.singles_b,
     }
-    eff = _efficiency_bound(columns, detail.s)
+    eff = _efficiency_bound(counts, detail.s)
     report["efficiency"] = {
         "eta": _frac_json(eff.eta),
         "s_times_eta": _frac_json(eff.product),
@@ -491,35 +482,24 @@ def correlation_report(table: SeriesTable) -> dict:
             overlap_fraction(eff.eta) if eff.eta is not None else None
         ),
         "retention": {
-            p.key: {row: _frac_json(ratio) for row, ratio in _retention(columns, p).items()}
+            p.key: {row: _frac_json(ratio) for row, ratio in _retention(counts, p).items()}
             for p in PAIRINGS
         },
         "station_overlap_min": {
-            "a": _frac_json(_station_overlap_min(columns, "a")),
-            "a_prime": _frac_json(_station_overlap_min(columns, "a_prime")),
+            "a": _frac_json(_station_overlap_min(counts, "a")),
+            "a_prime": _frac_json(_station_overlap_min(counts, "a_prime")),
         },
     }
     if fully_measured:
-        st = _set_stats(columns)
+        st = _set_stats(table, counts)
         cb = _cardinality_bound(st)
         report["set_stats"] = {
-            **{name: getattr(st, name) for name, _ in _SET_SIZES},
+            **{name: getattr(st, name) for name in _SET_SIZES},
             "same_diff_asymmetry": {
                 "alpha": st.n_alpha_both_same - st.n_alpha_both_diff,
                 "alpha_prime": st.n_alpha_prime_both_same - st.n_alpha_prime_both_diff,
             },
-            "u": {
-                "alpha:beta": st.u_ab,
-                "alpha:beta_prime": st.u_abp,
-                "alpha_prime:beta": st.u_apb,
-                "alpha_prime:beta_prime": st.u_apbp,
-            },
+            "u": {p.key: counts[PRODUCT[p]] for p in PAIRINGS},
         }
-        report["cardinality_bound"] = {
-            "lhs": cb.lhs,
-            "rhs": cb.rhs,
-            "holds": cb.holds,
-            "n_alpha_both_same": cb.n_alpha_both_same,
-            "n_alpha_prime_both_diff": cb.n_alpha_prime_both_diff,
-        }
+        report["cardinality_bound"] = {**asdict(cb), "holds": cb.holds}
     return report

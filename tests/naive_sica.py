@@ -122,8 +122,10 @@ def naive_build_complete_table(run, free_choice_a, free_choice_aprime, budget=No
     and b' quarters are forced: b|Q1 := reordered b|Q3, b|Q4 := b|Q2,
     b'|Q2 := b'|Q4, b'|Q3 := reordered b'|Q1."""
     t = run.slots
-    if t % 4 != 0:
-        raise PreconditionError(f"completion needs a slot count divisible by 4, got {t}")
+    if t <= 0 or t % 4 != 0:
+        raise PreconditionError(
+            f"completion needs a positive slot count divisible by 4, got {t}"
+        )
     if run.schedule != block_halves(t):
         raise PreconditionError(
             "completion needs the block layout: alpha on the first half of "

@@ -11,10 +11,12 @@ from bellseries.model import (
     RecordedRun,
     block_halves,
     custom_schedule,
+    random_per_slot,
     table_from_run,
 )
+from bellseries.sica import fill_counterfactual
 
-from conftest import event_logs, table_objects
+from conftest import event_logs, json_values, table_objects
 
 
 def test_simulate_is_reproducible(cli, tmp_path):
@@ -150,8 +152,6 @@ def test_exit_code_for_budget_refusal(cli, capsys):
 
 
 def test_schedule_from_file(cli, tmp_path):
-    from bellseries.model import random_per_slot
-
     sched_path = tmp_path / "sched.json"
     sched_path.write_text(json.dumps(random_per_slot(16, 5).to_json()))
     out = tmp_path / "run.jsonl"
@@ -298,6 +298,8 @@ def test_fill_sica_writes_the_completion_table(cli, tmp_path, read_json):
 
 _SIM = ("simulate", "--seed", "1", "--slots", "8")
 _LOG = "{log}"
+_EMPTY_LOG = "{empty-log}"
+_EMPTY_TABLE = "{empty-table}"
 
 
 @pytest.mark.parametrize("argv, message", [
@@ -319,15 +321,26 @@ _LOG = "{log}"
     (("fill", "sica", "--input", _LOG, "--free-choices", "1,2", "--budget", "-3"),
      "--budget"),
     (("oracle", "--objective", "chsh", "--slots", "4000"), "2^16000 tables"),
+    ((*_SIM, "--model", "deterministic", "--input", _EMPTY_TABLE),
+     "instruction table has no slots"),
+    (("sica-complete", "--input", _EMPTY_LOG, "--free-choices", "0,0"),
+     "positive slot count"),
+    (("fill", "sica", "--input", _EMPTY_LOG, "--free-choices", "0,0"), "positive slot count"),
 ], ids=["angles-word", "angles-inf", "angles-nan", "angles-overflow", "negative-slots",
         "negative-seed", "constraint-word", "constraint-div-zero", "fill-sica-no-choices",
         "reorder-budget", "complete-budget", "fill-zeros-budget", "fill-sica-budget",
-        "oracle-huge-slots"])
+        "oracle-huge-slots", "simulate-empty-instructions", "complete-empty-log",
+        "fill-sica-empty-log"])
 def test_bad_arguments_exit_3(cli, tmp_path, capsys, argv, message):
-    log = tmp_path / "black.jsonl"
-    fileio.write_run_file(refdata.fig6("black"), str(log))
+    files = {_LOG: tmp_path / "black.jsonl", _EMPTY_LOG: tmp_path / "empty.jsonl",
+             _EMPTY_TABLE: tmp_path / "empty.json"}
+    fileio.write_run_file(refdata.fig6("black"), str(files[_LOG]))
+    files[_EMPTY_LOG].write_text("")
+    files[_EMPTY_TABLE].write_text(
+        json.dumps({"slots": 0, "a": [], "b": [], "a_prime": [], "b_prime": []})
+    )
     out = tmp_path / "out.jsonl"
-    argv = [str(log) if a == _LOG else a for a in argv]
+    argv = [str(files[a]) if a in files else a for a in argv]
     if argv[0] == "simulate":
         argv += ["--output", str(out)]
     assert cli(*argv) == 3
@@ -337,15 +350,29 @@ def test_bad_arguments_exit_3(cli, tmp_path, capsys, argv, message):
     assert not out.exists()
 
 
+_OFF_SCHEDULE = {"slots": 4, "a": [None, None, 1, 1], "b": [1, 1, 1, 1],
+                 "a_prime": [None] * 4, "b_prime": [None] * 4}
+
+
 def test_condense_refuses_cells_off_the_schedule(cli, tmp_path, capsys):
     path = tmp_path / "table.json"
-    path.write_text(json.dumps({"slots": 4, "a": [None, None, 1, 1], "b": [1, 1, 1, 1],
-                                "a_prime": [None] * 4, "b_prime": [None] * 4}))
+    path.write_text(json.dumps(_OFF_SCHEDULE))
     out = tmp_path / "condensed.json"
     assert cli("sica-condense", "--input", str(path), "--schedule", "block",
                "--output", str(out)) == 3
     assert "not run-derived" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_check_refuses_cells_off_the_schedule(cli, tmp_path, capsys):
+    path = tmp_path / "table.json"
+    path.write_text(json.dumps(_OFF_SCHEDULE))
+    assert cli("sica-check", "--input", str(path), "--schedule", "block") == 3
+    assert "not run-derived" in capsys.readouterr().err
+    run = RecordedRun(random_per_slot(8, 3), (1,) * 8, (1,) * 8)
+    fileio.write_json_atomic(str(path), fileio.table_to_json(table_from_run(run)))
+    assert cli("sica-check", "--input", str(path), "--schedule", "block") == 3
+    assert "do not follow the given schedule" in capsys.readouterr().err
 
 
 @st.composite
@@ -410,3 +437,91 @@ def test_table_commands_on_fuzzed_tables_exit_0_or_3(cli, tmp_path, capsys, argv
     captured = capsys.readouterr()
     assert code in (0, 3), captured.err
     assert (code == 3) == captured.err.startswith("error: ")
+
+
+_SCHEDULE_SLOTS = st.sampled_from((0, 4, 8, 8, 5))
+
+
+@st.composite
+def recorded_runs(draw, slots=st.integers(0, 12)):
+    """Runs on any settings, with or without zeros, or with every outcome
+    +1 (so that reordering can succeed)."""
+    slots = draw(slots)
+    pick = st.lists(st.booleans(), min_size=slots, max_size=slots)
+    schedule = custom_schedule(
+        [ASetting.ALPHA_PRIME if x else ASetting.ALPHA for x in draw(pick)],
+        [BSetting.BETA_PRIME if x else BSetting.BETA for x in draw(pick)],
+    )
+    values = st.sampled_from(draw(st.sampled_from(((-1, 1), (-1, 0, 1), (1,)))))
+    outcomes = st.lists(values, min_size=slots, max_size=slots)
+    return RecordedRun(schedule, tuple(draw(outcomes)), tuple(draw(outcomes)))
+
+
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(run=st.none() | recorded_runs(), text=event_logs(),
+       budget=st.sampled_from((None, 0, 1, 3)))
+def test_reorder_on_fuzzed_event_logs_exits_0_or_3(cli, tmp_path, capsys, run, text, budget):
+    log = tmp_path / "run.jsonl"
+    if run is None:
+        log.write_text(text, encoding="utf-8")
+    else:
+        fileio.write_run_file(run, str(log))
+    extra = [] if budget is None else ["--budget", str(budget)]
+    code = cli("sica-reorder", "--input", str(log), "--output", str(tmp_path / "out.jsonl"),
+               *extra)
+    captured = capsys.readouterr()
+    assert code in (0, 3), captured.err
+    assert (code == 3) == captured.err.startswith("error: ")
+
+
+@st.composite
+def schedule_objects(draw):
+    """Schedule-file objects: two settings lists of 0, 4, 5 or 8 names, with
+    any kind and seed, then sometimes damaged: a list replaced by any JSON
+    value, a key dropped, an entry replaced or one appended; or any JSON
+    value at all."""
+    if draw(st.integers(0, 5)) == 0:
+        return draw(json_values)
+    slots = draw(_SCHEDULE_SLOTS)
+    data = {
+        key: draw(st.lists(st.sampled_from(names), min_size=slots, max_size=slots))
+        for key, names in (("a_settings", ("alpha", "alpha_prime")),
+                           ("b_settings", ("beta", "beta_prime")))
+    }
+    for key in ("kind", "seed"):
+        if draw(st.booleans()):
+            data[key] = draw(json_values)
+    for _ in range(draw(st.sampled_from((0, 0, 1, 2)))):
+        key = draw(st.sampled_from(("a_settings", "b_settings")))
+        target = draw(st.sampled_from(("list", "drop", "entry", "append")))
+        if target == "list":
+            data[key] = draw(json_values)
+        elif target == "drop":
+            data.pop(key, None)
+        elif isinstance(data.get(key), list):
+            if target == "append" or not data[key]:
+                data[key].append(draw(json_values))
+            else:
+                data[key][draw(st.integers(0, len(data[key]) - 1))] = draw(json_values)
+    return data
+
+
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=schedule_objects(), run=recorded_runs(_SCHEDULE_SLOTS), full=st.booleans())
+def test_schedule_files_on_fuzzed_contents_exit_0_or_3(cli, tmp_path, capsys, data, run, full):
+    sched = tmp_path / "sched.json"
+    sched.write_text(json.dumps(data), encoding="utf-8")
+    table = tmp_path / "table.json"
+    cells = table_from_run(run)
+    if full:
+        cells = fill_counterfactual(run, "zeros")
+    fileio.write_json_atomic(str(table), fileio.table_to_json(cells))
+    simulate = ("simulate", "--seed", "1", "--slots", "8", "--output", str(tmp_path / "o.jsonl"))
+    for argv in (simulate, ("sica-check", "--input", str(table)),
+                 ("sica-condense", "--input", str(table))):
+        code = cli(*argv, "--schedule", f"file:{sched}")
+        captured = capsys.readouterr()
+        assert code in (0, 3), captured.err
+        assert (code == 3) == captured.err.startswith("error: ")

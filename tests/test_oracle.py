@@ -156,6 +156,13 @@ def test_budget_refusal_reports_requirement():
     assert err.value.required == 16 ** 7
 
 
+def test_census_refusal_names_the_size_as_a_power_of_two():
+    # 16,000 missing cells: 2^16000 has too many digits to print in decimal.
+    run = RecordedRun(block_halves(8000), (1,) * 8000, (1,) * 8000)
+    with pytest.raises(BudgetExceeded, match=r"census needs 2\^16000 extensions"):
+        census_complete_tables(run)
+
+
 def test_spec_validation():
     with pytest.raises(PreconditionError):
         max_chsh(EnumSpec(slots=0))

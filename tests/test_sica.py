@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from bellseries import refdata, sica
-from bellseries.errors import BellSeriesError, PreconditionError
+from bellseries.errors import BellSeriesError, BudgetExceeded, PreconditionError
 from bellseries.model import (
     Pairing,
     RecordedRun,
@@ -179,6 +179,12 @@ def test_resample_restores_the_factual_value():
 def test_resample_rejects_unknown_slots():
     with pytest.raises(PreconditionError):
         refdata.fig8().resample({Pairing.ABP: (2, 99)})
+
+
+def test_enumeration_refusal_names_the_size_as_a_power_of_two():
+    run = RecordedRun(block_halves(40_000), (1,) * 40_000, (1,) * 40_000)
+    with pytest.raises(BudgetExceeded, match=r"enumerating 2\^20000 completions"):
+        next(enumerate_complete_tables(run))
 
 
 def test_every_free_choice_yields_a_distinct_valid_table():
