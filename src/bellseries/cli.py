@@ -51,14 +51,14 @@ def _split_seed(seed: int) -> tuple[int, int]:
     return tuple(int(c.generate_state(1, np.uint64)[0]) for c in children)
 
 
-def _make_schedule(spec: str, slots: int | None, seed: int | None) -> Schedule:
+def _make_schedule(spec: str, slots: int, seed: int | None = None) -> Schedule:
+    """The ``--schedule`` of a command on ``slots`` slots; ``random`` draws
+    new settings, so only ``simulate`` takes it, with its ``seed``."""
     if spec == "block":
-        if slots is None:
-            raise PreconditionError("--schedule block needs --slots")
         return block_halves(slots)
     if spec == "random":
-        if slots is None or seed is None:
-            raise PreconditionError("--schedule random needs --slots and --seed")
+        if seed is None:
+            raise PreconditionError("--schedule random draws new settings; only simulate takes it")
         return random_per_slot(slots, seed)
     if spec.startswith("file:"):
         path = spec[len("file:"):]
@@ -253,21 +253,9 @@ def _cmd_analyze(args) -> int:
     return 0
 
 
-def _table_schedule(args, table: SeriesTable) -> Schedule | None:
-    if not args.schedule:
-        return None
-    if args.schedule == "block":
-        return block_halves(table.slots)
-    if args.schedule.startswith("file:"):
-        return _make_schedule(args.schedule, None, None)
-    raise PreconditionError(
-        "tables take --schedule block or file:<path>; random needs simulate"
-    )
-
-
 def _cmd_sica_check(args) -> int:
-    table, _, run = _load_input(args.input)
-    schedule = run.schedule if run is not None else _table_schedule(args, table)
+    table, _, _ = _load_input(args.input)
+    schedule = _make_schedule(args.schedule, table.slots) if args.schedule else None
     verdict = check_sica(table, schedule)
     report = {
         "command": "sica-check",
@@ -305,7 +293,7 @@ def _complete(args, run: RecordedRun):
     the ``--free-choices`` words."""
     if args.free_choices is None:
         raise PreconditionError("completion needs --free-choices")
-    bits_a, bits_ap = _parse_free_choices(args.free_choices, _completion_quarter(run.slots))
+    bits_a, bits_ap = _parse_free_choices(args.free_choices, _completion_quarter(run))
     return build_complete_table(run, bits_a, bits_ap, budget=args.budget)
 
 
@@ -333,18 +321,15 @@ def _cmd_sica_reorder(args) -> int:
 
 
 def _cmd_sica_condense(args) -> int:
-    table, provenance, run = _load_input(args.input)
-    if run is not None:
-        condensed = condense(table, run.schedule)
-        out_prov = None
-    elif provenance is not None:
-        schedule = _table_schedule(args, table) or block_halves(table.slots)
-        complete = CompleteTable(table, provenance, schedule)
-        result = complete.condense()
-        condensed, out_prov = result.table, result.provenance
+    table, provenance, _ = _load_input(args.input)
+    schedule = _make_schedule(args.schedule, table.slots) if args.schedule else None
+    if provenance is None:
+        condensed, out_prov = condense(table, schedule), None
     else:
-        condensed = condense(table, _table_schedule(args, table))
-        out_prov = None
+        # A completed table is read under the block layout unless told.
+        schedule = schedule or block_halves(table.slots)
+        result = CompleteTable(table, provenance, schedule).condense()
+        condensed, out_prov = result.table, result.provenance
     if args.output:
         fileio.write_json_atomic(
             args.output, fileio.table_to_json(condensed, out_prov)
@@ -552,7 +537,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = subs.add_parser("sica-check", help="series-identity verdict")
     p.add_argument("--input", required=True)
-    p.add_argument("--schedule", help="block or file:<path>, for full tables")
+    p.add_argument("--schedule", help="block or file:<path>; must agree with the input")
     _add_common(p, output_help="verdict JSON to write")
     p.set_defaults(func=_cmd_sica_check)
 
@@ -564,7 +549,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = subs.add_parser("sica-condense", help="halve an identity-satisfying table")
     p.add_argument("--input", required=True)
-    p.add_argument("--schedule", help="block or file:<path>, for full tables")
+    p.add_argument("--schedule", help="block or file:<path>; must agree with the input")
     _add_common(p, output_help="condensed table JSON to write")
     p.set_defaults(func=_cmd_sica_condense)
 

@@ -247,13 +247,9 @@ def _atomic_writer(path: str) -> Iterator[TextIO]:
         raise
 
 
-def write_text_atomic(path: str, text: str) -> None:
-    with _atomic_writer(path) as fp:
-        fp.write(text)
-
-
 def write_json_atomic(path: str, data: Any) -> None:
-    write_text_atomic(path, json.dumps(data, indent=2, sort_keys=True) + "\n")
+    with _atomic_writer(path) as fp:
+        fp.write(json.dumps(data, indent=2, sort_keys=True) + "\n")
 
 
 def write_run_file(run: RecordedRun, path: str) -> None:

@@ -296,26 +296,29 @@ def table_from_run(run: RecordedRun) -> SeriesTable:
 def derive_schedule(table: SeriesTable) -> Schedule:
     """Recover the setting schedule from a run-derived table.
 
-    Requires exactly one of (a, a') and one of (b, b') measured per slot.
+    Requires exactly one of (a, a') and one of (b, b') measured per slot;
+    otherwise the earliest slot without one is named, A before B.
     """
-    a_settings: list[ASetting] = []
-    b_settings: list[BSetting] = []
-    for i in range(table.slots):
-        a_meas = table.a[i] is not None
-        ap_meas = table.a_prime[i] is not None
-        b_meas = table.b[i] is not None
-        bp_meas = table.b_prime[i] is not None
-        if a_meas == ap_meas:
-            raise PreconditionError(
-                f"slot {i}: expected exactly one measured A cell, table is not run-derived"
-            )
-        if b_meas == bp_meas:
-            raise PreconditionError(
-                f"slot {i}: expected exactly one measured B cell, table is not run-derived"
-            )
-        a_settings.append(ASetting.ALPHA if a_meas else ASetting.ALPHA_PRIME)
-        b_settings.append(BSetting.BETA if b_meas else BSetting.BETA_PRIME)
-    return custom_schedule(a_settings, b_settings)
+    # Per station: is the unprimed cell measured, is the primed one not?
+    masks = [
+        ([v is not None for v in row], [v is None for v in primed_row])
+        for row, primed_row in ((table.a, table.a_prime), (table.b, table.b_prime))
+    ]
+    if any(measured != unmeasured for measured, unmeasured in masks):
+        for i in range(table.slots):
+            for station, (measured, unmeasured) in zip("AB", masks):
+                if measured[i] != unmeasured[i]:
+                    raise PreconditionError(
+                        f"slot {i}: expected exactly one measured {station} cell, "
+                        "table is not run-derived"
+                    )
+    (a_meas, _), (b_meas, _) = masks
+    alpha, alpha_prime = ASetting.ALPHA, ASetting.ALPHA_PRIME
+    beta, beta_prime = BSetting.BETA, BSetting.BETA_PRIME
+    return custom_schedule(
+        [alpha if m else alpha_prime for m in a_meas],
+        [beta if m else beta_prime for m in b_meas],
+    )
 
 
 def project_table(table: SeriesTable, schedule: Schedule, meta: dict | None = None) -> RecordedRun:

@@ -51,7 +51,7 @@ from .model import (
     pairing_blocks,
     table_from_run,
 )
-from .sica import _bits, _fill_identity_pairs, check_sica
+from .sica import _bits, _completion_quarter, _fill_identity_pairs, check_sica
 from .stats import (
     COINCIDENCE,
     DETECTION,
@@ -516,9 +516,7 @@ def sweep_cardinality_bound(spec: EnumSpec) -> CardinalitySweep:
     )
 
 
-def census_complete_tables(
-    run: RecordedRun, budget: int = DEFAULT_BUDGET, sample_cap: int = 64
-) -> CensusResult:
+def census_complete_tables(run: RecordedRun, sample_cap: int = 64) -> CensusResult:
     """Count every fully measured +-1 extension of a run's factual cells
     that satisfies the series identity under the run's schedule.
 
@@ -537,21 +535,11 @@ def census_complete_tables(
     base = table_from_run(run)
     rows = {key: list(base.row(key)) for key in ROW_KEYS}
     n_missing = sum(cell is None for key in ROW_KEYS for cell in rows[key])
-    space = 1 << n_missing
-    if space > budget:
-        raise BudgetExceeded(
-            f"census needs 2^{n_missing} extensions, budget is {budget}", required=space
-        )
     free = _fill_identity_pairs(rows, run.schedule)
-    construction_count = None
-    if (
-        run.slots % 4 == 0
-        and run.slots > 0
-        and run.schedule == block_halves(run.slots)
-        and all(v != 0 for v in run.a_outcomes)
-        and all(v != 0 for v in run.b_outcomes)
-    ):
-        construction_count = 1 << (run.slots // 2)
+    try:
+        construction_count = 1 << (2 * _completion_quarter(run))
+    except PreconditionError:
+        construction_count = None
     count = 0 if free is None else 1 << len(free)
     samples: list[SeriesTable] = []
     for numeral in range(min(count, sample_cap)):
@@ -568,5 +556,5 @@ def census_complete_tables(
             if got.n_c != want[p].n_c or got.total != want[p].total:
                 raise AssertionError("census sample does not preserve factual counts")
     return CensusResult(
-        count, construction_count, tuple(samples), space, time.perf_counter() - t0
+        count, construction_count, tuple(samples), 1 << n_missing, time.perf_counter() - t0
     )

@@ -45,6 +45,8 @@ from .model import (
 from .stats import chsh_combination, correlation_over_slots
 
 VALUES = (MINUS, ZERO, PLUS)
+#: A failing verdict lists at most this many witnesses.
+_MAX_WITNESSES = 8
 
 
 def default_discard_budget(slots: int) -> int:
@@ -135,56 +137,38 @@ def _recorded(
     return tuple([i for i in slots if row[i] is not None] for slots in regime)
 
 
-def _check_follows(table: SeriesTable, schedule: Schedule) -> None:
-    """Refuse a schedule of another length, or a partially measured table
-    whose unmeasured cells are not those of the settings it leaves inactive."""
-    if schedule.slots != table.slots:
+def _resolve_schedule(table: SeriesTable, schedule: Schedule | None) -> Schedule | None:
+    """The schedule ``table`` is read under.  A partially measured table's
+    unmeasured cells fix its schedule, and a given one must be that one; a
+    fully measured table takes the given schedule, or None when there is
+    none.  A table of no slots is partial too: its cells fix the empty
+    schedule."""
+    if schedule is not None and schedule.slots != table.slots:
         raise PreconditionError(
             f"schedule covers {schedule.slots} slots, table has {table.slots}"
         )
-    if table.fully_measured:
-        return
-    for settings, primed, row, primed_row in (
-        (schedule.a_settings, ASetting.ALPHA_PRIME, table.a, table.a_prime),
-        (schedule.b_settings, BSetting.BETA_PRIME, table.b, table.b_prime),
-    ):
-        is_primed = [s is primed for s in settings]
-        if ([v is None for v in row] != is_primed
-                or [v is not None for v in primed_row] != is_primed):
-            derive_schedule(table)  # names the first slot that is not run-derived
-            raise PreconditionError(
-                "the table's unmeasured cells do not follow the given schedule"
-            )
+    if table.slots and table.fully_measured:
+        return schedule
+    try:
+        derived = derive_schedule(table)
+    except PreconditionError as exc:
+        if schedule is not None:
+            raise
+        raise PreconditionError(
+            "cannot check the series identity of a partially measured table "
+            f"without a schedule: {exc}"
+        ) from exc
+    if schedule is not None and schedule != derived:
+        raise PreconditionError(
+            "the table's unmeasured cells do not follow the given schedule"
+        )
+    return derived
 
 
-def check_sica(
-    table: SeriesTable, schedule: Schedule | None = None, max_witnesses: int = 8
-) -> SicaVerdict:
-    """Does each station's series read the same under both distant settings?
-
-    With a schedule (or a run-derived table, where one is recovered), each
-    row's recorded cells are split by the distant station's setting into two
-    subsequences, aligned in time order, and compared term by term.  A fully
-    measured table with no schedule has one value per cell and nothing to
-    compare, so the condition holds by construction.  A partially measured
-    table with no schedule given or recovered, or whose unmeasured cells do
-    not follow the given one, raises :class:`PreconditionError` rather than
-    pass.
-    """
-    if schedule is None:
-        try:
-            schedule = derive_schedule(table)
-        except PreconditionError as exc:
-            if table.fully_measured:
-                return SicaVerdict(
-                    True, (), note="fully measured, no regime structure to compare"
-                )
-            raise PreconditionError(
-                "cannot check the series identity of a partially measured table "
-                f"without a schedule: {exc}"
-            ) from exc
-    else:
-        _check_follows(table, schedule)
+def _compare(table: SeriesTable, schedule: Schedule) -> SicaVerdict:
+    """The identity verdict of ``table`` read under ``schedule``: per row,
+    the k-th recorded cell under one distant setting against the k-th under
+    the other."""
     witnesses: list[SicaWitness] = []
     regimes = _distant_regimes(schedule)
     for key in ROW_KEYS:
@@ -214,9 +198,27 @@ def check_sica(
                         slot_right=sr,
                     )
                 )
-                if len(witnesses) >= max_witnesses:
+                if len(witnesses) >= _MAX_WITNESSES:
                     return SicaVerdict(False, tuple(witnesses))
     return SicaVerdict(len(witnesses) == 0, tuple(witnesses))
+
+
+def check_sica(table: SeriesTable, schedule: Schedule | None = None) -> SicaVerdict:
+    """Does each station's series read the same under both distant settings?
+
+    A partially measured table's unmeasured cells fix its schedule, and a
+    given one must be that one; a fully measured table takes the given one.
+    Under it, each row's recorded cells are split by the distant station's
+    setting into two subsequences, aligned in time order, and compared term
+    by term.  A fully measured table with no schedule has one value per
+    cell and nothing to compare, so the condition holds by construction.  A
+    partially measured table whose cells fix no schedule, or another than
+    the given one, raises :class:`PreconditionError` rather than pass.
+    """
+    schedule = _resolve_schedule(table, schedule)
+    if schedule is None:
+        return SicaVerdict(True, (), note="fully measured, no regime structure to compare")
+    return _compare(table, schedule)
 
 
 # ---------------------------------------------------------------------------
@@ -226,7 +228,8 @@ def check_sica(
 def _condense_pairs(
     table: SeriesTable, schedule: Schedule
 ) -> tuple[SeriesTable, dict[str, tuple[int, ...]]]:
-    """Condense a table along a regime structure.
+    """Condense a table along the regime structure of ``schedule``, which
+    the caller has settled on.
 
     Per row, the recorded cells that :func:`check_sica` compares are paired,
     the k-th under one distant setting with the k-th under the other; the
@@ -234,7 +237,7 @@ def _condense_pairs(
     is kept.  Returns the condensed table and, per row, the original slot
     each kept cell came from.
     """
-    verdict = check_sica(table, schedule)
+    verdict = _compare(table, schedule)
     if not verdict.holds:
         lines = "; ".join(w.detail for w in verdict.witnesses[:3])
         raise PreconditionError(f"series identity fails, cannot condense: {lines}")
@@ -253,22 +256,20 @@ def _condense_pairs(
 def condense(table: SeriesTable, schedule: Schedule | None = None) -> SeriesTable:
     """Halve a table that satisfies the series identity.
 
-    The table condenses along the schedule's regime structure, or, for a
-    run-derived table given none, the schedule its unmeasured cells follow;
-    a run-derived table thereby loses all its unmeasured cells and keeps its
-    four measured correlations exactly.  A partially measured table whose
-    unmeasured cells do not follow the given schedule is refused.  A fully
-    measured table with no schedule condenses to its first half.
+    The table condenses along the regime structure of its schedule, which
+    is settled as for :func:`check_sica`; a run-derived table thereby loses
+    all its unmeasured cells and keeps its four measured correlations
+    exactly.  A fully measured table with no schedule condenses to its
+    first half.
     """
-    if schedule is None and table.fully_measured:
+    schedule = _resolve_schedule(table, schedule)
+    if schedule is None:
         if table.slots % 2 != 0:
             raise PreconditionError(f"cannot halve a table of {table.slots} slots")
         half = table.slots // 2
         return SeriesTable.from_rows(
             table.a[:half], table.b[:half], table.a_prime[:half], table.b_prime[:half]
         )
-    if schedule is None:
-        schedule = derive_schedule(table)
     out, _ = _condense_pairs(table, schedule)
     return out
 
@@ -641,11 +642,22 @@ def _bits_to_values(bits: Sequence[int], m: int, what: str) -> list[int]:
     return [PLUS if b else MINUS for b in bits[:m]]
 
 
-def _completion_quarter(slots: int) -> int:
-    """A run's quarter length; completion needs a positive multiple of 4 slots."""
+def _completion_quarter(run: RecordedRun) -> int:
+    """The quarter length of a run that completion takes: a positive
+    multiple of 4 slots in the block layout, with no missed detection."""
+    slots = run.slots
     if slots <= 0 or slots % 4 != 0:
         raise PreconditionError(
             f"completion needs a positive slot count divisible by 4, got {slots}"
+        )
+    if run.schedule != block_halves(slots):
+        raise PreconditionError(
+            "completion needs the block layout: alpha on the first half of "
+            "the slots, beta on the middle half"
+        )
+    if ZERO in run.a_outcomes or ZERO in run.b_outcomes:
+        raise PreconditionError(
+            "completion of runs with missed detections is not supported"
         )
     return slots // 4
 
@@ -675,16 +687,7 @@ def build_complete_table(
     an open problem, not a supported path.
     """
     t = run.slots
-    quarter = _completion_quarter(t)
-    if run.schedule != block_halves(t):
-        raise PreconditionError(
-            "completion needs the block layout: alpha on the first half of "
-            "the slots, beta on the middle half"
-        )
-    if any(v == 0 for v in run.a_outcomes) or any(v == 0 for v in run.b_outcomes):
-        raise PreconditionError(
-            "completion of runs with missed detections is not supported"
-        )
+    quarter = _completion_quarter(run)
     if budget is None:
         budget = default_discard_budget(t)
     q = [range(k * quarter, (k + 1) * quarter) for k in range(4)]

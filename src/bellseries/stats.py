@@ -242,10 +242,6 @@ class SetStats:
     n_apb: int
     n_apbp: int
 
-    @property
-    def coincidence_total(self) -> int:
-        return self.n_ab + self.n_abp + self.n_apb + self.n_apbp
-
 
 #: The set-size fields of :class:`SetStats`, in report order.
 _SET_SIZES = tuple(f.name for f in fields(SetStats))[:12]

@@ -9,11 +9,13 @@ from bellseries.model import (
     ASetting,
     BSetting,
     RecordedRun,
+    SeriesTable,
     block_halves,
     custom_schedule,
     random_per_slot,
     table_from_run,
 )
+from bellseries.oracle import EnumSpec, max_chsh
 from bellseries.sica import fill_counterfactual
 
 from conftest import event_logs, json_values, table_objects
@@ -203,7 +205,8 @@ _TABLE = {"slots": 2, "a": [1, -1], "b": [1, 1], "a_prime": [-1, -1], "b_prime":
     ["a", "b", "a_prime", "b_prime"],
     "abab",
     {"a": 1, "b": ["F", "C"], "a_prime": ["F", "C"], "b_prime": ["F", "C"]},
-], ids=["list", "string", "int-marks"])
+    {"a": ["F", "C"], "b": ["F", "C"], "a_prime": ["F", "C"]},
+], ids=["list", "string", "int-marks", "missing-row"])
 def test_malformed_provenance_exits_3(cli, tmp_path, capsys, provenance):
     path = tmp_path / "table.json"
     path.write_text(json.dumps(dict(_TABLE, provenance=provenance)))
@@ -525,3 +528,114 @@ def test_schedule_files_on_fuzzed_contents_exit_0_or_3(cli, tmp_path, capsys, da
         captured = capsys.readouterr()
         assert code in (0, 3), captured.err
         assert (code == 3) == captured.err.startswith("error: ")
+
+
+def _random_log(tmp_path):
+    """An 8-slot event log on a random schedule, which is not the block
+    layout, whose series identity holds: it checks and condenses."""
+    run = RecordedRun(random_per_slot(8, 6), (1,) * 8, (1,) * 8)
+    assert run.schedule != block_halves(8)
+    log = tmp_path / "random.jsonl"
+    fileio.write_run_file(run, str(log))
+    return run, log
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("sica-check", "--schedule", "block"), "do not follow the given schedule"),
+    (("sica-condense", "--schedule", "block"), "do not follow the given schedule"),
+    (("sica-check", "--schedule", "random"), "only simulate"),
+    (("sica-condense", "--schedule", "random"), "only simulate"),
+    (("sica-condense", "--schedule", "nonsense"), "unknown schedule"),
+], ids=["check-block", "condense-block", "check-random", "condense-random",
+        "condense-nonsense"])
+def test_schedule_flag_on_an_event_log_must_agree_with_it(cli, tmp_path, capsys, argv,
+                                                          message):
+    _, log = _random_log(tmp_path)
+    out = tmp_path / "out.json"
+    assert cli(*argv, "--input", str(log), "--output", str(out)) == 3
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_random_schedule_on_a_table_exits_3(cli, tmp_path, capsys):
+    path = tmp_path / "table.json"
+    path.write_text(json.dumps(_TABLE))
+    for command in ("sica-check", "sica-condense"):
+        assert cli(command, "--input", str(path), "--schedule", "random") == 3
+        assert "only simulate" in capsys.readouterr().err
+
+
+def test_schedule_file_equal_to_the_log_gives_the_same_verdict(cli, tmp_path, capsys):
+    run, log = _random_log(tmp_path)
+    sched = tmp_path / "sched.json"
+    sched.write_text(json.dumps(run.schedule.to_json()))
+    for command in ("sica-check", "sica-condense"):
+        plain = cli(command, "--input", str(log)), capsys.readouterr()
+        given = cli(command, "--input", str(log), "--schedule", f"file:{sched}")
+        assert (given, capsys.readouterr()) == plain
+    assert plain[0] == 0
+    block_log = tmp_path / "block.jsonl"
+    fileio.write_run_file(refdata.fig5(), str(block_log))
+    assert cli("sica-check", "--input", str(block_log)) == 0
+    plain = capsys.readouterr().out
+    assert cli("sica-check", "--input", str(block_log), "--schedule", "block") == 0
+    assert capsys.readouterr().out == plain
+
+
+def test_oracle_cardinality_command(cli, capsys):
+    assert cli("oracle", "--objective", "cardinality", "--slots", "2",
+               "--alphabet", "pmz") == 0
+    report = json.loads(capsys.readouterr().out)
+    assert set(report) == {"command", "objective", "spec", "tables_scanned", "violations",
+                           "min_slack", "witness", "elapsed_s"}
+    assert report["spec"]["space_size"] == report["tables_scanned"] == 3 ** 8
+    assert report["violations"] == 0
+    assert report["min_slack"] == 0
+    assert report["witness"] == fileio.table_to_json(
+        SeriesTable.from_rows((-1, -1), (-1, -1), (-1, -1), (-1, -1))
+    )
+
+
+def test_oracle_equal_nc_constraint(cli, capsys):
+    assert cli("oracle", "--objective", "chsh", "--slots", "2", "--alphabet", "pmz",
+               "--constraint", "equal-nc") == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["spec"]["constraint"] == "equal_nc"
+    want = max_chsh(EnumSpec(slots=2, alphabet="pmz", constraint="equal_nc"))
+    assert report["admissible"] == want.admissible < report["tables_scanned"] == 3 ** 8
+    assert (report["max"]["num"], report["max"]["den"]) == (
+        want.max_value.numerator, want.max_value.denominator
+    )
+    assert report["witnesses"] == [fileio.table_to_json(w) for w in want.witnesses]
+
+
+@pytest.mark.parametrize("argv", [
+    ("sica-check", "--input", "{log}"),
+    ("oracle", "--objective", "chsh", "--slots", "2"),
+], ids=["sica-check", "oracle"])
+def test_output_file_equals_the_printed_report(cli, tmp_path, capsys, read_json, argv):
+    log = tmp_path / "fig5.jsonl"
+    fileio.write_run_file(refdata.fig5(), str(log))
+    out = tmp_path / "report.json"
+    argv = [str(log) if a == "{log}" else a for a in argv]
+    assert cli(*argv, "--output", str(out)) == 0
+    assert read_json(out) == json.loads(capsys.readouterr().out)
+
+
+def test_text_format_on_other_commands(cli, tmp_path, capsys):
+    log = tmp_path / "fig5.jsonl"
+    fileio.write_run_file(refdata.fig5(), str(log))
+    assert cli("sica-check", "--input", str(log)) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert cli("sica-check", "--input", str(log), "--format", "text") == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[:3] == ["command: sica-check", "holds: False", "note: "]
+    assert lines[3] == "witnesses: " + json.dumps(report["witnesses"], sort_keys=True)
+
+
+def test_failed_atomic_write_leaves_no_file(tmp_path):
+    run = RecordedRun(block_halves(4), (1,) * 4, (1,) * 4, meta={"source": object()})
+    target = tmp_path / "run.jsonl"
+    with pytest.raises(TypeError):
+        fileio.write_run_file(run, str(target))
+    assert list(tmp_path.iterdir()) == []

@@ -1,7 +1,12 @@
 import ast
 import inspect
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import bellseries
+from bellseries import fileio, refdata
 
 
 def test_every_export_resolves():
@@ -19,3 +24,19 @@ def test_exports_are_exactly_the_public_imports():
         for alias in node.names
     }
     assert set(bellseries.__all__) == {n for n in imported if not n.startswith("_")}
+
+
+def test_benchmark_launcher_wraps_names_that_exist(tmp_path):
+    """perfbench/launch.py wraps package functions by name; a renamed or
+    deleted one fails here, not only in a traced benchmark run."""
+    root = Path(__file__).resolve().parents[1]
+    log, spans = tmp_path / "fig5.jsonl", tmp_path / "spans.json"
+    fileio.write_run_file(refdata.fig5(), str(log))
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    done = subprocess.run(
+        [sys.executable, str(root / "perfbench" / "launch.py"), "--spans", str(spans),
+         "--run-id", "t", "cli", "analyze", "--input", str(log)],
+        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert spans.stat().st_size > 0
