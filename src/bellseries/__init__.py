@@ -44,7 +44,6 @@ from .oracle import (
 )
 from .sica import (
     CompleteTable,
-    CondensedTable,
     apply_plan,
     build_complete_table,
     check_sica,
@@ -77,7 +76,6 @@ __all__ = [
     "BellSeriesError",
     "BudgetExceeded",
     "CompleteTable",
-    "CondensedTable",
     "DEFAULT_ANGLES",
     "EnumSpec",
     "MINUS",

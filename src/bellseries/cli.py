@@ -2,8 +2,10 @@
 
 Every subcommand reads input files, writes output files atomically, and
 prints a report to stdout (JSON by default, ``--format text`` for a
-summary).  Exit codes: 0 success, 2 usage error, 3 a domain precondition
-failed (the message names it), 4 unexpected internal failure.
+summary).  Exit codes: 0 success, 1 stdout was closed before the report
+was written (a reader such as ``head`` stopped early), 2 usage error, 3 a
+domain precondition failed (the message names it), 4 unexpected internal
+failure.
 """
 
 from __future__ import annotations
@@ -12,6 +14,7 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import asdict
 from fractions import Fraction
 
 import numpy as np
@@ -29,9 +32,9 @@ from .model import (
 )
 from .sica import (
     CompleteTable,
-    CondensedTable,
     _bits,
     _completion_quarter,
+    _resolve_schedule,
     apply_plan,
     build_complete_table,
     check_sica,
@@ -253,25 +256,31 @@ def _cmd_analyze(args) -> int:
     return 0
 
 
-def _cmd_sica_check(args) -> int:
-    table, _, _ = _load_input(args.input)
+def _read_table(args):
+    """The table at ``--input``, its provenance, and the ``--schedule`` given
+    for it.  A table with provenance is a completed one: its factual cells
+    fix its schedule, which a given one must agree with."""
+    table, provenance, _ = _load_input(args.input)
     schedule = _make_schedule(args.schedule, table.slots) if args.schedule else None
+    if provenance is not None:
+        schedule = _resolve_schedule(table, schedule, provenance)
+    return table, provenance, schedule
+
+
+def _factual_json(complete: CompleteTable) -> dict:
+    return {
+        p.key: {"n_c": st.n_c, "e": _frac_json(st.e)}
+        for p, st in complete.factual_correlations().items()
+    }
+
+
+def _cmd_sica_check(args) -> int:
+    table, _, schedule = _read_table(args)
     verdict = check_sica(table, schedule)
     report = {
         "command": "sica-check",
         "holds": verdict.holds,
-        "note": verdict.note,
-        "witnesses": [
-            {
-                "row": w.row,
-                "rule": w.rule,
-                "detail": w.detail,
-                "position": w.position,
-                "slot_left": w.slot_left,
-                "slot_right": w.slot_right,
-            }
-            for w in verdict.witnesses
-        ],
+        "witnesses": [asdict(w) for w in verdict.witnesses],
     }
     if args.output:
         fileio.write_json_atomic(args.output, report)
@@ -321,14 +330,11 @@ def _cmd_sica_reorder(args) -> int:
 
 
 def _cmd_sica_condense(args) -> int:
-    table, provenance, _ = _load_input(args.input)
-    schedule = _make_schedule(args.schedule, table.slots) if args.schedule else None
+    table, provenance, schedule = _read_table(args)
     if provenance is None:
         condensed, out_prov = condense(table, schedule), None
     else:
-        # A completed table is read under the block layout unless told.
-        schedule = schedule or block_halves(table.slots)
-        result = CompleteTable(table, provenance, schedule).condense()
+        result = CompleteTable(table, provenance).condense()
         condensed, out_prov = result.table, result.provenance
     if args.output:
         fileio.write_json_atomic(
@@ -356,10 +362,7 @@ def _cmd_sica_complete(args) -> int:
         "discarded_slots": list(result.discarded_slots),
         "note": result.note,
         "identity_holds": complete.check().holds,
-        "factual_correlations": {
-            p.key: {"n_c": st.n_c, "e": _frac_json(st.e)}
-            for p, st in complete.factual_correlations().items()
-        },
+        "factual_correlations": _factual_json(complete),
         "analysis": correlation_report(complete.table),
     }
     _print_json(report, args)
@@ -449,15 +452,8 @@ def _figure_artifacts(name: str):
         table_json = fileio.table_to_json(built.table, built.provenance)
         stats = correlation_report(built.table)
         stats["identity_holds"] = built.check().holds
-        stats["factual_correlations"] = {
-            p.key: {"n_c": st.n_c, "num": st.e.numerator, "den": st.e.denominator}
-            for p, st in built.factual_correlations().items()
-            if st.e is not None
-        }
+        stats["factual_correlations"] = _factual_json(built)
         return ("table", table_json, stats)
-    if isinstance(built, CondensedTable):
-        return ("table", fileio.table_to_json(built.table, built.provenance),
-                correlation_report(built.table))
     if isinstance(built, SeriesTable):
         return ("table", fileio.table_to_json(built), correlation_report(built))
     if isinstance(built, RecordedRun):
@@ -607,7 +603,13 @@ def main(argv=None) -> int:
         print("error: simulate needs --output for the event log", file=sys.stderr)
         return 2
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # Point stdout at devnull so the flush at exit cannot raise again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except BellSeriesError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

@@ -20,7 +20,7 @@ from .model import (
     block_halves,
     custom_schedule,
 )
-from .sica import CompleteTable, CondensedTable
+from .sica import CompleteTable
 from .simulate import replay
 
 P = PLUS
@@ -120,15 +120,16 @@ def fig8() -> CompleteTable:
         "a_prime": ("C", "C", "C", "C", "F", "F", "F", "F"),
         "b_prime": ("F", "F", "C", "C", "C", "C", "F", "F"),
     }
-    return CompleteTable(table, provenance, block_halves(8))
+    return CompleteTable(table, provenance)
 
 
-def fig9() -> CondensedTable:
+def fig9() -> CompleteTable:
     """The half-length condensation of :func:`fig8`.
 
     Per row, each regime pair keeps the earlier slot's cell and its tag, so
-    factual and counterfactual cells mix; the result is no longer subject to
-    the identity check and its CHSH combination is exactly 2.
+    factual and counterfactual cells mix.  Its factual cells fix a schedule
+    under which the series identity fails on rows a' and b', and its CHSH
+    combination is exactly 2.
     """
     table = SeriesTable.from_rows(
         a=[M, P, M, P],
@@ -142,7 +143,7 @@ def fig9() -> CondensedTable:
         "a_prime": ("C", "C", "F", "F"),
         "b_prime": ("F", "F", "C", "C"),
     }
-    return CondensedTable(table, provenance)
+    return CompleteTable(table, provenance)
 
 
 DATASETS = {

@@ -16,7 +16,7 @@ identity, while the factual cells keep their recorded values.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import islice
 from typing import Iterator, Sequence
@@ -74,7 +74,6 @@ class SicaWitness:
 class SicaVerdict:
     holds: bool
     witnesses: tuple[SicaWitness, ...]
-    note: str = ""
 
 
 def _distant_regimes(schedule: Schedule) -> dict[str, tuple[list[int], list[int]]]:
@@ -137,26 +136,40 @@ def _recorded(
     return tuple([i for i in slots if row[i] is not None] for slots in regime)
 
 
-def _resolve_schedule(table: SeriesTable, schedule: Schedule | None) -> Schedule | None:
-    """The schedule ``table`` is read under.  A partially measured table's
-    unmeasured cells fix its schedule, and a given one must be that one; a
-    fully measured table takes the given schedule, or None when there is
-    none.  A table of no slots is partial too: its cells fix the empty
-    schedule."""
+def _resolve_schedule(table: SeriesTable, schedule: Schedule | None, provenance=None) -> Schedule:
+    """The schedule ``table`` is read under: the one its recorded cells fix,
+    and a given one must be that one.  A table with provenance has no
+    unmeasured cells and records its factual ("F") cells only.  A fully
+    measured table without provenance fixes no schedule and must be given
+    one; a table of no slots fixes the empty schedule."""
     if schedule is not None and schedule.slots != table.slots:
         raise PreconditionError(
             f"schedule covers {schedule.slots} slots, table has {table.slots}"
         )
-    if table.slots and table.fully_measured:
+    recorded = table
+    if provenance is not None:
+        if not table.fully_measured:
+            raise PreconditionError("a complete table has no unmeasured cells")
+        recorded = SeriesTable(table.slots, *(
+            tuple(v if m == "F" else None for v, m in zip(table.row(key), provenance[key]))
+            for key in ROW_KEYS
+        ))
+    if recorded.slots and recorded.fully_measured:
+        if schedule is None:
+            raise PreconditionError(
+                "cannot check the series identity of a fully measured table without "
+                "a schedule: its cells fix none"
+            )
         return schedule
     try:
-        derived = derive_schedule(table)
+        derived = derive_schedule(recorded)
     except PreconditionError as exc:
         if schedule is not None:
             raise
+        kind = "partially measured" if provenance is None else "completed"
         raise PreconditionError(
-            "cannot check the series identity of a partially measured table "
-            f"without a schedule: {exc}"
+            f"cannot check the series identity of a {kind} table without a "
+            f"schedule: {exc}"
         ) from exc
     if schedule is not None and schedule != derived:
         raise PreconditionError(
@@ -206,19 +219,15 @@ def _compare(table: SeriesTable, schedule: Schedule) -> SicaVerdict:
 def check_sica(table: SeriesTable, schedule: Schedule | None = None) -> SicaVerdict:
     """Does each station's series read the same under both distant settings?
 
-    A partially measured table's unmeasured cells fix its schedule, and a
-    given one must be that one; a fully measured table takes the given one.
-    Under it, each row's recorded cells are split by the distant station's
-    setting into two subsequences, aligned in time order, and compared term
-    by term.  A fully measured table with no schedule has one value per
-    cell and nothing to compare, so the condition holds by construction.  A
-    partially measured table whose cells fix no schedule, or another than
-    the given one, raises :class:`PreconditionError` rather than pass.
+    The table is read under the schedule its recorded cells fix, and a
+    given one must be that one; a fully measured table fixes none and is
+    read under the given one.  Under it, each row's recorded cells are split
+    by the distant station's setting into two subsequences, aligned in time
+    order, and compared term by term.  A table read under no schedule, or
+    whose cells fix another than the given one, raises
+    :class:`PreconditionError` rather than pass.
     """
-    schedule = _resolve_schedule(table, schedule)
-    if schedule is None:
-        return SicaVerdict(True, (), note="fully measured, no regime structure to compare")
-    return _compare(table, schedule)
+    return _compare(table, _resolve_schedule(table, schedule))
 
 
 # ---------------------------------------------------------------------------
@@ -259,18 +268,9 @@ def condense(table: SeriesTable, schedule: Schedule | None = None) -> SeriesTabl
     The table condenses along the regime structure of its schedule, which
     is settled as for :func:`check_sica`; a run-derived table thereby loses
     all its unmeasured cells and keeps its four measured correlations
-    exactly.  A fully measured table with no schedule condenses to its
-    first half.
+    exactly.
     """
-    schedule = _resolve_schedule(table, schedule)
-    if schedule is None:
-        if table.slots % 2 != 0:
-            raise PreconditionError(f"cannot halve a table of {table.slots} slots")
-        half = table.slots // 2
-        return SeriesTable.from_rows(
-            table.a[:half], table.b[:half], table.a_prime[:half], table.b_prime[:half]
-        )
-    out, _ = _condense_pairs(table, schedule)
+    out, _ = _condense_pairs(table, _resolve_schedule(table, schedule))
     return out
 
 
@@ -527,24 +527,23 @@ def apply_plan(run: RecordedRun, plan: ReorderPlan) -> RecordedRun:
 @dataclass(frozen=True)
 class CompleteTable:
     """A fully measured table whose cells are tagged factual ("F", recorded)
-    or counterfactual ("C", assigned), satisfying the series identity under
-    its schedule."""
+    or counterfactual ("C", assigned).  Its factual cells fix its
+    ``schedule`` (see :func:`_resolve_schedule`); a completion satisfies the
+    series identity under it, and its condensation need not."""
 
     table: SeriesTable
     provenance: dict[str, tuple[str, ...]]
-    schedule: Schedule
+    schedule: Schedule = field(init=False)
 
     def __post_init__(self):
-        if not self.table.fully_measured:
-            raise PreconditionError("a complete table has no unmeasured cells")
-        if self.schedule.slots != self.table.slots:
-            raise PreconditionError("schedule and table lengths differ")
         for key in ROW_KEYS:
             marks = self.provenance.get(key)
             if marks is None or len(marks) != self.table.slots:
                 raise PreconditionError(f"provenance for row {key} missing or wrong length")
             if any(m not in ("F", "C") for m in marks):
                 raise PreconditionError(f"provenance for row {key} must be 'F'/'C'")
+        schedule = _resolve_schedule(self.table, None, self.provenance)
+        object.__setattr__(self, "schedule", schedule)
 
     def check(self) -> SicaVerdict:
         return check_sica(self.table, self.schedule)
@@ -560,12 +559,14 @@ class CompleteTable:
             for p in PAIRINGS
         }
 
-    def condense(self) -> "CondensedTable":
+    def condense(self) -> "CompleteTable":
+        """Rows a and a' keep the same slot at each position, and exactly one
+        of the two was factual there (so for b, b'): a schedule is fixed."""
         out, sources = _condense_pairs(self.table, self.schedule)
         provenance = {
             key: tuple(self.provenance[key][s] for s in sources[key]) for key in ROW_KEYS
         }
-        return CondensedTable(out, provenance)
+        return CompleteTable(out, provenance)
 
     def resample(self, overrides: dict[Pairing, Sequence[int]] | None = None):
         """Re-pick which slots count as the factual observation of each
@@ -586,16 +587,6 @@ class CompleteTable:
         stats = {p: correlation_over_slots(self.table, p, chosen[p]) for p in PAIRINGS}
         s = chsh_combination(*(stats[p].e for p in PAIRINGS))
         return ResampleResult(chosen, stats, s)
-
-
-@dataclass(frozen=True)
-class CondensedTable:
-    """Half-length table mixing factual and counterfactual cells.  Not a
-    :class:`CompleteTable`: after condensation the redundancy that the
-    identity check consumes is gone."""
-
-    table: SeriesTable
-    provenance: dict[str, tuple[str, ...]]
 
 
 @dataclass(frozen=True)
@@ -727,7 +718,7 @@ def build_complete_table(
         key: tuple("C" if v is None else "F" for v in factual.row(key)) for key in ROW_KEYS
     }
     out_table = SeriesTable.from_rows(rows["a"], rows["b"], rows["a_prime"], rows["b_prime"])
-    complete = CompleteTable(out_table, provenance, trimmed.schedule)
+    complete = CompleteTable(out_table, provenance)
     kept_all = set(kept)
     discarded = tuple(i for i in range(t) if i not in kept_all)
     note = "" if not discarded else f"trimmed {len(discarded)} slots to balance quarters"

@@ -72,7 +72,8 @@ def event_logs(draw):
 @st.composite
 def table_objects(draw):
     """Table objects of up to 8 slots: fully measured, run-shaped (one A and
-    one B cell per slot) or any mix of cells, with or without provenance,
+    one B cell per slot) or any mix of cells, with no provenance, any marks
+    or run-shaped marks (one factual A and one factual B cell per slot),
     then sometimes damaged: the slot count, a row, a cell, a provenance row
     or a key replaced by any JSON value or dropped."""
     slots = draw(st.integers(0, 8))
@@ -87,9 +88,17 @@ def table_objects(draw):
                 for key in pair:
                     rows[key][i] = value if key == active else None
     data = dict(rows, slots=slots)
-    if draw(st.booleans()):
+    marking = draw(st.sampled_from(("none", "any", "run")))
+    if marking == "any":
         marks = st.lists(st.sampled_from("FC"), min_size=slots, max_size=slots)
         data["provenance"] = {key: draw(marks) for key in ROW_KEYS}
+    elif marking == "run":
+        data["provenance"] = {key: [] for key in ROW_KEYS}
+        for _ in range(slots):
+            for pair in (("a", "a_prime"), ("b", "b_prime")):
+                factual = draw(st.sampled_from(pair))
+                for key in pair:
+                    data["provenance"][key].append("F" if key == factual else "C")
     for _ in range(draw(st.integers(0, 2))):
         target = draw(st.sampled_from(("slots", *ROW_KEYS, "cell", "provenance", "drop")))
         if target == "drop":

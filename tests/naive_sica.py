@@ -188,7 +188,7 @@ def naive_build_complete_table(run, free_choice_a, free_choice_aprime, budget=No
         "b_prime": tuple(f + c + c + f),
     }
     out_table = SeriesTable.from_rows(a_row, b_row, ap_row, bp_row)
-    complete = sica.CompleteTable(out_table, provenance, block_halves(4 * m))
+    complete = sica.CompleteTable(out_table, provenance)
     kept_all = set(donors_q1) | set(kept_q2) | set(donors_q3) | set(kept_q4)
     discarded = tuple(i for i in range(t) if i not in kept_all)
     note = "" if not discarded else f"trimmed {len(discarded)} slots to balance quarters"

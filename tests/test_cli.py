@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -378,6 +382,93 @@ def test_check_refuses_cells_off_the_schedule(cli, tmp_path, capsys):
     assert "do not follow the given schedule" in capsys.readouterr().err
 
 
+def test_figure_tables_check_under_the_schedule_their_cells_fix(cli, tmp_path, capsys):
+    """A completed table's factual cells fix its schedule: fig8's identity
+    holds, its condensation fig9's fails on rows a' and b'.  A fully
+    measured table without provenance fixes none and is refused."""
+    assert cli("figures", "--output", str(tmp_path)) == 0
+    capsys.readouterr()
+    verdicts = {}
+    for name in ("fig8", "fig9"):
+        assert cli("sica-check", "--input", str(tmp_path / f"{name}.table.json")) == 0
+        verdicts[name] = json.loads(capsys.readouterr().out)
+    assert verdicts["fig8"]["holds"] is True
+    assert verdicts["fig9"]["holds"] is False
+    assert [w["row"] for w in verdicts["fig9"]["witnesses"]] == ["a_prime"] * 2 + ["b_prime"] * 2
+    for name in ("fig2", "fig3", "fig7"):
+        assert cli("sica-check", "--input", str(tmp_path / f"{name}.table.json")) == 3
+        assert "without a schedule" in capsys.readouterr().err
+
+
+def test_schedule_flag_on_a_completed_table_must_agree_with_its_provenance(cli, tmp_path,
+                                                                          capsys):
+    path = tmp_path / "fig8.json"
+    fileio.write_json_atomic(str(path), fileio.table_to_json(refdata.fig8().table,
+                                                             refdata.fig8().provenance))
+    for command in ("sica-check", "sica-condense"):
+        plain = cli(command, "--input", str(path)), capsys.readouterr()
+        given = cli(command, "--input", str(path), "--schedule", "block")
+        assert (given, capsys.readouterr()) == plain
+        assert plain[0] == 0
+    sched = tmp_path / "sched.json"
+    sched.write_text(json.dumps(random_per_slot(8, 6).to_json()))
+    for command in ("sica-check", "sica-condense"):
+        assert cli(command, "--input", str(path), "--schedule", f"file:{sched}") == 3
+        assert "do not follow the given schedule" in capsys.readouterr().err
+
+
+def test_partial_table_with_provenance_exits_3(cli, tmp_path, capsys):
+    data = fileio.table_to_json(refdata.fig8().table, refdata.fig8().provenance)
+    data["a"][4] = None
+    path = tmp_path / "partial.json"
+    path.write_text(json.dumps(data))
+    for command in ("sica-check", "sica-condense"):
+        assert cli(command, "--input", str(path)) == 3
+        assert "no unmeasured cells" in capsys.readouterr().err
+
+
+def test_figures_and_completion_write_one_shape_of_factual_correlations(cli, tmp_path,
+                                                                      capsys, read_json):
+    events = tmp_path / "black.jsonl"
+    fileio.write_run_file(refdata.fig6("black"), str(events))
+    assert cli("sica-complete", "--input", str(events), "--free-choices", "1,2") == 0
+    completed = json.loads(capsys.readouterr().out)
+    assert cli("figures", "--output", str(tmp_path)) == 0
+    fig8 = read_json(tmp_path / "fig8.stats.json")
+    assert fig8["identity_holds"] is True
+    assert fig8["factual_correlations"] == completed["factual_correlations"]
+    assert len(fig8["factual_correlations"]) == 4
+    fig9 = read_json(tmp_path / "fig9.stats.json")
+    assert fig9["identity_holds"] is False
+    # Every pairing is listed, also one with no factual coincidence.
+    assert fig9["factual_correlations"] == {
+        "alpha:beta": {"n_c": 0, "e": None},
+        "alpha:beta_prime": {"n_c": 2, "e": {"num": -1, "den": 1, "decimal": -1.0}},
+        "alpha_prime:beta": {"n_c": 2, "e": {"num": 1, "den": 1, "decimal": 1.0}},
+        "alpha_prime:beta_prime": {"n_c": 0, "e": None},
+    }
+
+
+def test_closed_stdout_is_not_an_internal_error(tmp_path):
+    """A reader that has gone before the report is written (``| head``)
+    gets exit 1 and no traceback or internal error on stderr."""
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        done = subprocess.run(
+            [sys.executable, "-m", "bellseries.cli", "oracle", "--objective", "chsh",
+             "--slots", "2"],
+            cwd=tmp_path, env=env, stdout=write_end, stderr=subprocess.PIPE, text=True,
+            timeout=120,
+        )
+    finally:
+        os.close(write_end)
+    assert done.returncode == 1
+    assert done.stderr == ""
+
+
 @st.composite
 def completion_inputs(draw):
     """An event log (block layout or any settings, with or without zeros)
@@ -428,8 +519,9 @@ def test_completion_commands_on_fuzzed_inputs_exit_0_or_3(cli, tmp_path, capsys,
 
 
 @pytest.mark.parametrize("argv", [
-    ("analyze",), ("sica-check",), ("sica-condense",), ("sica-condense", "--schedule", "block"),
-], ids=["analyze", "sica-check", "sica-condense", "sica-condense-block"])
+    ("analyze",), ("sica-check",), ("sica-check", "--schedule", "block"), ("sica-condense",),
+    ("sica-condense", "--schedule", "block"),
+], ids=["analyze", "sica-check", "sica-check-block", "sica-condense", "sica-condense-block"])
 @settings(max_examples=60, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(data=table_objects())
@@ -629,8 +721,8 @@ def test_text_format_on_other_commands(cli, tmp_path, capsys):
     report = json.loads(capsys.readouterr().out)
     assert cli("sica-check", "--input", str(log), "--format", "text") == 0
     lines = capsys.readouterr().out.splitlines()
-    assert lines[:3] == ["command: sica-check", "holds: False", "note: "]
-    assert lines[3] == "witnesses: " + json.dumps(report["witnesses"], sort_keys=True)
+    assert lines[:2] == ["command: sica-check", "holds: False"]
+    assert lines[2] == "witnesses: " + json.dumps(report["witnesses"], sort_keys=True)
 
 
 def test_failed_atomic_write_leaves_no_file(tmp_path):

@@ -40,10 +40,12 @@ from naive_sica import (
 )
 
 
-def test_fully_measured_table_has_no_regimes_to_compare():
-    verdict = check_sica(refdata.fig2())
-    assert verdict.holds
-    assert "regime" in verdict.note
+def test_fully_measured_table_without_a_schedule_is_refused():
+    # Its cells fix no schedule, so there are no regimes to compare until
+    # one is given; the identity never holds by default.
+    with pytest.raises(PreconditionError, match="fully measured table without a schedule"):
+        check_sica(refdata.fig2())
+    assert not check_sica(refdata.fig2(), block_halves(16)).holds
 
 
 def test_replayed_run_breaks_the_identity():
@@ -159,13 +161,57 @@ def test_completion_factual_correlations_match_blocks():
 
 def test_condensing_the_complete_table():
     complete = refdata.fig8()
+    assert complete.schedule == block_halves(8)
     condensed = complete.condense()
     expected = refdata.fig9()
-    assert condensed.table == expected.table
-    assert condensed.provenance == expected.provenance
+    assert condensed == expected
     assert chsh(condensed.table) == 2
-    # the condensed table does not itself satisfy the identity
+    # the condensed table does not itself satisfy the identity, under the
+    # schedule its own factual cells fix or under the block layout
+    verdict = condensed.check()
+    assert not verdict.holds
+    assert [w.row for w in verdict.witnesses] == ["a_prime"] * 2 + ["b_prime"] * 2
+    assert condensed.schedule != block_halves(4)
     assert not check_sica(condensed.table, block_halves(4)).holds
+
+
+def test_complete_table_needs_factual_cells_that_fix_a_schedule():
+    good = refdata.fig8()
+    partial = SeriesTable.from_rows(
+        (None,) + good.table.a[1:], good.table.b, good.table.a_prime, good.table.b_prime
+    )
+    with pytest.raises(PreconditionError, match="no unmeasured cells"):
+        CompleteTable(partial, good.provenance)
+    all_factual = {key: ("F",) * 8 for key in good.provenance}
+    with pytest.raises(PreconditionError, match="without a schedule"):
+        CompleteTable(good.table, all_factual)
+    two_factual = dict(good.provenance, a=("F",) * 8)
+    with pytest.raises(PreconditionError, match="not run-derived"):
+        CompleteTable(good.table, two_factual)
+
+
+def test_every_condensed_completion_fixes_a_schedule():
+    """Rows a and a' keep the same slot at each condensed position, and
+    exactly one of the two was factual there; so a condensed completion is
+    again a complete table, with half the slots."""
+    condensed = 0
+    for seed in range(120):
+        rng = random.Random(seed)
+        slots = 4 * rng.randrange(1, 9)
+        run = RecordedRun(block_halves(slots),
+                          tuple(rng.choice((-1, 1)) for _ in range(slots)),
+                          tuple(rng.choice((-1, 1)) for _ in range(slots)))
+        q = slots // 4
+        bits = [[rng.randrange(2) for _ in range(q)] for _ in range(2)]
+        try:
+            complete = build_complete_table(run, *bits, budget=q).complete
+        except PreconditionError:
+            continue
+        half = complete.condense()
+        assert isinstance(half, CompleteTable)
+        assert half.schedule.slots == complete.table.slots // 2
+        condensed += 1
+    assert condensed >= 100
 
 
 def test_resample_restores_the_factual_value():
@@ -263,11 +309,9 @@ def test_all_identity_satisfying_tables_condense_within_bound():
     assert count == 256
 
 
-def test_condense_full_table_without_schedule_truncates():
-    table = refdata.fig2()
-    condensed = condense(table)
-    assert condensed.slots == 16 // 2
-    assert condensed.a == table.a[:8]
+def test_condense_full_table_without_schedule_is_refused():
+    with pytest.raises(PreconditionError, match="fully measured table without a schedule"):
+        condense(refdata.fig2())
 
 
 def test_condense_rejects_unequal_blocks():
@@ -289,7 +333,7 @@ def test_complete_table_validates_provenance():
     bad_prov = dict(good.provenance)
     bad_prov["a"] = ("X",) + good.provenance["a"][1:]
     with pytest.raises(PreconditionError):
-        CompleteTable(good.table, bad_prov, good.schedule)
+        CompleteTable(good.table, bad_prov)
 
 
 def test_solver_failure_is_an_error_not_an_obstruction(monkeypatch):
