@@ -34,14 +34,6 @@ from .model import (
     random_per_slot,
     table_from_run,
 )
-from .oracle import (
-    EnumSpec,
-    census_complete_tables,
-    max_chsh,
-    max_clauser_horne,
-    max_s_eta,
-    sweep_cardinality_bound,
-)
 from .sica import (
     CompleteTable,
     apply_plan,
@@ -69,6 +61,26 @@ from .stats import (
 )
 
 __version__ = "0.1.0"
+
+#: Served from ``oracle`` on first use (PEP 562): the sweeps need numpy, and
+#: importing the package should not load it.
+_ORACLE_NAMES = (
+    "EnumSpec",
+    "census_complete_tables",
+    "max_chsh",
+    "max_clauser_horne",
+    "max_s_eta",
+    "sweep_cardinality_bound",
+)
+
+
+def __getattr__(name: str):
+    if name in _ORACLE_NAMES:
+        from . import oracle
+
+        return getattr(oracle, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __all__ = [
     "ASetting",

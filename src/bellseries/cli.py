@@ -17,9 +17,7 @@ import sys
 from dataclasses import asdict
 from fractions import Fraction
 
-import numpy as np
-
-from . import fileio, oracle, refdata
+from . import fileio, refdata
 from .errors import BellSeriesError, ParseError, PreconditionError
 from .model import (
     RecordedRun,
@@ -50,6 +48,9 @@ _FIGURE_NAMES = ("fig2", "fig3", "fig6-black", "fig6-red", "fig7", "fig8", "fig9
 
 def _split_seed(seed: int) -> tuple[int, int]:
     """One user seed feeds two independent streams: schedule, then source."""
+    # numpy is imported where a command draws, so commands that read stay light.
+    import numpy as np
+
     children = np.random.SeedSequence(seed).spawn(2)
     return tuple(int(c.generate_state(1, np.uint64)[0]) for c in children)
 
@@ -388,7 +389,7 @@ def _cmd_fill(args) -> int:
     return 0
 
 
-def _spec_json(spec: oracle.EnumSpec) -> dict:
+def _spec_json(spec) -> dict:
     constraint = spec.constraint
     if isinstance(constraint, tuple):
         constraint = {"kind": constraint[0], "threshold": str(constraint[1])}
@@ -402,11 +403,15 @@ def _spec_json(spec: oracle.EnumSpec) -> dict:
 
 
 def _cmd_oracle(args) -> int:
+    # The sweeps need numpy, which commands that only read should not load.
+    # They are called through the module, so a wrapper set on it applies.
+    from . import oracle
+
     spec = oracle.EnumSpec(
         slots=args.slots,
         alphabet=args.alphabet,
         constraint=_parse_constraint(args.constraint),
-        budget=args.budget,
+        budget=oracle.DEFAULT_BUDGET if args.budget is None else args.budget,
     )
     if args.objective == "cardinality":
         sweep = oracle.sweep_cardinality_bound(spec)
@@ -579,7 +584,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "--constraint", default="none",
         help="none, equal-nc, sica, eta>=Q, eta<=Q, or eta<Q",
     )
-    p.add_argument("--budget", type=int, default=oracle.DEFAULT_BUDGET)
+    p.add_argument("--budget", type=int)
     p.add_argument("--witnesses", type=int, default=3)
     _add_common(p, output_help="sweep report JSON to write")
     p.set_defaults(func=_cmd_oracle)

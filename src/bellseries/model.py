@@ -17,8 +17,6 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import Optional, Sequence
 
-import numpy as np
-
 from .errors import PreconditionError, StructuralError
 
 PLUS = 1
@@ -216,6 +214,9 @@ def block_halves(slots: int) -> Schedule:
 
 def random_per_slot(slots: int, seed: int) -> Schedule:
     """Independent uniform setting choices at both stations, seeded."""
+    # numpy is imported where a command draws, so commands that read stay light.
+    import numpy as np
+
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
     a_bits = rng.integers(0, 2, size=slots)
     b_bits = rng.integers(0, 2, size=slots)
@@ -259,9 +260,10 @@ class RecordedRun:
         if len(self.a_outcomes) != n or len(self.b_outcomes) != n:
             raise PreconditionError("run outcome series must match the schedule length")
         for series in (self.a_outcomes, self.b_outcomes):
-            for v in series:
-                if not is_outcome(v):
-                    raise PreconditionError(f"outcome {v!r} not one of +1, -1, 0")
+            # Two set tests at C speed decide; the scan only names the culprit.
+            if not (set(map(type, series)) <= {int} and set(series).issubset(MEASURED_VALUES)):
+                bad = next(v for v in series if not is_outcome(v))
+                raise PreconditionError(f"outcome {bad!r} not one of +1, -1, 0")
 
     @property
     def slots(self) -> int:

@@ -21,8 +21,6 @@ from fractions import Fraction
 from itertools import islice
 from typing import Iterator, Sequence
 
-import numpy as np
-
 from .errors import BellSeriesError, BudgetExceeded, PreconditionError
 from .model import (
     MINUS,
@@ -297,7 +295,7 @@ class ReorderPlan:
 class ReorderOutcome:
     success: bool
     plan: ReorderPlan | None
-    best_keepable: int
+    best_keepable: int | None  # None when a certificate decided, not the solver
     required: int
     obstruction: str = ""
 
@@ -327,8 +325,9 @@ def _class_pair(quad: tuple[int, int, int, int], pairing: Pairing) -> tuple[int,
 def _max_joint_arrangement(pair_counts) -> tuple[int, dict[tuple, int]]:
     """Largest m such that m slot quadruples can be drawn with each pairing's
     projection available in its block.  Exact small integer program."""
-    # scipy.optimize takes most of the package's import time; only reorder
-    # needs it.
+    # numpy and scipy.optimize take most of the package's import time; only
+    # a reorder that no certificate decides needs them.
+    import numpy as np
     from scipy.optimize import LinearConstraint, milp
 
     classes = [
@@ -447,6 +446,51 @@ def _margin_certificate(
     return None
 
 
+#: Per row, the two blocks its cells fall in: under the distant station's
+#: unprimed setting, then under its primed one.
+_ROW_BLOCKS = {key: tuple(p for p in PAIRINGS if key in (p.a_row, p.b_row)) for key in ROW_KEYS}
+
+
+def _regime_bound(pair_counts) -> tuple[int, str, dict[int, tuple[int, int]]]:
+    """The fewest quadruples any one row lets a reorder keep: (bound, row,
+    per value the row's cells in each of its :data:`_ROW_BLOCKS`), for the
+    first row where it is smallest.
+
+    Each kept quadruple takes a slot of one value from both of a row's
+    blocks, so a row keeps at most the sum over values of the smaller
+    count.  Every MILP plan meets these limits: the bound relaxes it.
+    """
+    best = None
+    for key, blocks in _ROW_BLOCKS.items():
+        side = 0 if blocks[0].a_row == key else 1
+        counts = {
+            v: tuple(sum(n for pair, n in pair_counts[p].items() if pair[side] == v)
+                     for p in blocks)
+            for v in VALUES
+        }
+        bound = sum(min(c) for c in counts.values())
+        if best is None or bound < best[0]:
+            best = (bound, key, counts)
+    return best
+
+
+def _regime_certificate(pair_counts, required: int) -> str | None:
+    """An exact proof of infeasibility when some row's series, read under
+    one distant setting and under the other, shares too few values: see
+    :func:`_regime_bound`."""
+    bound, key, counts = _regime_bound(pair_counts)
+    if bound >= required:
+        return None
+    first, second = (p.key for p in _ROW_BLOCKS[key])
+    per_value = "; ".join(f"{v:+d}: {n1} vs {n2}" for v, (n1, n2) in counts.items())
+    return (
+        f"row {key} changes with the distant setting: its cells in block ({first}) "
+        f"vs block ({second}) per value are {per_value}; each kept quadruple takes one "
+        f"cell of one value from both blocks, so at most {bound} can be kept, "
+        f"{required} required"
+    )
+
+
 def reorder_to_sica(run: RecordedRun, budget: int | None = None) -> ReorderOutcome:
     """Find a correlation-preserving rearrangement enforcing the identity.
 
@@ -457,8 +501,12 @@ def reorder_to_sica(run: RecordedRun, budget: int | None = None) -> ReorderOutco
     table of the rearranged run then passes :func:`check_sica`, and the
     permutation part changes no measured correlation.
 
-    Failure is a result, not an error: the outcome carries a narrated
-    cascade obstruction and the best keepable m.
+    Failure is a result, not an error.  Three deciders run in order: the
+    CHSH margin certificate (loss-free runs), the regime-count bound of
+    :func:`_regime_bound`, then the integer program.  A certified failure
+    names its certificate and leaves ``best_keepable`` None; a failure the
+    program decides carries the best keepable m and a narrated cascade
+    obstruction.  Only the program needs numpy and scipy.
     """
     if budget is None:
         budget = default_discard_budget(run.slots)
@@ -471,8 +519,11 @@ def reorder_to_sica(run: RecordedRun, budget: int | None = None) -> ReorderOutco
     required = max(1, max(len(blocks[p]) - min(budget, len(blocks[p]) - 1) for p in PAIRINGS))
     certificate = _margin_certificate(run, blocks, budget)
     if certificate is not None:
-        return ReorderOutcome(False, None, 0, required, certificate)
+        return ReorderOutcome(False, None, None, required, certificate)
     pair_counts = _block_pairs(run, blocks)
+    certificate = _regime_certificate(pair_counts, required)
+    if certificate is not None:
+        return ReorderOutcome(False, None, None, required, certificate)
     best, chosen = _max_joint_arrangement(pair_counts)
     if best < required:
         return ReorderOutcome(

@@ -23,8 +23,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import PreconditionError
 from .model import (
     MINUS,
@@ -118,6 +116,9 @@ def simulate(config: SourceConfig) -> RecordedRun:
     Bit-exact reproducible: the same config (seed included) always yields
     the same run.
     """
+    # numpy is imported where a command draws, so commands that read stay light.
+    import numpy as np
+
     n = config.schedule.slots
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(config.seed)))
     if config.model == "quantum":

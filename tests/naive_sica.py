@@ -12,6 +12,10 @@ comparison tests only the realization.
 earliest-unused rule for the reorder failure report and for completion, by
 copying every slot and removing each one taken.
 
+``naive_regime_bound`` reads the reorder regime-count bound off the run's
+own series, slot by slot, without the block pair counts ``sica`` reads it
+from.
+
 ``naive_build_complete_table`` and ``naive_condense_run_table`` write the
 block-layout completion and the condensation of a run-derived table out by
 hand, quarter by quarter and block by block, instead of filling and pairing
@@ -22,11 +26,22 @@ from bellseries import sica
 from bellseries.errors import PreconditionError
 from bellseries.model import (
     PAIRINGS,
+    ASetting,
+    BSetting,
     Pairing,
     SeriesTable,
     block_halves,
     pairing_blocks,
     table_from_run,
+)
+
+# Per row: its station's outcomes, its own setting, the distant station's
+# settings and that station's unprimed setting.
+_ROW_READS = (
+    ("a", "a", ASetting.ALPHA, "b", BSetting.BETA),
+    ("b", "b", BSetting.BETA, "a", ASetting.ALPHA),
+    ("a_prime", "a", ASetting.ALPHA_PRIME, "b", BSetting.BETA),
+    ("b_prime", "b", BSetting.BETA_PRIME, "a", ASetting.ALPHA),
 )
 
 
@@ -98,6 +113,27 @@ def naive_greedy_obstruction(run, blocks):
     return "no single forced dead end; joint availability is the binding limit. " + " ".join(
         steps
     )
+
+
+def naive_regime_bound(run):
+    """``sica._regime_bound`` by list scans: per row (a, b, a', b'), the
+    values it recorded under the distant station's unprimed setting and
+    under its primed one, each counted with ``list.count``; the bound is the
+    smallest per-row sum of the smaller counts, first such row in order."""
+    settings = {"a": run.schedule.a_settings, "b": run.schedule.b_settings}
+    outcomes = {"a": run.a_outcomes, "b": run.b_outcomes}
+    best = None
+    for row, station, own, distant, unprimed in _ROW_READS:
+        under_first, under_second = [], []
+        for i in range(run.slots):
+            if settings[station][i] == own:
+                side = under_first if settings[distant][i] == unprimed else under_second
+                side.append(outcomes[station][i])
+        counts = {v: (under_first.count(v), under_second.count(v)) for v in (-1, 0, 1)}
+        bound = sum(min(pair) for pair in counts.values())
+        if best is None or bound < best[0]:
+            best = (bound, row, counts)
+    return best
 
 
 def naive_stable_match(donors, targets):

@@ -731,3 +731,64 @@ def test_failed_atomic_write_leaves_no_file(tmp_path):
     with pytest.raises(TypeError):
         fileio.write_run_file(run, str(target))
     assert list(tmp_path.iterdir()) == []
+
+
+# --- which commands load numpy and scipy -------------------------------------
+
+_MAIN_THEN_MODULES = (
+    "import json, sys\n"
+    "from bellseries.cli import main\n"
+    "code = main(sys.argv[1:])\n"
+    "loaded = sorted(m for m in ('numpy', 'scipy') if m in sys.modules)\n"
+    "sys.stderr.write(json.dumps([code, loaded]))\n"
+)
+
+
+def _fresh_cli(cwd, *argv):
+    """One CLI command in a fresh interpreter: its exit code, which of numpy
+    and scipy it left loaded, and its report."""
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    done = subprocess.run(
+        [sys.executable, "-c", _MAIN_THEN_MODULES, *argv],
+        cwd=cwd, env=env, capture_output=True, text=True, timeout=120,
+    )
+    code, loaded = json.loads(done.stderr.splitlines()[-1])
+    return code, loaded, json.loads(done.stdout)
+
+
+@pytest.mark.parametrize("argv", [
+    ("analyze", "--input", "fig5.jsonl"),
+    ("analyze", "--input", "fig3.table.json"),
+    ("sica-check", "--input", "fig5.jsonl"),
+], ids=["analyze-log", "analyze-table", "sica-check-log"])
+def test_reading_commands_do_not_load_numpy(tmp_path, argv):
+    fileio.write_run_file(refdata.fig5(), str(tmp_path / "fig5.jsonl"))
+    table = fileio.table_to_json(refdata.fig3())
+    fileio.write_json_atomic(str(tmp_path / "fig3.table.json"), table)
+    code, loaded, _ = _fresh_cli(tmp_path, *argv)
+    assert (code, loaded) == (0, [])
+
+
+@pytest.mark.parametrize("eta, certificate", [
+    (1.0, "CHSH combination"),
+    (0.9, "changes with the distant setting"),
+], ids=["margin", "regime"])
+def test_certified_reorder_failure_loads_neither_numpy_nor_scipy(tmp_path, eta, certificate):
+    from bellseries.simulate import SourceConfig, simulate
+
+    config = SourceConfig(model="quantum", schedule=random_per_slot(4000, 31), seed=32, eta=eta)
+    fileio.write_run_file(simulate(config), str(tmp_path / "run.jsonl"))
+    code, loaded, report = _fresh_cli(tmp_path, "sica-reorder", "--input", "run.jsonl")
+    assert (code, loaded) == (0, [])
+    assert report["success"] is False
+    assert report["best_keepable"] is None
+    assert certificate in report["obstruction"]
+
+
+def test_reorder_the_certificates_cannot_decide_loads_the_solver(tmp_path):
+    # The guard above is not vacuous: the MILP path does load both.
+    fileio.write_run_file(refdata.fig6("black"), str(tmp_path / "black.jsonl"))
+    code, loaded, report = _fresh_cli(tmp_path, "sica-reorder", "--input", "black.jsonl")
+    assert (code, loaded) == (0, ["numpy", "scipy"])
+    assert report["best_keepable"] == 0

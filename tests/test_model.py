@@ -1,3 +1,5 @@
+import re
+
 import pytest
 
 from bellseries.errors import PreconditionError, StructuralError
@@ -9,6 +11,7 @@ from bellseries.model import (
     ASetting,
     BSetting,
     Pairing,
+    RecordedRun,
     SeriesTable,
     block_halves,
     derive_schedule,
@@ -111,3 +114,12 @@ def test_pairing_blocks_partition_slots():
     assert blocks[Pairing.APB] == [4, 5]
     assert blocks[Pairing.APBP] == [6, 7]
     assert sorted(i for ids in blocks.values() for i in ids) == list(range(8))
+
+
+@pytest.mark.parametrize("bad", [True, False, 1.0, 2, None, [], "1"], ids=repr)
+def test_recorded_run_names_the_first_bad_outcome(bad):
+    # A's series is checked before B's, each from its first slot.
+    with pytest.raises(PreconditionError, match=re.escape(f"outcome {bad!r} not one of")):
+        RecordedRun(block_halves(4), (1, 0, 1, 1), (1, bad, -1, 7))
+    with pytest.raises(PreconditionError, match="outcome 7 not one of"):
+        RecordedRun(block_halves(4), (1, 7, 1, 1), (1, bad, -1, 1))

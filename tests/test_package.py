@@ -16,14 +16,20 @@ def test_every_export_resolves():
 
 
 def test_exports_are_exactly_the_public_imports():
+    # The oracle names are imported on first use (PEP 562); they count as
+    # imports, and each must be the oracle's own object.
+    from bellseries import oracle
+
     tree = ast.parse(inspect.getsource(bellseries))
     imported = {
         alias.asname or alias.name
         for node in tree.body
         if isinstance(node, ast.ImportFrom)
         for alias in node.names
-    }
+    } | set(bellseries._ORACLE_NAMES)
     assert set(bellseries.__all__) == {n for n in imported if not n.startswith("_")}
+    for name in bellseries._ORACLE_NAMES:
+        assert getattr(bellseries, name) is getattr(oracle, name)
 
 
 def test_benchmark_launcher_wraps_names_that_exist(tmp_path):
@@ -40,3 +46,22 @@ def test_benchmark_launcher_wraps_names_that_exist(tmp_path):
     )
     assert done.returncode == 0, done.stderr
     assert spans.stat().st_size > 0
+
+
+def test_importing_the_package_leaves_numpy_unloaded():
+    code = (
+        "import sys, bellseries, bellseries.cli\n"
+        "before = 'numpy' in sys.modules\n"
+        "bellseries.max_chsh\n"
+        "print(before, 'numpy' in sys.modules)\n"
+    )
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == ["False", "True"]
+
+
+def test_unknown_attribute_is_an_attribute_error():
+    assert not hasattr(bellseries, "no_such_name")

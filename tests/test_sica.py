@@ -36,6 +36,7 @@ from naive_sica import (
     naive_condense_run_table,
     naive_greedy_obstruction,
     naive_plan,
+    naive_regime_bound,
     naive_stable_match,
 )
 
@@ -126,6 +127,93 @@ def test_large_divergent_run_fails_by_margin_certificate():
     outcome = reorder_to_sica(run)
     assert not outcome.success
     assert "CHSH combination" in outcome.obstruction
+
+
+def test_regime_certificate_names_the_binding_row():
+    config = SourceConfig(model="quantum", schedule=random_per_slot(2000, 5), seed=6, eta=0.9)
+    run = simulate(config)
+    bound, row, counts = sica._regime_bound(sica._block_pairs(run, pairing_blocks(run)))
+    outcome = reorder_to_sica(run)
+    assert bound < outcome.required
+    first, second = (p.key for p in Pairing if row in (p.a_row, p.b_row))
+    assert outcome.obstruction.startswith(
+        f"row {row} changes with the distant setting: its cells in block ({first}) "
+        f"vs block ({second}) per value are "
+    )
+    for v, (n1, n2) in counts.items():
+        assert f"{v:+d}: {n1} vs {n2}" in outcome.obstruction
+    assert outcome.obstruction.endswith(
+        f"so at most {bound} can be kept, {outcome.required} required"
+    )
+
+
+def _seeded_small_run(seed: int) -> tuple[RecordedRun, int | None]:
+    """A small run and a budget: pm or pmz values, random or block schedule,
+    outcomes drawn at random or read from a narrow instruction table (which
+    often reorders), and a budget from none at all to the whole run."""
+    rng = random.Random(seed)
+    values = rng.choice(((-1, 1), (-1, 0, 1)))
+    if rng.random() < 0.5:
+        schedule = random_per_slot(rng.randrange(4, 61), seed)
+    else:
+        schedule = block_halves(4 * rng.randrange(1, 16))
+    slots = schedule.slots
+    if rng.random() < 0.5:
+        a = tuple(rng.choice(values) for _ in range(slots))
+        b = tuple(rng.choice(values) for _ in range(slots))
+    else:
+        width = rng.choice((1, 2, 4))
+        rows = {key: [rng.choice(values) for _ in range(width)]
+                for key in ("a", "b", "a_prime", "b_prime")}
+        a = tuple(rows[s.row][i % width] for i, s in enumerate(schedule.a_settings))
+        b = tuple(rows[s.row][i % width] for i, s in enumerate(schedule.b_settings))
+    budget = rng.choice((None, 0, 1, 2, slots))
+    return RecordedRun(schedule, a, b), budget
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_regime_bound_matches_list_scan(seed):
+    if seed % 2:
+        config = SourceConfig(model="quantum", schedule=random_per_slot(3000, seed),
+                              seed=seed, eta=random.Random(seed).choice((0.7, 0.9, 1.0)))
+        run = simulate(config)
+    else:
+        run, _ = _seeded_small_run(seed)
+    blocks = pairing_blocks(run)
+    assert sica._regime_bound(sica._block_pairs(run, blocks)) == naive_regime_bound(run)
+
+
+def test_regime_certificate_is_sound():
+    """Over 300 seeded small runs: the bound never falls below what the
+    integer program keeps; when the certificate fires, the program fails
+    too; when no certificate fires, the outcome is the program's."""
+    reached = {"regime": 0, "margin": 0, "milp-fail": 0, "milp-success": 0}
+    for seed in range(300):
+        run, budget = _seeded_small_run(seed)
+        blocks = pairing_blocks(run)
+        if not all(blocks.values()):
+            continue
+        outcome = reorder_to_sica(run, budget)
+        pair_counts = sica._block_pairs(run, blocks)
+        bound, _, _ = sica._regime_bound(pair_counts)
+        best, _ = sica._max_joint_arrangement(pair_counts)
+        assert best <= bound, seed
+        if budget is None:
+            budget = sica.default_discard_budget(run.slots)
+        if sica._margin_certificate(run, blocks, budget) is not None:
+            kind = "margin"
+            assert best < outcome.required, seed
+        elif bound < outcome.required:
+            kind = "regime"
+            assert "changes with the distant setting" in outcome.obstruction, seed
+        else:
+            kind = "milp-success" if outcome.success else "milp-fail"
+            assert outcome.best_keepable == best, seed
+            assert outcome.success == (best >= outcome.required), seed
+        if kind in ("margin", "regime"):
+            assert (outcome.success, outcome.best_keepable) == (False, None), seed
+        reached[kind] += 1
+    assert all(reached.values()), reached
 
 
 def test_default_discard_budget_grows_like_sqrt():
