@@ -67,7 +67,12 @@ def _make_schedule(spec: str, slots: int, seed: int | None = None) -> Schedule:
     if spec.startswith("file:"):
         path = spec[len("file:"):]
         data = fileio.parse_json(fileio.read_text(path), name=f"schedule file {path}")
-        return schedule_from_json(data)
+        schedule = schedule_from_json(data)
+        if schedule.slots != slots:
+            raise PreconditionError(
+                f"schedule file {path} covers {schedule.slots} slots, not {slots}"
+            )
+        return schedule
     raise PreconditionError(
         f"unknown schedule {spec!r}: expected block, random, or file:<path>"
     )
@@ -403,6 +408,7 @@ def _spec_json(spec) -> dict:
 
 
 def _cmd_oracle(args) -> int:
+    _non_negative("--witnesses", args.witnesses)
     # The sweeps need numpy, which commands that only read should not load.
     # They are called through the module, so a wrapper set on it applies.
     from . import oracle
@@ -483,7 +489,10 @@ def _cmd_figures(args) -> int:
                 f"unknown dataset {name!r}: expected one of "
                 + ", ".join(sorted(refdata.DATASETS))
             )
-    os.makedirs(args.output, exist_ok=True)
+    try:
+        os.makedirs(args.output, exist_ok=True)
+    except OSError as exc:
+        raise PreconditionError(f"cannot write {args.output}: {exc.strerror}") from exc
     written = []
     for name in names:
         kind, payload, stats = _figure_artifacts(name)

@@ -234,17 +234,19 @@ def read_table(path: str) -> SeriesTable:
 def _atomic_writer(path: str) -> Iterator[TextIO]:
     """A text file that replaces ``path`` only once it is completely written,
     via a sibling temp file and a rename, so readers never see a
-    half-written artifact."""
+    half-written artifact.  An unwritable path raises PreconditionError."""
     directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix=".part")
+    tmp = None
     try:
+        fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix=".part")
         with os.fdopen(fd, "w", encoding="utf-8") as fp:
             yield fp
         os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
+    except OSError as exc:
+        raise PreconditionError(f"cannot write {path}: {exc.strerror}") from exc
+    finally:
+        if tmp is not None and os.path.exists(tmp):
             os.unlink(tmp)
-        raise
 
 
 def write_json_atomic(path: str, data: Any) -> None:

@@ -16,6 +16,7 @@ identity, while the factual cells keep their recorded values.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import islice
@@ -301,14 +302,9 @@ class ReorderOutcome:
 
 
 def _block_pairs(run: RecordedRun, blocks: dict[Pairing, list[int]]):
-    out = {}
-    for p, slots in blocks.items():
-        counts: dict[tuple[int, int], int] = {}
-        for i in slots:
-            pair = (run.a_outcomes[i], run.b_outcomes[i])
-            counts[pair] = counts.get(pair, 0) + 1
-        out[p] = counts
-    return out
+    """Per block, how many of its slots carry each outcome pair (a, b)."""
+    a, b = run.a_outcomes.__getitem__, run.b_outcomes.__getitem__
+    return {p: Counter(zip(map(a, slots), map(b, slots))) for p, slots in blocks.items()}
 
 
 _QUAD_CLASSES = [
@@ -359,81 +355,36 @@ def _max_joint_arrangement(pair_counts) -> tuple[int, dict[tuple, int]]:
     return int(round(-res.fun)), chosen
 
 
-def _earliest_unused(items: Sequence, key):
-    """``take(value)``: the earliest of ``items`` whose ``key`` is ``value``
-    and that no earlier call took, or None.  One lazy queue per value, so
-    each value's scan passes over ``items`` once in all."""
+def _time_queues(items: Sequence, key):
+    """``take(value, n)``: the ``n`` earliest of ``items`` whose ``key`` is
+    ``value`` and that no earlier call took, fewer if fewer are left.  One
+    time-ordered queue per value, filled in one pass over ``items``."""
     queues: dict = {}
-
-    def take(value):
-        if value not in queues:
-            queues[value] = (item for item in items if key(item) == value)
-        return next(queues[value], None)
-
-    return take
+    for item in items:
+        queues.setdefault(key(item), []).append(item)
+    heads = {value: iter(queue) for value, queue in queues.items()}
+    return lambda value, n=1: list(islice(heads.get(value, ()), n))
 
 
-def _greedy_obstruction(run: RecordedRun, blocks) -> str:
-    """Walk the forced-matching cascade until it dead-ends, for the report.
-
-    Each of the first 64 slots of block (alpha, beta) takes, in each other
-    block, the earliest unused slot offering the value it forces."""
-    a_out, b_out = run.a_outcomes, run.b_outcomes
-    take_abp = _earliest_unused(blocks[Pairing.ABP], a_out.__getitem__)
-    take_apb = _earliest_unused(blocks[Pairing.APB], b_out.__getitem__)
-    take_apbp = _earliest_unused(blocks[Pairing.APBP], lambda s: (a_out[s], b_out[s]))
-    steps: list[str] = []
-    for slot_ab in blocks[Pairing.AB][:64]:
-        a, b = a_out[slot_ab], b_out[slot_ab]
-        slot_abp = take_abp(a)
-        if slot_abp is None:
-            return (
-                f"slot {slot_ab} fixes a={a:+d} under ({Pairing.AB.key}); no slot in "
-                f"block ({Pairing.ABP.key}) still offers a={a:+d}. " + " ".join(steps)
-            )
-        b_prime = b_out[slot_abp]
-        slot_apb = take_apb(b)
-        if slot_apb is None:
-            return (
-                f"slot {slot_ab} fixes b={b:+d}; no slot in block ({Pairing.APB.key}) "
-                f"still offers b={b:+d}. " + " ".join(steps)
-            )
-        a_prime = a_out[slot_apb]
-        slot_apbp = take_apbp((a_prime, b_prime))
-        if slot_apbp is None:
-            return (
-                f"carrying a={a:+d}, b={b:+d} from slot {slot_ab} forces "
-                f"b'={b_prime:+d} (slot {slot_abp}) and a'={a_prime:+d} "
-                f"(slot {slot_apb}), but no slot in block ({Pairing.APBP.key}) "
-                f"offers the pair (a'={a_prime:+d}, b'={b_prime:+d}). " + " ".join(steps)
-            )
-        steps.append(f"matched slots ({slot_ab},{slot_abp},{slot_apb},{slot_apbp}).")
-    return "no single forced dead end; joint availability is the binding limit. " + " ".join(
-        steps
-    )
-
-
-def _margin_certificate(
-    run: RecordedRun, blocks, budget: int
-) -> str | None:
+def _margin_certificate(pair_counts, budget: int) -> str | None:
     """A cheap exact proof of infeasibility for loss-free runs.
 
     Every condensed table of plus/minus outcomes satisfies all four sign
     variants of the CHSH combination, and keeping all but d slots of a block
     of n moves its correlation by at most 2d/(n-d).  A block-correlation
     combination exceeding 2 by more than the total possible drift therefore
-    rules out every plan within the discard budget.
+    rules out every plan within the discard budget.  The block sizes and
+    correlations are read off the block pair counts.
     """
-    for i in range(run.slots):
-        if run.a_outcomes[i] == 0 or run.b_outcomes[i] == 0:
-            return None
+    if any(ZERO in pair for counts in pair_counts.values() for pair in counts):
+        return None
     e = {}
     drift = Fraction(0)
     for p in PAIRINGS:
-        n = len(blocks[p])
+        counts = pair_counts[p]
+        n = sum(counts.values())
         d = min(budget, n - 1)
-        total = sum(run.a_outcomes[i] * run.b_outcomes[i] for i in blocks[p])
-        e[p] = Fraction(total, n)
+        e[p] = Fraction(sum(a * b * k for (a, b), k in counts.items()), n)
         drift += Fraction(2 * d, n - d) if n > d else Fraction(2)
     full = e[Pairing.AB] + e[Pairing.ABP] + e[Pairing.APB] + e[Pairing.APBP]
     worst = max(abs(full - 2 * e[p]) for p in PAIRINGS)
@@ -444,6 +395,44 @@ def _margin_certificate(
             "the budget can repair this"
         )
     return None
+
+
+def _arrangement_obstruction(pair_counts, chosen: dict, best: int, required: int) -> str:
+    """Why the integer program's best plan ``chosen`` keeps too few
+    quadruples, read off the plan and the block pair counts.
+
+    Were some quadruple class offered by all four blocks with a slot to
+    spare in each, one more quadruple could be kept.  So every class needs
+    a pair its block never recorded or a (block, pair) capacity the plan
+    uses up, and the text lists those capacities.  With no class offered by
+    all four blocks nothing can be kept, and the text lists what each block
+    offers instead.
+    """
+
+    def listing(pairs_by_block: dict) -> str:
+        return "; ".join(
+            f"({p.key}) " + ", ".join(f"({a:+d},{b:+d}) x{n}" for (a, b), n in pairs)
+            for p, pairs in pairs_by_block.items()
+            if pairs
+        )
+
+    offered = {p: sorted(pair_counts[p].items()) for p in PAIRINGS}
+    if not chosen:
+        return (
+            "no outcome quadruple has its pairs in all four blocks, so none can be "
+            f"kept, {required} required; the blocks offer {listing(offered)}"
+        )
+    used_up = {}
+    for p in PAIRINGS:
+        used = Counter()
+        for q, k in chosen.items():
+            used[_class_pair(q, p)] += k
+        used_up[p] = [(pair, n) for pair, n in offered[p] if used[pair] == n]
+    return (
+        f"at most {best} quadruples can be kept, {required} required: each outcome "
+        "quadruple needs a pair its block never recorded or a capacity the best plan "
+        f"uses up: {listing(used_up)}"
+    )
 
 
 #: Per row, the two blocks its cells fall in: under the distant station's
@@ -501,12 +490,14 @@ def reorder_to_sica(run: RecordedRun, budget: int | None = None) -> ReorderOutco
     table of the rearranged run then passes :func:`check_sica`, and the
     permutation part changes no measured correlation.
 
-    Failure is a result, not an error.  Three deciders run in order: the
-    CHSH margin certificate (loss-free runs), the regime-count bound of
+    Failure is a result, not an error.  Every decider reads the one table of
+    outcome-pair counts per block (:func:`_block_pairs`), in order: the CHSH
+    margin certificate (loss-free runs), the regime-count bound of
     :func:`_regime_bound`, then the integer program.  A certified failure
     names its certificate and leaves ``best_keepable`` None; a failure the
-    program decides carries the best keepable m and a narrated cascade
-    obstruction.  Only the program needs numpy and scipy.
+    program decides carries the best keepable m and the capacities its best
+    plan uses up (:func:`_arrangement_obstruction`).  Only the program needs
+    numpy and scipy.
     """
     if budget is None:
         budget = default_discard_budget(run.slots)
@@ -517,30 +508,28 @@ def reorder_to_sica(run: RecordedRun, budget: int | None = None) -> ReorderOutco
             False, None, 0, 1, f"never-measured setting pairs: {', '.join(empty)}"
         )
     required = max(1, max(len(blocks[p]) - min(budget, len(blocks[p]) - 1) for p in PAIRINGS))
-    certificate = _margin_certificate(run, blocks, budget)
-    if certificate is not None:
-        return ReorderOutcome(False, None, None, required, certificate)
     pair_counts = _block_pairs(run, blocks)
-    certificate = _regime_certificate(pair_counts, required)
+    certificate = _margin_certificate(pair_counts, budget) or _regime_certificate(
+        pair_counts, required
+    )
     if certificate is not None:
         return ReorderOutcome(False, None, None, required, certificate)
     best, chosen = _max_joint_arrangement(pair_counts)
     if best < required:
         return ReorderOutcome(
-            False, None, best, required, _greedy_obstruction(run, blocks)
+            False, None, best, required,
+            _arrangement_obstruction(pair_counts, chosen, best, required),
         )
     # Each quadruple, in class order, takes the earliest unused slot of each
-    # block that carries its projection: one time-ordered queue per pair.
+    # block that carries its projection.
+    a_out, b_out = run.a_outcomes, run.b_outcomes
     block_orders: dict[Pairing, tuple[int, ...]] = {}
     kept: set[int] = set()
     for p in PAIRINGS:
-        queues: dict[tuple[int, int], list[int]] = {}
-        for slot in blocks[p]:
-            queues.setdefault((run.a_outcomes[slot], run.b_outcomes[slot]), []).append(slot)
-        heads = {pair: iter(slots) for pair, slots in queues.items()}
+        take = _time_queues(blocks[p], lambda slot: (a_out[slot], b_out[slot]))
         order: list[int] = []
         for q in sorted(chosen):
-            picked = list(islice(heads.get(_class_pair(q, p), iter(())), chosen[q]))
+            picked = take(_class_pair(q, p), chosen[q])
             if len(picked) < chosen[q]:
                 raise AssertionError("arrangement certified feasible but not realizable")
             order.extend(picked)
@@ -660,13 +649,8 @@ def _stable_match(
     """Pair each target (slot, value) with the earliest unused donor slot of
     equal value; unmatched targets are skipped.  Returns (donor, target)
     slot pairs in target order."""
-    take = _earliest_unused(donors, lambda donor: donor[1])
-    out = []
-    for t_slot, t_val in targets:
-        donor = take(t_val)
-        if donor is not None:
-            out.append((donor[0], t_slot))
-    return out
+    take = _time_queues(donors, lambda donor: donor[1])
+    return [(d_slot, t_slot) for t_slot, t_val in targets for d_slot, _ in take(t_val)]
 
 
 def _bits(word: int, width: int) -> tuple[int, ...]:

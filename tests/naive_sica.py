@@ -8,12 +8,12 @@ by scanning the block from the start.  This is the rule as written, quadratic
 in the block size; the arrangement itself comes from ``sica`` so that a
 comparison tests only the realization.
 
-``naive_greedy_obstruction`` and ``naive_stable_match`` follow the same
-earliest-unused rule for the reorder failure report and for completion, by
-copying every slot and removing each one taken.
+``naive_stable_match`` follows the same earliest-unused rule for
+completion's matching, by copying every donor and removing each one taken.
 
-``naive_regime_bound`` reads the reorder regime-count bound off the run's
-own series, slot by slot, without the block pair counts ``sica`` reads it
+``naive_regime_bound`` and ``naive_margin_certificate`` read the reorder
+regime-count bound and the CHSH margin certificate off the run's own
+series, slot by slot, without the block pair counts ``sica`` reads them
 from.
 
 ``naive_build_complete_table`` and ``naive_condense_run_table`` write the
@@ -21,6 +21,8 @@ block-layout completion and the condensation of a run-derived table out by
 hand, quarter by quarter and block by block, instead of filling and pairing
 cells by the series identity.
 """
+
+from fractions import Fraction
 
 from bellseries import sica
 from bellseries.errors import PreconditionError
@@ -72,49 +74,6 @@ def naive_plan(run):
     return block_orders, discarded, best
 
 
-def naive_greedy_obstruction(run, blocks):
-    """The cascade narration of ``sica._greedy_obstruction``, by list scans."""
-    remaining = {
-        p: [(i, (run.a_outcomes[i], run.b_outcomes[i])) for i in blocks[p]] for p in PAIRINGS
-    }
-    steps = []
-    for _ in range(min(len(blocks[Pairing.AB]), 64)):
-        slot_ab, (a, b) = remaining[Pairing.AB].pop(0)
-        pick_abp = next((e for e in remaining[Pairing.ABP] if e[1][0] == a), None)
-        if pick_abp is None:
-            return (
-                f"slot {slot_ab} fixes a={a:+d} under ({Pairing.AB.key}); no slot in "
-                f"block ({Pairing.ABP.key}) still offers a={a:+d}. " + " ".join(steps)
-            )
-        remaining[Pairing.ABP].remove(pick_abp)
-        b_prime = pick_abp[1][1]
-        pick_apb = next((e for e in remaining[Pairing.APB] if e[1][1] == b), None)
-        if pick_apb is None:
-            return (
-                f"slot {slot_ab} fixes b={b:+d}; no slot in block ({Pairing.APB.key}) "
-                f"still offers b={b:+d}. " + " ".join(steps)
-            )
-        remaining[Pairing.APB].remove(pick_apb)
-        a_prime = pick_apb[1][0]
-        pick_apbp = next(
-            (e for e in remaining[Pairing.APBP] if e[1] == (a_prime, b_prime)), None
-        )
-        if pick_apbp is None:
-            return (
-                f"carrying a={a:+d}, b={b:+d} from slot {slot_ab} forces "
-                f"b'={b_prime:+d} (slot {pick_abp[0]}) and a'={a_prime:+d} "
-                f"(slot {pick_apb[0]}), but no slot in block ({Pairing.APBP.key}) "
-                f"offers the pair (a'={a_prime:+d}, b'={b_prime:+d}). " + " ".join(steps)
-            )
-        remaining[Pairing.APBP].remove(pick_apbp)
-        steps.append(
-            f"matched slots ({slot_ab},{pick_abp[0]},{pick_apb[0]},{pick_apbp[0]})."
-        )
-    return "no single forced dead end; joint availability is the binding limit. " + " ".join(
-        steps
-    )
-
-
 def naive_regime_bound(run):
     """``sica._regime_bound`` by list scans: per row (a, b, a', b'), the
     values it recorded under the distant station's unprimed setting and
@@ -134,6 +93,32 @@ def naive_regime_bound(run):
         if best is None or bound < best[0]:
             best = (bound, row, counts)
     return best
+
+
+def naive_margin_certificate(run, budget):
+    """``sica._margin_certificate`` by scanning the run: no certificate if
+    any slot recorded a 0, else each block's correlation is its sum of
+    outcome products over its size, and the CHSH combination must exceed 2
+    by more than the drift of discarding ``budget`` slots per block."""
+    if 0 in run.a_outcomes or 0 in run.b_outcomes:
+        return None
+    blocks = pairing_blocks(run)
+    e = {}
+    drift = Fraction(0)
+    for p in PAIRINGS:
+        n = len(blocks[p])
+        d = min(budget, n - 1)
+        e[p] = Fraction(sum(run.a_outcomes[i] * run.b_outcomes[i] for i in blocks[p]), n)
+        drift += Fraction(2 * d, n - d) if n > d else Fraction(2)
+    full = sum(e.values())
+    worst = max(abs(full - 2 * e[p]) for p in PAIRINGS)
+    if worst > 2 + drift:
+        return (
+            f"block correlations reach a CHSH combination of {worst} "
+            f"(> 2 + maximal discard drift {drift}); no reordering within "
+            "the budget can repair this"
+        )
+    return None
 
 
 def naive_stable_match(donors, targets):

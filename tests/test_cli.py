@@ -307,6 +307,7 @@ _SIM = ("simulate", "--seed", "1", "--slots", "8")
 _LOG = "{log}"
 _EMPTY_LOG = "{empty-log}"
 _EMPTY_TABLE = "{empty-table}"
+_SCHEDULE_4 = "{schedule-4}"
 
 
 @pytest.mark.parametrize("argv, message", [
@@ -333,19 +334,23 @@ _EMPTY_TABLE = "{empty-table}"
     (("sica-complete", "--input", _EMPTY_LOG, "--free-choices", "0,0"),
      "positive slot count"),
     (("fill", "sica", "--input", _EMPTY_LOG, "--free-choices", "0,0"), "positive slot count"),
+    ((*_SIM, "--schedule", "file:" + _SCHEDULE_4), "covers 4 slots, not 8"),
+    (("oracle", "--objective", "chsh", "--slots", "2", "--witnesses", "-3"), "--witnesses"),
 ], ids=["angles-word", "angles-inf", "angles-nan", "angles-overflow", "negative-slots",
         "negative-seed", "constraint-word", "constraint-div-zero", "fill-sica-no-choices",
         "reorder-budget", "complete-budget", "fill-zeros-budget", "fill-sica-budget",
         "oracle-huge-slots", "simulate-empty-instructions", "complete-empty-log",
-        "fill-sica-empty-log"])
+        "fill-sica-empty-log", "simulate-schedule-file-length", "oracle-witnesses"])
 def test_bad_arguments_exit_3(cli, tmp_path, capsys, argv, message):
     files = {_LOG: tmp_path / "black.jsonl", _EMPTY_LOG: tmp_path / "empty.jsonl",
-             _EMPTY_TABLE: tmp_path / "empty.json"}
+             _EMPTY_TABLE: tmp_path / "empty.json", _SCHEDULE_4: tmp_path / "sched4.json"}
     fileio.write_run_file(refdata.fig6("black"), str(files[_LOG]))
     files[_EMPTY_LOG].write_text("")
     files[_EMPTY_TABLE].write_text(
         json.dumps({"slots": 0, "a": [], "b": [], "a_prime": [], "b_prime": []})
     )
+    files[_SCHEDULE_4].write_text(json.dumps(random_per_slot(4, 1).to_json()))
+    argv = [a.replace(_SCHEDULE_4, str(files[_SCHEDULE_4])) for a in argv]
     out = tmp_path / "out.jsonl"
     argv = [str(files[a]) if a in files else a for a in argv]
     if argv[0] == "simulate":
@@ -355,6 +360,24 @@ def test_bad_arguments_exit_3(cli, tmp_path, capsys, argv, message):
     assert err.startswith("error: ") and message in err
     assert len(err) < 200
     assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ("analyze", "--input", "fig5.jsonl", "--output", "nodir/out.json"),
+    ("simulate", "--seed", "1", "--slots", "8", "--output", "nodir/run.jsonl"),
+    ("simulate", "--seed", "1", "--slots", "8", "--output", "."),
+    ("figures", "--output", "fig5.jsonl"),
+], ids=["analyze-no-dir", "simulate-no-dir", "simulate-onto-cwd", "figures-onto-a-file"])
+def test_unwritable_output_exits_3(cli, tmp_path, capsys, monkeypatch, argv):
+    work = tmp_path / "work"
+    work.mkdir()
+    fileio.write_run_file(refdata.fig5(), str(work / "fig5.jsonl"))
+    monkeypatch.chdir(work)
+    assert cli(*argv) == 3
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot write {argv[-1]}: ")
+    # "." writes its temp file beside the working directory, in tmp_path.
+    assert sorted(p.name for p in tmp_path.rglob("*")) == ["fig5.jsonl", "work"]
 
 
 _OFF_SCHEDULE = {"slots": 4, "a": [None, None, 1, 1], "b": [1, 1, 1, 1],

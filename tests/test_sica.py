@@ -34,7 +34,7 @@ from bellseries.stats import chsh, correlation
 from naive_sica import (
     naive_build_complete_table,
     naive_condense_run_table,
-    naive_greedy_obstruction,
+    naive_margin_certificate,
     naive_plan,
     naive_regime_bound,
     naive_stable_match,
@@ -71,7 +71,10 @@ def test_black_run_cannot_be_reordered():
     assert not outcome.success
     assert outcome.best_keepable == 0
     assert outcome.required == 1
-    assert "block" in outcome.obstruction
+    assert outcome.obstruction.startswith(
+        "no outcome quadruple has its pairs in all four blocks, so none can be kept, "
+        "1 required; the blocks offer (alpha:beta) (-1,-1) x1, (+1,+1) x1; "
+    )
 
 
 def test_red_run_reorders_and_condenses():
@@ -183,6 +186,25 @@ def test_regime_bound_matches_list_scan(seed):
     assert sica._regime_bound(sica._block_pairs(run, blocks)) == naive_regime_bound(run)
 
 
+def test_margin_certificate_matches_run_scan():
+    runs = [_seeded_small_run(seed) for seed in range(200)]
+    for seed in range(20):
+        config = SourceConfig(model="quantum", schedule=random_per_slot(400 * (1 + seed % 5), seed),
+                              seed=seed, eta=(1.0, 0.9)[seed % 2])
+        runs.append((simulate(config), (None, 0, 3)[seed % 3]))
+    fired = 0
+    for run, budget in runs:
+        blocks = pairing_blocks(run)
+        if not all(blocks.values()):
+            continue
+        if budget is None:
+            budget = sica.default_discard_budget(run.slots)
+        text = sica._margin_certificate(sica._block_pairs(run, blocks), budget)
+        assert text == naive_margin_certificate(run, budget)
+        fired += text is not None
+    assert 5 <= fired < len(runs) - 5, fired
+
+
 def test_regime_certificate_is_sound():
     """Over 300 seeded small runs: the bound never falls below what the
     integer program keeps; when the certificate fires, the program fails
@@ -200,7 +222,7 @@ def test_regime_certificate_is_sound():
         assert best <= bound, seed
         if budget is None:
             budget = sica.default_discard_budget(run.slots)
-        if sica._margin_certificate(run, blocks, budget) is not None:
+        if sica._margin_certificate(pair_counts, budget) is not None:
             kind = "margin"
             assert best < outcome.required, seed
         elif bound < outcome.required:
@@ -214,6 +236,74 @@ def test_regime_certificate_is_sound():
             assert (outcome.success, outcome.best_keepable) == (False, None), seed
         reached[kind] += 1
     assert all(reached.values()), reached
+
+
+def _listed_capacities(text: str) -> set[tuple[str, tuple[int, int], int]]:
+    """The (block, pair, count) entries of an obstruction's closing list,
+    written "(block) (a,b) xN, (a,b) xN; (block) ..."."""
+    out = set()
+    for group in text.split("; "):
+        block, entries = group.split(" ", 1)
+        for entry in entries.split(", "):
+            pair, count = entry.split(" x")
+            a, b = pair.strip("()").split(",")
+            out.add((block.strip("()"), (int(a), int(b)), int(count)))
+    return out
+
+
+def test_milp_failure_names_the_capacities_its_best_plan_uses_up():
+    """Every failure the integer program decides lists exactly the (block,
+    pair, count) capacities its best plan takes in full, and each of the 81
+    outcome-quadruple classes needs one of them or a pair its block never
+    recorded.  With no class offered by all four blocks, it lists what each
+    block offers."""
+    runs = [_seeded_small_run(seed) for seed in range(300)]
+    for seed in range(80):
+        slots = random.Random(seed).choice((24, 40, 64, 100, 200, 400))
+        config = SourceConfig(model="quantum", schedule=block_halves(slots), seed=seed,
+                              eta=(1.0, 0.95, 0.8)[seed % 3])
+        runs.append((simulate(config), (None, 0, 1, 3)[seed % 4]))
+    reached = {"used-up": 0, "none offered": 0}
+    for run, budget in runs:
+        blocks = pairing_blocks(run)
+        outcome = reorder_to_sica(run, budget)
+        if outcome.success or outcome.best_keepable is None or not all(blocks.values()):
+            continue
+        counts = {p.key: {} for p in Pairing}
+        for p, slots in blocks.items():
+            for i in slots:
+                pair = (run.a_outcomes[i], run.b_outcomes[i])
+                counts[p.key][pair] = counts[p.key].get(pair, 0) + 1
+        best, chosen = sica._max_joint_arrangement(sica._block_pairs(run, blocks))
+        assert outcome.best_keepable == best < outcome.required
+        head = f"at most {best} quadruples can be kept, {outcome.required} required: "
+        if not chosen:
+            reached["none offered"] += 1
+            assert outcome.obstruction.startswith(
+                "no outcome quadruple has its pairs in all four blocks, so none can be "
+                f"kept, {outcome.required} required; the blocks offer "
+            )
+            listed = _listed_capacities(outcome.obstruction.split("the blocks offer ")[1])
+            assert listed == {(key, pair, n) for key, c in counts.items() for pair, n in c.items()}
+            assert all(any(sica._class_pair(q, p) not in counts[p.key] for p in Pairing)
+                       for q in sica._QUAD_CLASSES)
+            continue
+        reached["used-up"] += 1
+        assert outcome.obstruction.startswith(head)
+        used = {p.key: {} for p in Pairing}
+        for q, k in chosen.items():
+            for p in Pairing:
+                pair = sica._class_pair(q, p)
+                used[p.key][pair] = used[p.key].get(pair, 0) + k
+        used_up = {(key, pair, n) for key, c in counts.items() for pair, n in c.items()
+                   if used[key].get(pair) == n}
+        listed = _listed_capacities(outcome.obstruction.split("uses up: ")[1])
+        assert listed == used_up
+        for q in sica._QUAD_CLASSES:
+            needs = {(p.key, sica._class_pair(q, p)) for p in Pairing}
+            assert any(pair not in counts[key] or (key, pair, counts[key][pair]) in used_up
+                       for key, pair in needs), q
+    assert reached["used-up"] >= 10 and reached["none offered"] >= 2, reached
 
 
 def test_default_discard_budget_grows_like_sqrt():
@@ -468,38 +558,7 @@ def test_reorder_realization_matches_first_match_scan(seed):
     _assert_realized_as_naive(simulate(config), budget=slots)
 
 
-# --- the obstruction walk and completion's matching against list scans -------
-
-
-def test_obstruction_matches_list_scan_on_a_large_quantum_run():
-    config = SourceConfig(
-        model="quantum", schedule=random_per_slot(200_000, 2), seed=3, eta=0.9
-    )
-    run = simulate(config)
-    blocks = pairing_blocks(run)
-    text = sica._greedy_obstruction(run, blocks)
-    assert text == naive_greedy_obstruction(run, blocks)
-    assert text.count("matched slots") == 64
-
-
-def test_obstruction_matches_list_scan_on_every_branch():
-    branches = {"under (": "a", "; no slot in block (alpha_prime:beta)": "b",
-                "carrying": "pair", "no single": "none"}
-    reached = set()
-    for seed in range(300):
-        rng = random.Random(seed)
-        slots = rng.randrange(4, 41)
-        values = rng.choice(((-1, 1), (-1, 0, 1)))
-        run = RecordedRun(
-            random_per_slot(slots, seed),
-            tuple(rng.choice(values) for _ in range(slots)),
-            tuple(rng.choice(values) for _ in range(slots)),
-        )
-        blocks = pairing_blocks(run)
-        text = sica._greedy_obstruction(run, blocks)
-        assert text == naive_greedy_obstruction(run, blocks), seed
-        reached.update(kind for marker, kind in branches.items() if marker in text)
-    assert reached == {"a", "b", "pair", "none"}
+# --- completion's matching against list scans ---------------------------------
 
 
 @pytest.mark.parametrize("seed", range(10))
