@@ -78,18 +78,10 @@ def _make_schedule(spec: str, slots: int, seed: int | None = None) -> Schedule:
     )
 
 
-def _lines(text: str):
-    """The lines of ``text`` one at a time, as iterating a file yields them."""
-    start, end = 0, len(text)
-    while start < end:
-        stop = text.find("\n", start) + 1 or end
-        yield text[start:stop]
-        start = stop
-
-
-def _load_input(path: str):
+def _load_input(path: str, as_table: bool = True):
     """A table file is a single JSON object; anything else is an event log.
-    The file is read once and the log parsed from that text."""
+    The file is read once and the log parsed from that text.  A log is laid
+    out as a table only ``as_table``: commands that work on the run skip it."""
     text = fileio.read_text(path)
     try:
         data = fileio.parse_json(text)
@@ -99,8 +91,8 @@ def _load_input(path: str):
         table = fileio.table_from_json(data)
         provenance = fileio.provenance_from_json(data)
         return table, provenance, None
-    run = fileio.read_run_events(_lines(text))
-    return table_from_run(run), None, run
+    run = fileio.read_run_events(text)
+    return (table_from_run(run) if as_table else None), None, run
 
 
 def _parse_free_choices(text: str, quarter: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -297,7 +289,7 @@ def _cmd_sica_check(args) -> int:
 def _run_input(args, what: str) -> RecordedRun:
     """The event log at ``--input`` for a command that takes ``--budget``."""
     _non_negative("--budget", args.budget)
-    _, _, run = _load_input(args.input)
+    _, _, run = _load_input(args.input, as_table=False)
     if run is None:
         raise PreconditionError(f"{what} works on event logs, not full tables")
     return run

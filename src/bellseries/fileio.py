@@ -5,6 +5,10 @@ Two interchange formats:
 * **Run events** (JSON Lines): one event object per line, fields ``slot``,
   ``a_setting``, ``b_setting``, ``a``, ``b``.  An optional first line holding
   a ``meta`` key carries run provenance.  Slots must be contiguous from 0.
+  Each event line is written as the text ``json.dumps(event, sort_keys=True)``
+  gives, and a log is read a block of lines at a time: a block of such lines
+  in slot order is decoded whole, any other block line by line through
+  ``json.loads`` (see :func:`read_run_events`).
 
 * **Series table** (single JSON object): ``slots`` plus the four value
   arrays keyed ``a``, ``a_prime``, ``b``, ``b_prime``; ``null`` marks an
@@ -17,11 +21,11 @@ from __future__ import annotations
 
 import json
 import os
-import re
 import tempfile
 from collections import Counter
 from contextlib import contextmanager
-from typing import Any, Iterable, Iterator, TextIO
+from itertools import repeat
+from typing import Any, Iterator, TextIO
 
 from .errors import ParseError, PreconditionError, StructuralError
 from .model import (
@@ -36,24 +40,19 @@ from .model import (
 )
 
 _EVENT_FIELDS = ("slot", "a_setting", "b_setting", "a", "b")
-
-# json.dumps(event, sort_keys=True) for plain-int outcomes and setting names
-# that need no escaping, which is every value a RecordedRun can hold.
-_EVENT_LINE = (
-    '{"a": %d, "a_setting": "%s", "b": %d, "b_setting": "%s", "slot": %d}\n'
-)
 _A_SETTINGS = {s.value: s for s in ASetting}
 _B_SETTINGS = {s.value: s for s in BSetting}
-_SETTING_NAMES = {s: name for name, s in (*_A_SETTINGS.items(), *_B_SETTINGS.items())}
-# The lines _EVENT_LINE writes, and only lines that json.loads reads to the
-# same values with every check passing.  The slot has ASCII digits, no leading
-# zero and at most 18 of them, so int() reads it as json.loads would and never
-# meets the interpreter's limit on integer-string length.
-_match_event = re.compile(
-    r'\{"a": (-1|0|1), "a_setting": "(alpha|alpha_prime)", '
-    r'"b": (-1|0|1), "b_setting": "(beta|beta_prime)", "slot": (0|[1-9][0-9]{0,17})\}'
-).fullmatch
-_OUTCOMES = {"-1": -1, "0": 0, "1": 1}
+# What json.dumps(event, sort_keys=True) writes before the slot number, for
+# each of the 36 (a, a_setting, b, b_setting) a RecordedRun can hold: plain-int
+# outcomes and setting names that need no escaping.
+_EVENT_HEADS = {
+    (a, sa, b, sb): f'{{"a": {a}, "a_setting": "{sa.value}", "b": {b}, '
+    f'"b_setting": "{sb.value}", "slot": '
+    for a in MEASURED_VALUES for sa in ASetting for b in MEASURED_VALUES for sb in BSetting
+}
+_HEAD_EVENTS = {head: event for event, head in _EVENT_HEADS.items()}
+# About this many characters of an event log are decoded at a time.
+_BLOCK = 1 << 16
 
 
 def parse_json(text: str, lineno: int | None = None, name: str | None = None) -> Any:
@@ -72,14 +71,11 @@ def parse_json(text: str, lineno: int | None = None, name: str | None = None) ->
 def write_run_events(run: RecordedRun, fp: TextIO) -> None:
     if run.meta is not None:
         fp.write(json.dumps({"meta": run.meta}, sort_keys=True) + "\n")
-    a_names = map(_SETTING_NAMES.__getitem__, run.schedule.a_settings)
-    b_names = map(_SETTING_NAMES.__getitem__, run.schedule.b_settings)
-    fp.writelines(
-        map(
-            _EVENT_LINE.__mod__,
-            zip(run.a_outcomes, a_names, run.b_outcomes, b_names, range(run.slots)),
-        )
-    )
+    schedule = run.schedule
+    heads = map(_EVENT_HEADS.__getitem__, zip(
+        run.a_outcomes, schedule.a_settings, run.b_outcomes, schedule.b_settings
+    ))
+    fp.writelines(map("%s%d}\n".__mod__, zip(heads, range(run.slots))))
 
 
 def _setting(names: dict, value, kind: str, lineno: int):
@@ -89,62 +85,88 @@ def _setting(names: dict, value, kind: str, lineno: int):
         raise ParseError(f"{value!r} is not a valid {kind}", lineno) from None
 
 
-def read_run_events(fp: Iterable[str]) -> RecordedRun:
-    """Parse an event log from its lines (an open text file or any iterable
-    of strings).  Blank lines are skipped; events may come in any slot order.
+def _blocks(text: str) -> Iterator[tuple[int, list[str]]]:
+    """``text`` cut at newlines into (number of the first line, its lines):
+    the first line alone, then about :data:`_BLOCK` characters at a time."""
+    start, end, lineno, size = 0, len(text) - text.endswith("\n"), 1, 0
+    while start < end:
+        stop = text.find("\n", start + size)
+        if stop < 0:
+            stop = end
+        lines = text[start:stop].split("\n")
+        yield lineno, lines
+        lineno += len(lines)
+        start, size = stop + 1, _BLOCK
 
-    A line in the canonical shape ``write_run_events`` writes is decoded by
-    one regular expression; every other line goes through ``json.loads`` and
-    is checked field by field, so a bad line is named with the same line
-    number and message either way."""
+
+def read_run_events(text: str) -> RecordedRun:
+    """Parse an event log from its text (the lines of a text file are
+    joined).  Blank lines are skipped; events may come in any slot order.
+
+    The log is decoded a block of lines at a time.  A block whose every
+    line, stripped, is exactly what ``write_run_events`` writes for the next
+    slots in order is decoded whole from the lines' heads; any other block
+    goes line by line through ``json.loads`` and is checked field by field,
+    so a bad line is named with the same line number and message either way."""
+    if not isinstance(text, str):
+        text = "".join(text)
     meta: dict | None = None
     seen_meta = False
-    slots: list[int] = []
+    # Slot numbers are kept only once an event comes out of slot order.
+    slots: list[int] | None = None
     a_settings: list[ASetting] = []
     b_settings: list[BSetting] = []
     a_out: list[int] = []
     b_out: list[int] = []
-    for lineno, raw in enumerate(fp, start=1):
-        line = raw.strip()
-        event = _match_event(line)
-        if event is not None:
-            a, a_name, b, b_name, slot = event.groups()
-            a_settings.append(_A_SETTINGS[a_name])
-            b_settings.append(_B_SETTINGS[b_name])
-            a_out.append(_OUTCOMES[a])
-            b_out.append(_OUTCOMES[b])
-            slots.append(int(slot))
+    columns = (a_out, a_settings, b_out, b_settings)
+    for first_line, lines in _blocks(text):
+        lines = list(map(str.strip, lines))
+        heads = list(map(str.rstrip, lines, repeat("0123456789}")))
+        events = list(map(_HEAD_EVENTS.get, heads))
+        first = len(a_out)
+        # The tails hold only digits and "}", so one comparison checks each.
+        if None not in events and "\n".join(map(str.removeprefix, lines, heads)) == (
+            "}\n".join(map(str, range(first, first + len(lines)))) + "}"
+        ):
+            for column, values in zip(columns, zip(*events)):
+                column.extend(values)
+            if slots is not None:
+                slots.extend(range(first, len(a_out)))
             continue
-        if not line:
-            continue
-        obj = parse_json(line, lineno)
-        if not isinstance(obj, dict):
-            raise ParseError(f"expected an object, got {type(obj).__name__}", lineno)
-        if "meta" in obj:
-            if slots or seen_meta:
-                raise ParseError("meta line must be the first line", lineno)
-            meta = obj["meta"]
-            seen_meta = True
-            continue
-        for key in _EVENT_FIELDS:
-            if key not in obj:
-                raise ParseError(f"event is missing field {key!r}", lineno)
-        a_settings.append(_setting(_A_SETTINGS, obj["a_setting"], "ASetting", lineno))
-        b_settings.append(_setting(_B_SETTINGS, obj["b_setting"], "BSetting", lineno))
-        a, b, slot = obj["a"], obj["b"], obj["slot"]
-        if type(a) is not int or a not in MEASURED_VALUES:
-            raise ParseError(f"outcome a={a!r} not one of 1, -1, 0", lineno)
-        if type(b) is not int or b not in MEASURED_VALUES:
-            raise ParseError(f"outcome b={b!r} not one of 1, -1, 0", lineno)
-        if type(slot) is not int:
-            raise ParseError(f"slot {slot!r} is not an integer", lineno)
-        a_out.append(a)
-        b_out.append(b)
-        slots.append(slot)
-    expected = list(range(len(slots)))
-    if slots != expected:
+        for lineno, line in enumerate(lines, first_line):
+            if not line:
+                continue
+            obj = parse_json(line, lineno)
+            if not isinstance(obj, dict):
+                raise ParseError(f"expected an object, got {type(obj).__name__}", lineno)
+            if "meta" in obj:
+                if a_out or seen_meta:
+                    raise ParseError("meta line must be the first line", lineno)
+                meta = obj["meta"]
+                seen_meta = True
+                continue
+            for key in _EVENT_FIELDS:
+                if key not in obj:
+                    raise ParseError(f"event is missing field {key!r}", lineno)
+            a_setting = _setting(_A_SETTINGS, obj["a_setting"], "ASetting", lineno)
+            b_setting = _setting(_B_SETTINGS, obj["b_setting"], "BSetting", lineno)
+            a, b, slot = obj["a"], obj["b"], obj["slot"]
+            if type(a) is not int or a not in MEASURED_VALUES:
+                raise ParseError(f"outcome a={a!r} not one of 1, -1, 0", lineno)
+            if type(b) is not int or b not in MEASURED_VALUES:
+                raise ParseError(f"outcome b={b!r} not one of 1, -1, 0", lineno)
+            if type(slot) is not int:
+                raise ParseError(f"slot {slot!r} is not an integer", lineno)
+            if slots is None and slot != len(a_out):
+                slots = list(range(len(a_out)))
+            if slots is not None:
+                slots.append(slot)
+            for column, value in zip(columns, (a, a_setting, b, b_setting)):
+                column.append(value)
+    if slots is not None:
+        expected = range(len(slots))
         seen = sorted(slots)
-        if seen != expected:
+        if seen != list(expected):
             dupes = sorted(s for s, n in Counter(seen).items() if n > 1)
             if dupes:
                 raise StructuralError(f"duplicate slot numbers: {dupes}")
@@ -260,8 +282,4 @@ def write_run_file(run: RecordedRun, path: str) -> None:
 
 
 def read_run_file(path: str) -> RecordedRun:
-    with open(path, encoding="utf-8") as fp:
-        try:
-            return read_run_events(fp)
-        except UnicodeDecodeError as exc:
-            raise ParseError(f"{path} is not UTF-8 text: {exc.reason}") from exc
+    return read_run_events(read_text(path))

@@ -218,10 +218,10 @@ def random_per_slot(slots: int, seed: int) -> Schedule:
     import numpy as np
 
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
-    a_bits = rng.integers(0, 2, size=slots)
-    b_bits = rng.integers(0, 2, size=slots)
-    a = tuple(ASetting.ALPHA if bit == 0 else ASetting.ALPHA_PRIME for bit in a_bits)
-    b = tuple(BSetting.BETA if bit == 0 else BSetting.BETA_PRIME for bit in b_bits)
+    a_bits = rng.integers(0, 2, size=slots).tolist()
+    b_bits = rng.integers(0, 2, size=slots).tolist()
+    a = map((ASetting.ALPHA, ASetting.ALPHA_PRIME).__getitem__, a_bits)
+    b = map((BSetting.BETA, BSetting.BETA_PRIME).__getitem__, b_bits)
     return Schedule("random", a, b, seed=seed)
 
 
@@ -340,6 +340,7 @@ def project_table(table: SeriesTable, schedule: Schedule, meta: dict | None = No
 def pairing_blocks(run: RecordedRun) -> dict[Pairing, list[int]]:
     """Slots grouped by the active setting pair, each group in time order."""
     blocks: dict[Pairing, list[int]] = {p: [] for p in PAIRINGS}
-    for i in range(run.slots):
-        blocks[run.schedule.pairing(i)].append(i)
+    append = {(p.a_setting, p.b_setting): blocks[p].append for p in PAIRINGS}
+    for slot, settings in enumerate(zip(run.schedule.a_settings, run.schedule.b_settings)):
+        append[settings](slot)
     return blocks

@@ -140,7 +140,9 @@ def _resolve_schedule(table: SeriesTable, schedule: Schedule | None, provenance=
     and a given one must be that one.  A table with provenance has no
     unmeasured cells and records its factual ("F") cells only.  A fully
     measured table without provenance fixes no schedule and must be given
-    one; a table of no slots fixes the empty schedule."""
+    one.  A table of no slots is refused: no verdict on it may pass vacuously."""
+    if not table.slots:
+        raise PreconditionError("the table has no slots, so there is no series identity to check")
     if schedule is not None and schedule.slots != table.slots:
         raise PreconditionError(
             f"schedule covers {schedule.slots} slots, table has {table.slots}"
@@ -153,7 +155,7 @@ def _resolve_schedule(table: SeriesTable, schedule: Schedule | None, provenance=
             tuple(v if m == "F" else None for v, m in zip(table.row(key), provenance[key]))
             for key in ROW_KEYS
         ))
-    if recorded.slots and recorded.fully_measured:
+    if recorded.fully_measured:
         if schedule is None:
             raise PreconditionError(
                 "cannot check the series identity of a fully measured table without "

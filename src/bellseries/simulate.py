@@ -29,6 +29,8 @@ from .model import (
     PAIRINGS,
     PLUS,
     ROW_KEYS,
+    ASetting,
+    BSetting,
     Pairing,
     RecordedRun,
     Schedule,
@@ -119,50 +121,32 @@ def simulate(config: SourceConfig) -> RecordedRun:
     # numpy is imported where a command draws, so commands that read stay light.
     import numpy as np
 
-    n = config.schedule.slots
+    schedule = config.schedule
+    n = schedule.slots
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(config.seed)))
+    # Per slot, the index of its setting pair in PAIRINGS: 2 * primed A + primed B.
+    a_primed = np.fromiter(map(ASetting.ALPHA_PRIME.__eq__, schedule.a_settings), np.intp, n)
+    b_primed = np.fromiter(map(BSetting.BETA_PRIME.__eq__, schedule.b_settings), np.intp, n)
     if config.model == "quantum":
         s = rng.random(n)
         t = rng.random(n)
         u_a = rng.random(n)
         u_b = rng.random(n)
-        e_by_pairing = {p: config.pairing_correlation(p) for p in PAIRINGS}
-        a_out = []
-        b_out = []
-        for i in range(n):
-            e = e_by_pairing[config.schedule.pairing(i)]
-            same = s[i] < (1.0 + e) / 2.0
-            sign = PLUS if t[i] < 0.5 else MINUS
-            a = sign
-            b = sign if same else -sign
-            if u_a[i] >= config.eta:
-                a = 0
-            if u_b[i] >= config.eta:
-                b = 0
-            a_out.append(a)
-            b_out.append(b)
-        return RecordedRun(
-            config.schedule, tuple(a_out), tuple(b_out), meta=_meta(config, "s,t,u_a,u_b")
-        )
-
-    u_a = rng.random(n)
-    u_b = rng.random(n)
-    table = config.instructions
-    a_out = []
-    b_out = []
-    for i in range(n):
-        j = i % table.slots
-        a = table.row(config.schedule.a_settings[i].row)[j]
-        b = table.row(config.schedule.b_settings[i].row)[j]
-        if u_a[i] >= config.eta:
-            a = 0
-        if u_b[i] >= config.eta:
-            b = 0
-        a_out.append(a)
-        b_out.append(b)
-    return RecordedRun(
-        config.schedule, tuple(a_out), tuple(b_out), meta=_meta(config, "u_a,u_b")
-    )
+        same_below = np.array([(1.0 + config.pairing_correlation(p)) / 2.0 for p in PAIRINGS])
+        a = np.where(t < 0.5, PLUS, MINUS)
+        b = np.where(s < same_below[2 * a_primed + b_primed], a, -a)
+        draw_order = "s,t,u_a,u_b"
+    else:
+        u_a = rng.random(n)
+        u_b = rng.random(n)
+        table = config.instructions
+        j = np.arange(n) % table.slots
+        a = np.array([table.a, table.a_prime])[a_primed, j]
+        b = np.array([table.b, table.b_prime])[b_primed, j]
+        draw_order = "u_a,u_b"
+    a[u_a >= config.eta] = 0
+    b[u_b >= config.eta] = 0
+    return RecordedRun(schedule, a.tolist(), b.tolist(), meta=_meta(config, draw_order))
 
 
 def replay(table: SeriesTable, schedule: Schedule, meta: dict | None = None) -> RecordedRun:

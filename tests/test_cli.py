@@ -336,11 +336,16 @@ _SCHEDULE_4 = "{schedule-4}"
     (("fill", "sica", "--input", _EMPTY_LOG, "--free-choices", "0,0"), "positive slot count"),
     ((*_SIM, "--schedule", "file:" + _SCHEDULE_4), "covers 4 slots, not 8"),
     (("oracle", "--objective", "chsh", "--slots", "2", "--witnesses", "-3"), "--witnesses"),
+    (("sica-check", "--input", _EMPTY_LOG), "table has no slots"),
+    (("sica-check", "--input", _EMPTY_TABLE), "table has no slots"),
+    (("sica-condense", "--input", _EMPTY_LOG), "table has no slots"),
+    (("sica-condense", "--input", _EMPTY_TABLE), "table has no slots"),
 ], ids=["angles-word", "angles-inf", "angles-nan", "angles-overflow", "negative-slots",
         "negative-seed", "constraint-word", "constraint-div-zero", "fill-sica-no-choices",
         "reorder-budget", "complete-budget", "fill-zeros-budget", "fill-sica-budget",
         "oracle-huge-slots", "simulate-empty-instructions", "complete-empty-log",
-        "fill-sica-empty-log", "simulate-schedule-file-length", "oracle-witnesses"])
+        "fill-sica-empty-log", "simulate-schedule-file-length", "oracle-witnesses",
+        "check-empty-log", "check-empty-table", "condense-empty-log", "condense-empty-table"])
 def test_bad_arguments_exit_3(cli, tmp_path, capsys, argv, message):
     files = {_LOG: tmp_path / "black.jsonl", _EMPTY_LOG: tmp_path / "empty.jsonl",
              _EMPTY_TABLE: tmp_path / "empty.json", _SCHEDULE_4: tmp_path / "sched4.json"}

@@ -1,5 +1,6 @@
 import io
 import json
+import random
 from unittest import mock
 
 import pytest
@@ -287,40 +288,58 @@ def test_fuzzed_event_logs_load_or_raise_a_named_error(text):
     assert fileio.read_run_events(iter(_reference_events_text(run).splitlines(True))) == run
 
 
-# --- the canonical-line decoder against json.loads ---------------------------
+# --- the block decoder against json.loads ----------------------------------
 
-_DECODED = fileio._match_event.__self__
-
-
-@settings(max_examples=300)
-@given(st.from_regex(_DECODED, fullmatch=True))
-def test_every_line_the_decoder_accepts_reads_as_json_loads_reads_it(line):
-    a, a_name, b, b_name, slot = fileio._match_event(line).groups()
-    decoded = {
-        "a": fileio._OUTCOMES[a],
-        "a_setting": fileio._A_SETTINGS[a_name].value,
-        "b": fileio._OUTCOMES[b],
-        "b_setting": fileio._B_SETTINGS[b_name].value,
-        "slot": int(slot),
-    }
-    loaded = json.loads(line)
-    assert decoded == loaded
-    assert [type(v) for v in decoded.values()] == [type(loaded[k]) for k in decoded]
+_KEYS = sorted(fileio._EVENT_HEADS, key=repr)
 
 
-def _outcome(text, decoder):
-    """What read_run_events makes of ``text`` with the given line decoder: the
-    run and its meta, or the error's type and message."""
-    with mock.patch.object(fileio, "_match_event", decoder):
+@pytest.mark.parametrize("key", _KEYS, ids=repr)
+def test_every_head_plus_a_slot_reads_back_as_its_key(key):
+    a, a_setting, b, b_setting = key
+    for slot in (0, 7, 10**18 - 1):
+        loaded = json.loads(fileio._EVENT_HEADS[key] + f"{slot}}}")
+        expected = {"a": a, "a_setting": a_setting.value, "b": b,
+                    "b_setting": b_setting.value, "slot": slot}
+        assert loaded == expected
+        assert [type(loaded[k]) for k in expected] == [type(v) for v in expected.values()]
+    assert fileio._HEAD_EVENTS[fileio._EVENT_HEADS[key]] == key
+
+
+def _outcome(text, block_decode=True):
+    """What read_run_events makes of ``text``: the run and its meta, or the
+    error's type, message and line number.  Without ``block_decode`` no
+    line's head is known, so every line goes through json.loads."""
+    heads = fileio._HEAD_EVENTS if block_decode else {}
+    with mock.patch.object(fileio, "_HEAD_EVENTS", heads):
         try:
-            run = fileio.read_run_events(io.StringIO(text))
+            run = fileio.read_run_events(text)
         except BellSeriesError as exc:
-            return type(exc), str(exc)
+            return type(exc), str(exc), getattr(exc, "line_number", None)
     return run, run.meta
 
 
-def _json_only(line):
-    return None
+def _json_calls(text):
+    """How many lines of ``text`` read_run_events hands to json.loads."""
+    with mock.patch.object(fileio, "parse_json", wraps=fileio.parse_json) as parse:
+        try:
+            fileio.read_run_events(text)
+        except BellSeriesError:
+            pass
+    return parse.call_count
+
+
+@settings(max_examples=300)
+@given(st.lists(st.sampled_from(_KEYS), min_size=1, max_size=12),
+       st.sampled_from(("", " ", "\t", "\r")), st.booleans())
+def test_every_line_the_decoder_accepts_reads_as_json_loads_reads_it(keys, pad, meta):
+    lines = ['{"meta": {"seed": 1}}'] if meta else []
+    lines += [pad + fileio._EVENT_HEADS[key] + f"{slot}}}" + pad for slot, key in enumerate(keys)]
+    text = "".join(line + "\n" for line in lines)
+    assert _json_calls(text) == int(meta)
+    run, _ = _outcome(text)
+    assert list(zip(run.a_outcomes, run.schedule.a_settings,
+                    run.b_outcomes, run.schedule.b_settings)) == keys
+    assert _outcome(text) == _outcome(text, block_decode=False)
 
 
 _CANONICAL = '{"a": 1, "a_setting": "alpha", "b": -1, "b_setting": "beta", "slot": %d}'
@@ -349,13 +368,15 @@ NEAR_MISSES = {
 @pytest.mark.parametrize("name", sorted(NEAR_MISSES))
 def test_near_miss_lines_read_as_json_loads_reads_them(name):
     line = NEAR_MISSES[name](1)
+    text = '{"meta": null}\n' + _CANONICAL % 0 + "\n" + line + "\n" + _CANONICAL % 2 + "\n"
+    calls = _json_calls(text)
     if name in ("trailing-space", "crlf"):
         # whitespace around a line is stripped before anything reads it
-        assert fileio._match_event(line.strip()) is not None
+        assert calls == 1
     else:
-        assert fileio._match_event(line.strip()) is None
-    text = '{"meta": null}\n' + _CANONICAL % 0 + "\n" + line + "\n" + _CANONICAL % 2 + "\n"
-    assert _outcome(text, fileio._match_event) == _outcome(text, _json_only)
+        # the meta line, then the near miss's block line by line up to it
+        assert calls >= 3
+    assert _outcome(text) == _outcome(text, block_decode=False)
 
 
 @settings(max_examples=100, deadline=None)
@@ -365,7 +386,87 @@ def test_logs_with_near_misses_read_as_with_json_loads_alone(kinds, meta):
     for slot, kind in enumerate(kinds):
         lines.append(_CANONICAL % slot if kind is None else NEAR_MISSES[kind](slot))
     text = "".join(line + "\n" for line in lines)
-    assert _outcome(text, fileio._match_event) == _outcome(text, _json_only)
+    assert _outcome(text) == _outcome(text, block_decode=False)
+
+
+# Perturbations of a long log, by name; _perturbed gives the lines each puts
+# at a slot and how many slots they take.  The readable ones leave the log
+# readable; each fatal one makes it fail, most of them at its line.
+_READABLE = ("blank", "compact", "crlf", "escaped-setting", "inner-space", "key-order",
+             "minus-zero", "swap", "trailing-space")
+_FATAL = sorted(set(NEAR_MISSES) - set(_READABLE)) + ["late-meta", "duplicate"]
+
+
+def _event_line(rng, slot):
+    return json.dumps({"slot": slot, "a": rng.choice((-1, 0, 1)), "b": rng.choice((-1, 0, 1)),
+                       "a_setting": rng.choice(("alpha", "alpha_prime")),
+                       "b_setting": rng.choice(("beta", "beta_prime"))}, sort_keys=True)
+
+
+def _perturbed(kind, rng, slot):
+    if kind == "blank":
+        return [""], 0
+    if kind == "swap":
+        return [_event_line(rng, slot + 1), _event_line(rng, slot)], 2
+    if kind == "late-meta":
+        return ['{"meta": {"late": true}}'], 0
+    if kind == "duplicate":
+        return [_event_line(rng, max(slot - 1, 0))], 0
+    return [NEAR_MISSES[kind](slot)], 1
+
+
+def _perturbed_log(seed, full_blocks=4):
+    """A seeded event log of ``full_blocks`` decode blocks and part of one
+    more, as written but for perturbations at the first and last line of the
+    first block, of a middle one and of the last one (the log's last line),
+    and at random inside those three.  Returns the text, the numbers of the
+    perturbed lines and the three blocks' indices (block 0 is the first
+    line)."""
+    rng = random.Random(seed)
+    size = fileio._BLOCK
+    chosen = (1, rng.randint(2, full_blocks - 1), full_blocks + 1)
+    fatal = rng.choice(_FATAL) if rng.random() < 0.3 else None
+    lines, marked = [], set()
+    slot, pos, block, block_end = 0, 0, 0, 0
+
+    def add(new, perturbed):
+        nonlocal pos, block, block_end
+        for line in new:
+            lines.append(line)
+            if perturbed:
+                marked.add(len(lines))
+            pos += len(line) + 1
+            if pos - 1 >= block_end:
+                block, block_end = block + 1, pos + size
+
+    if rng.random() < 0.5:
+        add(['{"meta": {"seed": %d}}' % seed], False)
+    while pos < (full_blocks + 0.5) * size:
+        at_edge = pos == block_end - size or pos + 100 >= block_end
+        if block in chosen and (at_edge or rng.random() < 1 / 150):
+            pool = [fatal] if fatal and rng.random() < 0.2 else _READABLE
+            new, used = _perturbed(rng.choice(pool), rng, slot)
+            add(new, True)
+            slot += used
+        else:
+            add([_event_line(rng, slot)], False)
+            slot += 1
+    add([NEAR_MISSES[rng.choice([k for k in _READABLE if k in NEAR_MISSES])](slot)], True)
+    return "".join(line + "\n" for line in lines), marked, chosen
+
+
+@pytest.mark.parametrize("seed", range(32))
+def test_long_perturbed_logs_read_as_with_json_loads_alone(seed):
+    text, marked, chosen = _perturbed_log(seed)
+    layout = [(first, first + len(lines) - 1) for first, lines in fileio._blocks(text)]
+    assert len(text) >= 3 * fileio._BLOCK and len(layout) == chosen[-1] + 1
+    for index in chosen:
+        assert {*layout[index]} <= marked
+    expected = _outcome(text, block_decode=False)
+    assert _outcome(text) == expected
+    if expected[0] is not ParseError:
+        # the blocks left as written were decoded whole
+        assert _json_calls(text) < text.count("\n")
 
 
 @pytest.mark.parametrize("meta", [None, {"seed": 4}])

@@ -23,6 +23,7 @@ from bellseries.model import (
 )
 
 from conftest import make_rng, random_table
+from naive_simulate import naive_pairing_blocks
 
 
 def test_pairing_rows_and_keys():
@@ -114,6 +115,14 @@ def test_pairing_blocks_partition_slots():
     assert blocks[Pairing.APB] == [4, 5]
     assert blocks[Pairing.APBP] == [6, 7]
     assert sorted(i for ids in blocks.values() for i in ids) == list(range(8))
+
+
+@pytest.mark.parametrize("slots", [0, 1, 12, 1_000])
+def test_pairing_blocks_match_per_slot_loop(slots):
+    for seed in range(4):
+        for schedule in (random_per_slot(slots, seed), block_halves(slots - slots % 4)):
+            run = RecordedRun(schedule, (0,) * schedule.slots, (0,) * schedule.slots)
+            assert pairing_blocks(run) == naive_pairing_blocks(run)
 
 
 @pytest.mark.parametrize("bad", [True, False, 1.0, 2, None, [], "1"], ids=repr)

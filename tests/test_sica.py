@@ -737,3 +737,13 @@ def test_each_completion_is_the_census_sample_of_its_free_bits(seed):
             result = build_complete_table(run, sica._bits(wa, q), sica._bits(wap, q))
             assert result.discarded_slots == ()
             assert result.complete.table == census.samples[wa << q | wap]
+
+
+def test_a_table_of_no_slots_is_refused():
+    empty = SeriesTable(0, (), (), (), ())
+    no_marks = dict.fromkeys(("a", "b", "a_prime", "b_prime"), ())
+    for verdict in (lambda: check_sica(empty), lambda: condense(empty),
+                    lambda: check_sica(empty, block_halves(0)),
+                    lambda: sica.CompleteTable(empty, no_marks)):
+        with pytest.raises(PreconditionError, match="table has no slots"):
+            verdict()

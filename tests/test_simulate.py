@@ -1,4 +1,5 @@
 import io
+import json
 import math
 
 import pytest
@@ -6,9 +7,13 @@ import pytest
 from bellseries import fileio
 from bellseries.errors import PreconditionError
 from bellseries.model import (
+    ASetting,
+    BSetting,
     SeriesTable,
     block_halves,
+    custom_schedule,
     random_per_slot,
+    schedule_from_json,
     table_from_run,
 )
 from bellseries.simulate import (
@@ -20,6 +25,9 @@ from bellseries.simulate import (
 )
 from bellseries.stats import chsh_detail, correlation
 from bellseries.model import Pairing
+
+from conftest import make_rng, random_table
+from naive_simulate import naive_random_per_slot, naive_simulate
 
 
 def _quantum(slots, seed, **kwargs):
@@ -150,3 +158,69 @@ def test_quantum_correlations_track_the_angles():
     table = table_from_run(run)
     for p in Pairing:
         assert correlation(table, p).e == 1
+
+
+# --- the whole-array simulator against per-slot loops ------------------------
+
+_PARITY_SLOTS = 1_000
+
+
+def _log(run):
+    buf = io.StringIO()
+    fileio.write_run_events(run, buf)
+    return buf.getvalue()
+
+
+def _schedule(layout, tmp_path, seed):
+    """A schedule over _PARITY_SLOTS slots in the given layout; ``file`` is a
+    seeded pattern of runs of one setting pair, read back from a JSON file."""
+    if layout == "block":
+        return block_halves(_PARITY_SLOTS)
+    if layout == "random":
+        return random_per_slot(_PARITY_SLOTS, seed)
+    rng = make_rng(seed)
+    a, b = [], []
+    while len(a) < _PARITY_SLOTS:
+        length = int(rng.integers(1, 40))
+        a += [(ASetting.ALPHA, ASetting.ALPHA_PRIME)[int(rng.integers(2))]] * length
+        b += [(BSetting.BETA, BSetting.BETA_PRIME)[int(rng.integers(2))]] * length
+    path = tmp_path / "schedule.json"
+    path.write_text(json.dumps(custom_schedule(a[:_PARITY_SLOTS], b[:_PARITY_SLOTS]).to_json()))
+    return schedule_from_json(json.loads(path.read_text()))
+
+
+def _assert_matches_reference(config):
+    run, reference = simulate(config), naive_simulate(config)
+    assert run == reference and run.meta == reference.meta
+    assert _log(run) == _log(reference)
+
+
+@pytest.mark.parametrize("angles", [DEFAULT_ANGLES, (10.0, -33.5, 71.25, 200.0)])
+@pytest.mark.parametrize("layout", ["block", "random", "file"])
+@pytest.mark.parametrize("eta", [0.0, 0.37, 0.9, 1.0])
+def test_quantum_source_matches_per_slot_loops(tmp_path, eta, layout, angles):
+    seed = 31 + int(100 * eta)
+    schedule = _schedule(layout, tmp_path, seed)
+    _assert_matches_reference(
+        SourceConfig(model="quantum", schedule=schedule, seed=seed, angles=angles, eta=eta)
+    )
+
+
+@pytest.mark.parametrize("instruction_slots", [1, 3, 7, 12])
+@pytest.mark.parametrize("layout", ["block", "random", "file"])
+@pytest.mark.parametrize("eta", [0.0, 0.37, 0.9, 1.0])
+def test_deterministic_source_matches_per_slot_loops(tmp_path, eta, layout, instruction_slots):
+    seed = 57 + instruction_slots
+    instructions = random_table(make_rng(seed), slots=instruction_slots)
+    _assert_matches_reference(SourceConfig(
+        model="deterministic", schedule=_schedule(layout, tmp_path, seed), seed=seed,
+        eta=eta, instructions=instructions,
+    ))
+
+
+@pytest.mark.parametrize("slots", [0, 1, 7, 1_000])
+def test_random_schedule_matches_per_slot_loop(slots):
+    for seed in range(5):
+        schedule, reference = random_per_slot(slots, seed), naive_random_per_slot(slots, seed)
+        assert schedule == reference
+        assert (schedule.kind, schedule.seed) == (reference.kind, reference.seed)
