@@ -368,37 +368,6 @@ def _time_queues(items: Sequence, key):
     return lambda value, n=1: list(islice(heads.get(value, ()), n))
 
 
-def _margin_certificate(pair_counts, budget: int) -> str | None:
-    """A cheap exact proof of infeasibility for loss-free runs.
-
-    Every condensed table of plus/minus outcomes satisfies all four sign
-    variants of the CHSH combination, and keeping all but d slots of a block
-    of n moves its correlation by at most 2d/(n-d).  A block-correlation
-    combination exceeding 2 by more than the total possible drift therefore
-    rules out every plan within the discard budget.  The block sizes and
-    correlations are read off the block pair counts.
-    """
-    if any(ZERO in pair for counts in pair_counts.values() for pair in counts):
-        return None
-    e = {}
-    drift = Fraction(0)
-    for p in PAIRINGS:
-        counts = pair_counts[p]
-        n = sum(counts.values())
-        d = min(budget, n - 1)
-        e[p] = Fraction(sum(a * b * k for (a, b), k in counts.items()), n)
-        drift += Fraction(2 * d, n - d) if n > d else Fraction(2)
-    full = e[Pairing.AB] + e[Pairing.ABP] + e[Pairing.APB] + e[Pairing.APBP]
-    worst = max(abs(full - 2 * e[p]) for p in PAIRINGS)
-    if worst > 2 + drift:
-        return (
-            f"block correlations reach a CHSH combination of {worst} "
-            f"(> 2 + maximal discard drift {drift}); no reordering within "
-            "the budget can repair this"
-        )
-    return None
-
-
 def _arrangement_obstruction(pair_counts, chosen: dict, best: int, required: int) -> str:
     """Why the integer program's best plan ``chosen`` keeps too few
     quadruples, read off the plan and the block pair counts.
@@ -437,6 +406,37 @@ def _arrangement_obstruction(pair_counts, chosen: dict, best: int, required: int
     )
 
 
+def _chsh_sum_bound(pair_counts) -> tuple[int, int, Pairing]:
+    """The most quadruples the run's CHSH sum lets a reorder keep: (bound,
+    W, the first pairing whose negated total gives W).
+
+    With T_p a block's sum of outcome products a*b, N the slots of all
+    blocks and W the largest |T_AB + T_AB' + T_A'B + T_A'B' - 2*T_p|:
+    - a kept quadruple adds +-(a(b +- b') + a'(b -+ b')) to that sum, at
+      most 2 in size for values in {-1, 0, +1}, zeros included;
+    - each of a block's n_p - m dropped slots moves its T_p by at most 1;
+    - so W <= 2m + (N - 4m), that is m <= (N - W)/2.
+    """
+    totals = {p: sum(a * b * n for (a, b), n in pair_counts[p].items()) for p in PAIRINGS}
+    full = sum(totals.values())
+    flipped = max(PAIRINGS, key=lambda p: abs(full - 2 * totals[p]))
+    worst = abs(full - 2 * totals[flipped])
+    slots = sum(sum(counts.values()) for counts in pair_counts.values())
+    return (slots - worst) // 2, worst, flipped
+
+
+def _chsh_sum_certificate(pair_counts, required: int) -> str | None:
+    """An exact proof of infeasibility from :func:`_chsh_sum_bound`."""
+    bound, worst, flipped = _chsh_sum_bound(pair_counts)
+    if bound >= required:
+        return None
+    return (
+        f"the CHSH sum of the blocks' outcome-product totals, ({flipped.key}) negated, "
+        f"reaches {worst} in size; each kept quadruple adds at most 2 to it and each "
+        f"dropped slot moves it by at most 1, so at most {bound} can be kept, {required} required"
+    )
+
+
 #: Per row, the two blocks its cells fall in: under the distant station's
 #: unprimed setting, then under its primed one.
 _ROW_BLOCKS = {key: tuple(p for p in PAIRINGS if key in (p.a_row, p.b_row)) for key in ROW_KEYS}
@@ -466,8 +466,8 @@ def _regime_bound(pair_counts) -> tuple[int, str, dict[int, tuple[int, int]]]:
 
 
 def _regime_certificate(pair_counts, required: int) -> str | None:
-    """An exact proof of infeasibility when some row's series, read under
-    one distant setting and under the other, shares too few values: see
+    """An exact proof of infeasibility when some row's cells are too
+    unevenly spread over the values of its two blocks: see
     :func:`_regime_bound`."""
     bound, key, counts = _regime_bound(pair_counts)
     if bound >= required:
@@ -475,10 +475,9 @@ def _regime_certificate(pair_counts, required: int) -> str | None:
     first, second = (p.key for p in _ROW_BLOCKS[key])
     per_value = "; ".join(f"{v:+d}: {n1} vs {n2}" for v, (n1, n2) in counts.items())
     return (
-        f"row {key} changes with the distant setting: its cells in block ({first}) "
-        f"vs block ({second}) per value are {per_value}; each kept quadruple takes one "
-        f"cell of one value from both blocks, so at most {bound} can be kept, "
-        f"{required} required"
+        f"row {key} has per-value counts that differ between block ({first}) and "
+        f"block ({second}): {per_value}; each kept quadruple takes one cell of one "
+        f"value from both blocks, so at most {bound} can be kept, {required} required"
     )
 
 
@@ -493,13 +492,14 @@ def reorder_to_sica(run: RecordedRun, budget: int | None = None) -> ReorderOutco
     permutation part changes no measured correlation.
 
     Failure is a result, not an error.  Every decider reads the one table of
-    outcome-pair counts per block (:func:`_block_pairs`), in order: the CHSH
-    margin certificate (loss-free runs), the regime-count bound of
-    :func:`_regime_bound`, then the integer program.  A certified failure
-    names its certificate and leaves ``best_keepable`` None; a failure the
-    program decides carries the best keepable m and the capacities its best
-    plan uses up (:func:`_arrangement_obstruction`).  Only the program needs
-    numpy and scipy.
+    outcome-pair counts per block (:func:`_block_pairs`) and, of the budget,
+    only the ``required`` count it implies; in order: the CHSH-sum bound of
+    :func:`_chsh_sum_bound`, the regime-count bound of :func:`_regime_bound`,
+    then the integer program.  A certified failure names its certificate
+    and leaves ``best_keepable`` None; a failure the program decides
+    carries the best keepable m and the capacities its best plan uses up
+    (:func:`_arrangement_obstruction`).  Only the program needs numpy and
+    scipy.
     """
     if budget is None:
         budget = default_discard_budget(run.slots)
@@ -511,9 +511,8 @@ def reorder_to_sica(run: RecordedRun, budget: int | None = None) -> ReorderOutco
         )
     required = max(1, max(len(blocks[p]) - min(budget, len(blocks[p]) - 1) for p in PAIRINGS))
     pair_counts = _block_pairs(run, blocks)
-    certificate = _margin_certificate(pair_counts, budget) or _regime_certificate(
-        pair_counts, required
-    )
+    certificate = (_chsh_sum_certificate(pair_counts, required)
+                   or _regime_certificate(pair_counts, required))
     if certificate is not None:
         return ReorderOutcome(False, None, None, required, certificate)
     best, chosen = _max_joint_arrangement(pair_counts)

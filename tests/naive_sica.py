@@ -11,18 +11,15 @@ comparison tests only the realization.
 ``naive_stable_match`` follows the same earliest-unused rule for
 completion's matching, by copying every donor and removing each one taken.
 
-``naive_regime_bound`` and ``naive_margin_certificate`` read the reorder
-regime-count bound and the CHSH margin certificate off the run's own
-series, slot by slot, without the block pair counts ``sica`` reads them
-from.
+``naive_regime_bound`` and ``naive_chsh_sum_bound`` read the reorder
+regime-count bound and CHSH-sum bound off the run's own series, slot by
+slot, without the block pair counts ``sica`` reads them from.
 
 ``naive_build_complete_table`` and ``naive_condense_run_table`` write the
 block-layout completion and the condensation of a run-derived table out by
 hand, quarter by quarter and block by block, instead of filling and pairing
 cells by the series identity.
 """
-
-from fractions import Fraction
 
 from bellseries import sica
 from bellseries.errors import PreconditionError
@@ -95,30 +92,22 @@ def naive_regime_bound(run):
     return best
 
 
-def naive_margin_certificate(run, budget):
-    """``sica._margin_certificate`` by scanning the run: no certificate if
-    any slot recorded a 0, else each block's correlation is its sum of
-    outcome products over its size, and the CHSH combination must exceed 2
-    by more than the drift of discarding ``budget`` slots per block."""
-    if 0 in run.a_outcomes or 0 in run.b_outcomes:
-        return None
-    blocks = pairing_blocks(run)
-    e = {}
-    drift = Fraction(0)
+def naive_chsh_sum_bound(run):
+    """``sica._chsh_sum_bound`` by one scan of the run: each slot's outcome
+    product joins the list of its setting pair, T_p is that list's sum, N
+    the slots scanned, W the largest |T_AB + T_AB' + T_A'B + T_A'B' - 2*T_p|
+    (the first such p in order), and the bound is (N - W) // 2."""
+    products = {p: [] for p in PAIRINGS}
+    for i in range(run.slots):
+        pairing = Pairing((run.schedule.a_settings[i], run.schedule.b_settings[i]))
+        products[pairing].append(run.a_outcomes[i] * run.b_outcomes[i])
+    totals = {p: sum(products[p]) for p in PAIRINGS}
+    best = None
     for p in PAIRINGS:
-        n = len(blocks[p])
-        d = min(budget, n - 1)
-        e[p] = Fraction(sum(run.a_outcomes[i] * run.b_outcomes[i] for i in blocks[p]), n)
-        drift += Fraction(2 * d, n - d) if n > d else Fraction(2)
-    full = sum(e.values())
-    worst = max(abs(full - 2 * e[p]) for p in PAIRINGS)
-    if worst > 2 + drift:
-        return (
-            f"block correlations reach a CHSH combination of {worst} "
-            f"(> 2 + maximal discard drift {drift}); no reordering within "
-            "the budget can repair this"
-        )
-    return None
+        worst = abs(sum(totals.values()) - 2 * totals[p])
+        if best is None or worst > best[1]:
+            best = ((run.slots - worst) // 2, worst, p)
+    return best
 
 
 def naive_stable_match(donors, targets):

@@ -33,8 +33,8 @@ from bellseries.stats import chsh, correlation
 
 from naive_sica import (
     naive_build_complete_table,
+    naive_chsh_sum_bound,
     naive_condense_run_table,
-    naive_margin_certificate,
     naive_plan,
     naive_regime_bound,
     naive_stable_match,
@@ -65,15 +65,17 @@ def test_witness_detail_names_slots():
 
 
 def test_black_run_cannot_be_reordered():
+    # S = 4 over 8 slots: the CHSH sum is 8 = N, so no quadruple can be kept.
     run = refdata.fig6("black")
     assert chsh(table_from_run(run)) == 4
     outcome = reorder_to_sica(run)
     assert not outcome.success
-    assert outcome.best_keepable == 0
+    assert outcome.best_keepable is None
     assert outcome.required == 1
-    assert outcome.obstruction.startswith(
-        "no outcome quadruple has its pairs in all four blocks, so none can be kept, "
-        "1 required; the blocks offer (alpha:beta) (-1,-1) x1, (+1,+1) x1; "
+    assert outcome.obstruction == (
+        "the CHSH sum of the blocks' outcome-product totals, (alpha:beta_prime) negated, "
+        "reaches 8 in size; each kept quadruple adds at most 2 to it and each dropped "
+        "slot moves it by at most 1, so at most 0 can be kept, 1 required"
     )
 
 
@@ -124,24 +126,40 @@ def test_reorder_is_stable_under_block_internal_shuffle():
     assert shuffled.best_keepable == reorder_to_sica(red).best_keepable
 
 
-def test_large_divergent_run_fails_by_margin_certificate():
+@pytest.mark.parametrize("eta", [1.0, 0.9])
+def test_large_divergent_run_fails_by_chsh_sum_certificate(eta):
     sched = random_per_slot(4000, 31)
-    run = simulate(SourceConfig(model="quantum", schedule=sched, seed=32))
+    run = simulate(SourceConfig(model="quantum", schedule=sched, seed=32, eta=eta))
+    bound, worst, flipped = sica._chsh_sum_bound(sica._block_pairs(run, pairing_blocks(run)))
     outcome = reorder_to_sica(run)
-    assert not outcome.success
-    assert "CHSH combination" in outcome.obstruction
+    assert (outcome.success, outcome.best_keepable) == (False, None)
+    assert bound < outcome.required
+    assert outcome.obstruction.startswith(
+        "the CHSH sum of the blocks' outcome-product totals, "
+        f"({flipped.key}) negated, reaches {worst} in size; "
+    )
+    assert outcome.obstruction.endswith(
+        f"so at most {bound} can be kept, {outcome.required} required"
+    )
 
 
 def test_regime_certificate_names_the_binding_row():
-    config = SourceConfig(model="quantum", schedule=random_per_slot(2000, 5), seed=6, eta=0.9)
+    # A local source reading a per-slot random instruction table: its CHSH
+    # sum is too small to decide, but one row's values are spread unevenly
+    # over its two blocks.
+    rng = random.Random(0)
+    rows = [tuple(rng.choice((-1, 1)) for _ in range(2000)) for _ in range(4)]
+    config = SourceConfig(model="deterministic", schedule=random_per_slot(2000, 0), seed=0,
+                          instructions=SeriesTable.from_rows(*rows))
     run = simulate(config)
-    bound, row, counts = sica._regime_bound(sica._block_pairs(run, pairing_blocks(run)))
+    pair_counts = sica._block_pairs(run, pairing_blocks(run))
+    bound, row, counts = sica._regime_bound(pair_counts)
     outcome = reorder_to_sica(run)
-    assert bound < outcome.required
+    assert bound < outcome.required <= sica._chsh_sum_bound(pair_counts)[0]
     first, second = (p.key for p in Pairing if row in (p.a_row, p.b_row))
     assert outcome.obstruction.startswith(
-        f"row {row} changes with the distant setting: its cells in block ({first}) "
-        f"vs block ({second}) per value are "
+        f"row {row} has per-value counts that differ between block ({first}) and "
+        f"block ({second}): "
     )
     for v, (n1, n2) in counts.items():
         assert f"{v:+d}: {n1} vs {n2}" in outcome.obstruction
@@ -186,7 +204,7 @@ def test_regime_bound_matches_list_scan(seed):
     assert sica._regime_bound(sica._block_pairs(run, blocks)) == naive_regime_bound(run)
 
 
-def test_margin_certificate_matches_run_scan():
+def test_chsh_sum_bound_matches_run_scan():
     runs = [_seeded_small_run(seed) for seed in range(200)]
     for seed in range(20):
         config = SourceConfig(model="quantum", schedule=random_per_slot(400 * (1 + seed % 5), seed),
@@ -197,42 +215,41 @@ def test_margin_certificate_matches_run_scan():
         blocks = pairing_blocks(run)
         if not all(blocks.values()):
             continue
-        if budget is None:
-            budget = sica.default_discard_budget(run.slots)
-        text = sica._margin_certificate(sica._block_pairs(run, blocks), budget)
-        assert text == naive_margin_certificate(run, budget)
-        fired += text is not None
+        bound = sica._chsh_sum_bound(sica._block_pairs(run, blocks))
+        assert bound == naive_chsh_sum_bound(run)
+        fired += bound[0] < reorder_to_sica(run, budget).required
     assert 5 <= fired < len(runs) - 5, fired
 
 
-def test_regime_certificate_is_sound():
-    """Over 300 seeded small runs: the bound never falls below what the
-    integer program keeps; when the certificate fires, the program fails
-    too; when no certificate fires, the outcome is the program's."""
-    reached = {"regime": 0, "margin": 0, "milp-fail": 0, "milp-success": 0}
-    for seed in range(300):
+def test_reorder_bounds_are_sound():
+    """Over 600 seeded small runs, zeros included: neither the CHSH-sum
+    nor the regime-count bound falls below what the integer program keeps;
+    a certified failure is one the program reports too, decided by the
+    first bound that fires; with none firing, the outcome is the program's."""
+    reached = {"chsh-sum": 0, "regime": 0, "milp-fail": 0, "milp-success": 0}
+    for seed in range(600):
         run, budget = _seeded_small_run(seed)
         blocks = pairing_blocks(run)
         if not all(blocks.values()):
             continue
         outcome = reorder_to_sica(run, budget)
         pair_counts = sica._block_pairs(run, blocks)
-        bound, _, _ = sica._regime_bound(pair_counts)
+        chsh_sum, _, _ = sica._chsh_sum_bound(pair_counts)
+        regime, _, _ = sica._regime_bound(pair_counts)
         best, _ = sica._max_joint_arrangement(pair_counts)
-        assert best <= bound, seed
-        if budget is None:
-            budget = sica.default_discard_budget(run.slots)
-        if sica._margin_certificate(pair_counts, budget) is not None:
-            kind = "margin"
-            assert best < outcome.required, seed
-        elif bound < outcome.required:
+        assert best <= min(chsh_sum, regime), seed
+        if chsh_sum < outcome.required:
+            kind = "chsh-sum"
+            assert outcome.obstruction.startswith("the CHSH sum of"), seed
+        elif regime < outcome.required:
             kind = "regime"
-            assert "changes with the distant setting" in outcome.obstruction, seed
+            assert "has per-value counts that differ" in outcome.obstruction, seed
         else:
             kind = "milp-success" if outcome.success else "milp-fail"
             assert outcome.best_keepable == best, seed
             assert outcome.success == (best >= outcome.required), seed
-        if kind in ("margin", "regime"):
+        if kind in ("chsh-sum", "regime"):
+            assert best < outcome.required, seed
             assert (outcome.success, outcome.best_keepable) == (False, None), seed
         reached[kind] += 1
     assert all(reached.values()), reached
@@ -258,7 +275,7 @@ def test_milp_failure_names_the_capacities_its_best_plan_uses_up():
     recorded.  With no class offered by all four blocks, it lists what each
     block offers."""
     runs = [_seeded_small_run(seed) for seed in range(300)]
-    for seed in range(80):
+    for seed in range(160):
         slots = random.Random(seed).choice((24, 40, 64, 100, 200, 400))
         config = SourceConfig(model="quantum", schedule=block_halves(slots), seed=seed,
                               eta=(1.0, 0.95, 0.8)[seed % 3])
