@@ -20,10 +20,12 @@ from fractions import Fraction
 from . import fileio, refdata
 from .errors import BellSeriesError, ParseError, PreconditionError
 from .model import (
+    ROW_KEYS,
     RecordedRun,
     Schedule,
     SeriesTable,
     block_halves,
+    derive_schedule,
     random_per_slot,
     schedule_from_json,
     table_from_run,
@@ -32,7 +34,6 @@ from .sica import (
     CompleteTable,
     _bits,
     _completion_quarter,
-    _resolve_schedule,
     apply_plan,
     build_complete_table,
     check_sica,
@@ -255,14 +256,26 @@ def _cmd_analyze(args) -> int:
 
 
 def _read_table(args):
-    """The table at ``--input``, its provenance, and the ``--schedule`` given
-    for it.  A table with provenance is a completed one: its factual cells
-    fix its schedule, which a given one must agree with."""
+    """The table at ``--input``, the schedule it is read under, and the
+    :class:`CompleteTable` it is if its file carries F/C marks, else None.
+    The marks record a completed table's schedule: its factual ("F") cells
+    fix it, derived here once, and a given ``--schedule`` must be that one.
+    Otherwise the schedule is the given one, if any."""
     table, provenance, _ = _load_input(args.input)
     schedule = _make_schedule(args.schedule, table.slots) if args.schedule else None
-    if provenance is not None:
-        schedule = _resolve_schedule(table, schedule, provenance)
-    return table, provenance, schedule
+    if provenance is None:
+        return table, schedule, None
+    factual = SeriesTable(table.slots, *(
+        [v if m == "F" else None for v, m in zip(table.row(key), provenance[key])]
+        for key in ROW_KEYS
+    ))
+    try:
+        recorded = derive_schedule(factual)
+    except PreconditionError as exc:
+        raise PreconditionError(f"the table's factual cells fix no schedule: {exc}") from exc
+    if schedule is not None and schedule != recorded:
+        raise PreconditionError("the table's factual cells do not follow the given schedule")
+    return table, recorded, CompleteTable(table, recorded)
 
 
 def _factual_json(complete: CompleteTable) -> dict:
@@ -273,7 +286,7 @@ def _factual_json(complete: CompleteTable) -> dict:
 
 
 def _cmd_sica_check(args) -> int:
-    table, _, schedule = _read_table(args)
+    table, schedule, _ = _read_table(args)
     verdict = check_sica(table, schedule)
     report = {
         "command": "sica-check",
@@ -328,11 +341,11 @@ def _cmd_sica_reorder(args) -> int:
 
 
 def _cmd_sica_condense(args) -> int:
-    table, provenance, schedule = _read_table(args)
-    if provenance is None:
+    table, schedule, complete = _read_table(args)
+    if complete is None:
         condensed, out_prov = condense(table, schedule), None
     else:
-        result = CompleteTable(table, provenance).condense()
+        result = complete.condense()
         condensed, out_prov = result.table, result.provenance
     if args.output:
         fileio.write_json_atomic(

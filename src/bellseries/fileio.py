@@ -14,7 +14,8 @@ Two interchange formats:
   arrays keyed ``a``, ``a_prime``, ``b``, ``b_prime``; ``null`` marks an
   unmeasured cell.  A completed table additionally carries a ``provenance``
   object of parallel arrays over the same keys, each entry ``"F"`` (factual,
-  carried over from a record) or ``"C"`` (counterfactual, filled in).
+  carried over from a record) or ``"C"`` (counterfactual, filled in): the
+  record of the schedule the factual cells were measured under.
 """
 
 from __future__ import annotations

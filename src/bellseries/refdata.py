@@ -2,7 +2,7 @@
 
 Each builder returns a small hand-checkable object: complete tables with
 known exact statistics, runs that do or do not admit a series-identity
-rearrangement, and one constructed completion with its provenance tags.
+rearrangement, and one constructed completion under its schedule.
 The registry at the bottom maps dataset names to builders for the CLI and
 the tests.
 """
@@ -114,20 +114,14 @@ def fig8() -> CompleteTable:
         a_prime=[P, M, P, M, M, P, M, P],
         b_prime=[P, M, M, P, P, M, M, P],
     )
-    provenance = {
-        "a": ("F", "F", "F", "F", "C", "C", "C", "C"),
-        "b": ("C", "C", "F", "F", "F", "F", "C", "C"),
-        "a_prime": ("C", "C", "C", "C", "F", "F", "F", "F"),
-        "b_prime": ("F", "F", "C", "C", "C", "C", "F", "F"),
-    }
-    return CompleteTable(table, provenance)
+    return CompleteTable(table, block_halves(8))
 
 
 def fig9() -> CompleteTable:
     """The half-length condensation of :func:`fig8`.
 
-    Per row, each regime pair keeps the earlier slot's cell and its tag, so
-    factual and counterfactual cells mix.  Its factual cells fix a schedule
+    Per row, each regime pair keeps the earlier slot's cell, so factual and
+    counterfactual cells mix: the kept slots' settings are its schedule,
     under which the series identity fails on rows a' and b', and its CHSH
     combination is exactly 2.
     """
@@ -137,13 +131,9 @@ def fig9() -> CompleteTable:
         a_prime=[P, M, M, P],
         b_prime=[P, M, M, P],
     )
-    provenance = {
-        "a": ("F", "F", "C", "C"),
-        "b": ("C", "C", "F", "F"),
-        "a_prime": ("C", "C", "F", "F"),
-        "b_prime": ("F", "F", "C", "C"),
-    }
-    return CompleteTable(table, provenance)
+    schedule = custom_schedule([ASetting.ALPHA] * 2 + [ASetting.ALPHA_PRIME] * 2,
+                               [BSetting.BETA_PRIME] * 2 + [BSetting.BETA] * 2)
+    return CompleteTable(table, schedule)
 
 
 DATASETS = {

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice
 from typing import Iterator, Sequence
@@ -126,36 +126,19 @@ def _fill_identity_pairs(
     return free
 
 
-def _recorded(
-    row: Sequence[Cell], regime: tuple[list[int], list[int]]
-) -> tuple[list[int], list[int]]:
-    """The slots of ``row``'s recorded cells under each distant setting
-    (``regime``, from :func:`_distant_regimes`), in time order.  The
-    identity compares the k-th of one list with the k-th of the other."""
-    return tuple([i for i in slots if row[i] is not None] for slots in regime)
-
-
-def _resolve_schedule(table: SeriesTable, schedule: Schedule | None, provenance=None) -> Schedule:
+def _resolve_schedule(table: SeriesTable, schedule: Schedule | None) -> Schedule:
     """The schedule ``table`` is read under: the one its recorded cells fix,
-    and a given one must be that one.  A table with provenance has no
-    unmeasured cells and records its factual ("F") cells only.  A fully
-    measured table without provenance fixes no schedule and must be given
-    one.  A table of no slots is refused: no verdict on it may pass vacuously."""
+    and a given one must be that one.  A fully measured table fixes none and
+    must be given one; a completed table is read under the schedule it
+    carries (see :class:`CompleteTable`).  A table of no slots is refused:
+    no verdict on it may pass vacuously."""
     if not table.slots:
         raise PreconditionError("the table has no slots, so there is no series identity to check")
     if schedule is not None and schedule.slots != table.slots:
         raise PreconditionError(
             f"schedule covers {schedule.slots} slots, table has {table.slots}"
         )
-    recorded = table
-    if provenance is not None:
-        if not table.fully_measured:
-            raise PreconditionError("a complete table has no unmeasured cells")
-        recorded = SeriesTable(table.slots, *(
-            tuple(v if m == "F" else None for v, m in zip(table.row(key), provenance[key]))
-            for key in ROW_KEYS
-        ))
-    if recorded.fully_measured:
+    if table.fully_measured:
         if schedule is None:
             raise PreconditionError(
                 "cannot check the series identity of a fully measured table without "
@@ -163,13 +146,12 @@ def _resolve_schedule(table: SeriesTable, schedule: Schedule | None, provenance=
             )
         return schedule
     try:
-        derived = derive_schedule(recorded)
+        derived = derive_schedule(table)
     except PreconditionError as exc:
         if schedule is not None:
             raise
-        kind = "partially measured" if provenance is None else "completed"
         raise PreconditionError(
-            f"cannot check the series identity of a {kind} table without a "
+            "cannot check the series identity of a partially measured table without a "
             f"schedule: {exc}"
         ) from exc
     if schedule is not None and schedule != derived:
@@ -179,15 +161,17 @@ def _resolve_schedule(table: SeriesTable, schedule: Schedule | None, provenance=
     return derived
 
 
-def _compare(table: SeriesTable, schedule: Schedule) -> SicaVerdict:
-    """The identity verdict of ``table`` read under ``schedule``: per row,
-    the k-th recorded cell under one distant setting against the k-th under
-    the other."""
+def _compare(table: SeriesTable, schedule: Schedule) -> tuple[SicaVerdict, dict]:
+    """The identity verdict of ``table`` read under ``schedule``, and per
+    row the slots it compared: those of the recorded cells under one
+    distant setting and under the other, the k-th of one against the k-th
+    of the other.  A row whose two lists differ in length is left out."""
     witnesses: list[SicaWitness] = []
+    pairs: dict[str, list[tuple[int, int]]] = {}
     regimes = _distant_regimes(schedule)
     for key in ROW_KEYS:
         row = table.row(key)
-        left, right = _recorded(row, regimes[key])
+        left, right = ([i for i in slots if row[i] is not None] for slots in regimes[key])
         if len(left) != len(right):
             witnesses.append(
                 SicaWitness(
@@ -198,6 +182,7 @@ def _compare(table: SeriesTable, schedule: Schedule) -> SicaVerdict:
                 )
             )
             continue
+        pairs[key] = left, right
         for pos, (sl, sr) in enumerate(zip(left, right)):
             vl, vr = row[sl], row[sr]
             if vl != vr:
@@ -213,8 +198,8 @@ def _compare(table: SeriesTable, schedule: Schedule) -> SicaVerdict:
                     )
                 )
                 if len(witnesses) >= _MAX_WITNESSES:
-                    return SicaVerdict(False, tuple(witnesses))
-    return SicaVerdict(len(witnesses) == 0, tuple(witnesses))
+                    return SicaVerdict(False, tuple(witnesses)), pairs
+    return SicaVerdict(len(witnesses) == 0, tuple(witnesses)), pairs
 
 
 def check_sica(table: SeriesTable, schedule: Schedule | None = None) -> SicaVerdict:
@@ -228,7 +213,7 @@ def check_sica(table: SeriesTable, schedule: Schedule | None = None) -> SicaVerd
     whose cells fix another than the given one, raises
     :class:`PreconditionError` rather than pass.
     """
-    return _compare(table, _resolve_schedule(table, schedule))
+    return _compare(table, _resolve_schedule(table, schedule))[0]
 
 
 # ---------------------------------------------------------------------------
@@ -241,24 +226,18 @@ def _condense_pairs(
     """Condense a table along the regime structure of ``schedule``, which
     the caller has settled on.
 
-    Per row, the recorded cells that :func:`check_sica` compares are paired,
-    the k-th under one distant setting with the k-th under the other; the
-    two are equal once the check passes, and the cell from the earlier slot
-    is kept.  Returns the condensed table and, per row, the original slot
-    each kept cell came from.
+    Each row keeps one cell of every slot pair :func:`_compare` compared,
+    the k-th recorded cell under one distant setting with the k-th under the
+    other; the two are equal once the check passes, and the cell from the
+    earlier slot is kept.  Returns the condensed table and, per row, the
+    original slot each kept cell came from.
     """
-    verdict = _compare(table, schedule)
+    verdict, pairs = _compare(table, schedule)
     if not verdict.holds:
         lines = "; ".join(w.detail for w in verdict.witnesses[:3])
         raise PreconditionError(f"series identity fails, cannot condense: {lines}")
-    rows: dict[str, list[Cell]] = {}
-    sources: dict[str, tuple[int, ...]] = {}
-    regimes = _distant_regimes(schedule)
-    for key in ROW_KEYS:
-        row = table.row(key)
-        kept_slots = [min(l, r) for l, r in zip(*_recorded(row, regimes[key]))]
-        rows[key] = [row[s] for s in kept_slots]
-        sources[key] = tuple(kept_slots)
+    sources = {key: tuple(map(min, *pairs[key])) for key in ROW_KEYS}
+    rows = {key: list(map(table.row(key).__getitem__, sources[key])) for key in ROW_KEYS}
     out = SeriesTable.from_rows(rows["a"], rows["b"], rows["a_prime"], rows["b_prime"])
     return out, sources
 
@@ -567,55 +546,59 @@ def apply_plan(run: RecordedRun, plan: ReorderPlan) -> RecordedRun:
 
 @dataclass(frozen=True)
 class CompleteTable:
-    """A fully measured table whose cells are tagged factual ("F", recorded)
-    or counterfactual ("C", assigned).  Its factual cells fix its
-    ``schedule`` (see :func:`_resolve_schedule`); a completion satisfies the
-    series identity under it, and its condensation need not."""
+    """A fully measured table read under the ``schedule`` its factual cells
+    were recorded in: a cell is factual (recorded) where the schedule
+    measured its row and counterfactual (assigned) elsewhere.  A completion
+    satisfies the series identity under its schedule, and its condensation
+    need not."""
 
     table: SeriesTable
-    provenance: dict[str, tuple[str, ...]]
-    schedule: Schedule = field(init=False)
+    schedule: Schedule
 
     def __post_init__(self):
-        for key in ROW_KEYS:
-            marks = self.provenance.get(key)
-            if marks is None or len(marks) != self.table.slots:
-                raise PreconditionError(f"provenance for row {key} missing or wrong length")
-            if any(m not in ("F", "C") for m in marks):
-                raise PreconditionError(f"provenance for row {key} must be 'F'/'C'")
-        schedule = _resolve_schedule(self.table, None, self.provenance)
-        object.__setattr__(self, "schedule", schedule)
+        if not self.table.fully_measured:
+            raise PreconditionError("a complete table has no unmeasured cells")
+        _resolve_schedule(self.table, self.schedule)
+
+    def _schedule_run(self) -> RecordedRun:
+        """A run of the schedule with every outcome +1: laid out as a table,
+        its measured cells are this table's factual ones."""
+        slots = self.schedule.slots
+        return RecordedRun(self.schedule, (PLUS,) * slots, (PLUS,) * slots)
+
+    @property
+    def provenance(self) -> dict[str, tuple[str, ...]]:
+        """Per row, "F" on the factual cells and "C" on the counterfactual
+        ones: the marks a table file records the schedule by."""
+        laid = table_from_run(self._schedule_run())
+        return {key: tuple(["C" if v is None else "F" for v in laid.row(key)]) for key in ROW_KEYS}
 
     def check(self) -> SicaVerdict:
         return check_sica(self.table, self.schedule)
 
     def factual_slots(self, pairing: Pairing) -> tuple[int, ...]:
-        pa = self.provenance[pairing.a_row]
-        pb = self.provenance[pairing.b_row]
-        return tuple(i for i in range(self.table.slots) if pa[i] == "F" and pb[i] == "F")
+        return tuple(pairing_blocks(self._schedule_run())[pairing])
 
     def factual_correlations(self):
-        return {
-            p: correlation_over_slots(self.table, p, self.factual_slots(p))
-            for p in PAIRINGS
-        }
+        blocks = pairing_blocks(self._schedule_run())
+        return {p: correlation_over_slots(self.table, p, blocks[p]) for p in PAIRINGS}
 
     def condense(self) -> "CompleteTable":
-        """Rows a and a' keep the same slot at each position, and exactly one
-        of the two was factual there (so for b, b'): a schedule is fixed."""
+        """Rows a and a' keep the same slot at each position, and so do b
+        and b': the kept slots' settings are the condensed schedule."""
         out, sources = _condense_pairs(self.table, self.schedule)
-        provenance = {
-            key: tuple(self.provenance[key][s] for s in sources[key]) for key in ROW_KEYS
-        }
-        return CompleteTable(out, provenance)
+        a_set, b_set = self.schedule.a_settings, self.schedule.b_settings
+        schedule = Schedule(
+            "custom", map(a_set.__getitem__, sources["a"]), map(b_set.__getitem__, sources["b"])
+        )
+        return CompleteTable(out, schedule)
 
     def resample(self, overrides: dict[Pairing, Sequence[int]] | None = None):
         """Re-pick which slots count as the factual observation of each
         pairing, and report the resulting per-pairing statistics and CHSH
         combination.  Defaults to the construction's own factual slots."""
-        chosen: dict[Pairing, tuple[int, ...]] = {
-            p: self.factual_slots(p) for p in PAIRINGS
-        }
+        blocks = pairing_blocks(self._schedule_run())
+        chosen: dict[Pairing, tuple[int, ...]] = {p: tuple(blocks[p]) for p in PAIRINGS}
         if overrides:
             for p, slots in overrides.items():
                 picked = tuple(slots)
@@ -750,11 +733,8 @@ def build_complete_table(
         raise AssertionError("matched quarters do not leave two free quarter patterns")
     for (key, l, r), value in zip(free, free_a + free_ap):
         rows[key][l] = rows[key][r] = value
-    provenance = {
-        key: tuple("C" if v is None else "F" for v in factual.row(key)) for key in ROW_KEYS
-    }
     out_table = SeriesTable.from_rows(rows["a"], rows["b"], rows["a_prime"], rows["b_prime"])
-    complete = CompleteTable(out_table, provenance)
+    complete = CompleteTable(out_table, trimmed.schedule)
     kept_all = set(kept)
     discarded = tuple(i for i in range(t) if i not in kept_all)
     note = "" if not discarded else f"trimmed {len(discarded)} slots to balance quarters"

@@ -18,7 +18,9 @@ slot, without the block pair counts ``sica`` reads them from.
 ``naive_build_complete_table`` and ``naive_condense_run_table`` write the
 block-layout completion and the condensation of a run-derived table out by
 hand, quarter by quarter and block by block, instead of filling and pairing
-cells by the series identity.
+cells by the series identity.  The completion is a full table under the
+block layout of its kept slots; its F/C marks, written out quarter by
+quarter, must equal the ones ``sica.CompleteTable`` reads off that schedule.
 """
 
 from bellseries import sica
@@ -124,7 +126,7 @@ def naive_stable_match(donors, targets):
 
 
 def naive_build_complete_table(run, free_choice_a, free_choice_aprime, budget=None):
-    """``sica.build_complete_table`` with its rows and provenance assembled
+    """``sica.build_complete_table`` with its rows and F/C marks assembled
     by hand.  With quarters Q1..Q4: reorder Q1 so the a-values repeat Q2
     (carrying b' along), reorder Q3 so the a'-values repeat Q4 (carrying b
     along), take the counterfactual a-quarter Q3 from the free bits and copy
@@ -198,7 +200,8 @@ def naive_build_complete_table(run, free_choice_a, free_choice_aprime, budget=No
         "b_prime": tuple(f + c + c + f),
     }
     out_table = SeriesTable.from_rows(a_row, b_row, ap_row, bp_row)
-    complete = sica.CompleteTable(out_table, provenance)
+    complete = sica.CompleteTable(out_table, block_halves(4 * m))
+    assert complete.provenance == provenance
     kept_all = set(donors_q1) | set(kept_q2) | set(donors_q3) | set(kept_q4)
     discarded = tuple(i for i in range(t) if i not in kept_all)
     note = "" if not discarded else f"trimmed {len(discarded)} slots to balance quarters"

@@ -210,7 +210,9 @@ _TABLE = {"slots": 2, "a": [1, -1], "b": [1, 1], "a_prime": [-1, -1], "b_prime":
     "abab",
     {"a": 1, "b": ["F", "C"], "a_prime": ["F", "C"], "b_prime": ["F", "C"]},
     {"a": ["F", "C"], "b": ["F", "C"], "a_prime": ["F", "C"]},
-], ids=["list", "string", "int-marks", "missing-row"])
+    {"a": ["F", "X"], "b": ["F", "C"], "a_prime": ["C", "F"], "b_prime": ["C", "F"]},
+    {"a": ["F"], "b": ["F", "C"], "a_prime": ["C", "F"], "b_prime": ["C", "F"]},
+], ids=["list", "string", "int-marks", "missing-row", "x-mark", "short-row"])
 def test_malformed_provenance_exits_3(cli, tmp_path, capsys, provenance):
     path = tmp_path / "table.json"
     path.write_text(json.dumps(dict(_TABLE, provenance=provenance)))
@@ -453,6 +455,40 @@ def test_partial_table_with_provenance_exits_3(cli, tmp_path, capsys):
     for command in ("sica-check", "sica-condense"):
         assert cli(command, "--input", str(path)) == 3
         assert "no unmeasured cells" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["sica-check", "sica-condense"])
+@pytest.mark.parametrize("schedule", [(), ("--schedule", "block")], ids=["derived", "block"])
+@pytest.mark.parametrize("marks", ["all-factual", "a-and-a-prime-factual"])
+def test_factual_cells_that_fix_no_schedule_exit_3(cli, tmp_path, capsys, command, schedule,
+                                                   marks):
+    """A completed table's F marks record its schedule: one factual A and
+    one factual B cell per slot.  Marks with more fix none, and a given
+    schedule does not make up for them."""
+    data = fileio.table_to_json(refdata.fig8().table, refdata.fig8().provenance)
+    if marks == "all-factual":
+        data["provenance"] = {key: ["F"] * 8 for key in data["provenance"]}
+    else:
+        data["provenance"]["a_prime"][0] = "F"  # a is factual at slot 0 already
+    path = tmp_path / "marked.json"
+    path.write_text(json.dumps(data))
+    assert cli(command, "--input", str(path), *schedule) == 3
+    err = capsys.readouterr().err
+    assert "the table's factual cells fix no schedule: slot 0" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("sica-reorder",),
+    ("sica-complete", "--free-choices", "1,2"),
+    ("fill", "zeros"),
+    ("fill", "sica", "--free-choices", "1,2"),
+], ids=["sica-reorder", "sica-complete", "fill-zeros", "fill-sica"])
+def test_run_commands_refuse_a_table_file(cli, tmp_path, capsys, argv):
+    path = tmp_path / "fig8.table.json"
+    fileio.write_json_atomic(str(path), fileio.table_to_json(refdata.fig8().table,
+                                                             refdata.fig8().provenance))
+    assert cli(*argv, "--input", str(path)) == 3
+    assert "works on event logs, not full tables" in capsys.readouterr().err
 
 
 def test_figures_and_completion_write_one_shape_of_factual_correlations(cli, tmp_path,
@@ -789,11 +825,19 @@ def _fresh_cli(cwd, *argv):
     ("analyze", "--input", "fig5.jsonl"),
     ("analyze", "--input", "fig3.table.json"),
     ("sica-check", "--input", "fig5.jsonl"),
-], ids=["analyze-log", "analyze-table", "sica-check-log"])
+    ("sica-check", "--input", "fig8.table.json"),
+    ("sica-condense", "--input", "fig8.table.json"),
+    ("sica-complete", "--input", "black.jsonl", "--free-choices", "1,2"),
+    ("fill", "zeros", "--input", "black.jsonl"),
+], ids=["analyze-log", "analyze-table", "sica-check-log", "sica-check-completed",
+        "sica-condense-completed", "sica-complete", "fill-zeros"])
 def test_reading_commands_do_not_load_numpy(tmp_path, argv):
     fileio.write_run_file(refdata.fig5(), str(tmp_path / "fig5.jsonl"))
+    fileio.write_run_file(refdata.fig6("black"), str(tmp_path / "black.jsonl"))
     table = fileio.table_to_json(refdata.fig3())
     fileio.write_json_atomic(str(tmp_path / "fig3.table.json"), table)
+    fig8 = fileio.table_to_json(refdata.fig8().table, refdata.fig8().provenance)
+    fileio.write_json_atomic(str(tmp_path / "fig8.table.json"), fig8)
     code, loaded, _ = _fresh_cli(tmp_path, *argv)
     assert (code, loaded) == (0, [])
 

@@ -196,16 +196,24 @@ def test_census_trivial_run():
     assert census.construction_count == 4
 
 
-def test_census_counts_zero_for_impossible_runs():
+@pytest.mark.parametrize("run", [
     # recorded a-values already differ across the two regimes, so no
     # assignment of the missing cells can restore the identity
-    run = RecordedRun(
+    RecordedRun(
         block_halves(8),
         (1, 1, 1, -1, 1, 1, 1, 1),
         (1, 1, 1, 1, 1, 1, 1, 1),
-    )
+    ),
+    # row a has 4 slots under beta and 2 under beta': its regimes cannot pair
+    RecordedRun(
+        custom_schedule([ASetting.ALPHA] * 6, [BSetting.BETA] * 4 + [BSetting.BETA_PRIME] * 2),
+        (1,) * 6,
+        (1,) * 6,
+    ),
+], ids=["values-differ", "lengths-differ"])
+def test_census_counts_zero_for_impossible_runs(run):
     census = census_complete_tables(run)
-    assert census.count == 0
+    assert (census.count, census.samples) == (0, ())
 
 
 def test_scan_reports_are_self_describing():

@@ -370,19 +370,20 @@ def test_condensing_the_complete_table():
     assert not check_sica(condensed.table, block_halves(4)).holds
 
 
-def test_complete_table_needs_factual_cells_that_fix_a_schedule():
+def test_complete_table_has_no_unmeasured_cells():
     good = refdata.fig8()
     partial = SeriesTable.from_rows(
         (None,) + good.table.a[1:], good.table.b, good.table.a_prime, good.table.b_prime
     )
     with pytest.raises(PreconditionError, match="no unmeasured cells"):
-        CompleteTable(partial, good.provenance)
-    all_factual = {key: ("F",) * 8 for key in good.provenance}
-    with pytest.raises(PreconditionError, match="without a schedule"):
-        CompleteTable(good.table, all_factual)
-    two_factual = dict(good.provenance, a=("F",) * 8)
-    with pytest.raises(PreconditionError, match="not run-derived"):
-        CompleteTable(good.table, two_factual)
+        CompleteTable(partial, good.schedule)
+
+
+def test_a_schedule_of_another_length_is_refused():
+    fig8 = refdata.fig8()
+    for read in (check_sica, condense, CompleteTable):
+        with pytest.raises(PreconditionError, match="schedule covers 4 slots, table has 8"):
+            read(fig8.table, block_halves(4))
 
 
 def test_every_condensed_completion_fixes_a_schedule():
@@ -521,14 +522,6 @@ def test_condense_rejects_unequal_blocks():
     run = RecordedRun(sched, (1,) * 8, (1,) * 8)
     with pytest.raises(PreconditionError):
         condense(table_from_run(run), sched)
-
-
-def test_complete_table_validates_provenance():
-    good = refdata.fig8()
-    bad_prov = dict(good.provenance)
-    bad_prov["a"] = ("X",) + good.provenance["a"][1:]
-    with pytest.raises(PreconditionError):
-        CompleteTable(good.table, bad_prov)
 
 
 def test_solver_failure_is_an_error_not_an_obstruction(monkeypatch):
@@ -758,9 +751,8 @@ def test_each_completion_is_the_census_sample_of_its_free_bits(seed):
 
 def test_a_table_of_no_slots_is_refused():
     empty = SeriesTable(0, (), (), (), ())
-    no_marks = dict.fromkeys(("a", "b", "a_prime", "b_prime"), ())
     for verdict in (lambda: check_sica(empty), lambda: condense(empty),
                     lambda: check_sica(empty, block_halves(0)),
-                    lambda: sica.CompleteTable(empty, no_marks)):
+                    lambda: sica.CompleteTable(empty, block_halves(0))):
         with pytest.raises(PreconditionError, match="table has no slots"):
             verdict()
