@@ -383,7 +383,7 @@ def _cmd_sica_complete(args) -> int:
 def _cmd_fill(args) -> int:
     run = _run_input(args, "fill")
     if args.policy == "zeros":
-        table, provenance = fill_counterfactual(run, "zeros"), None
+        table, provenance = fill_counterfactual(run), None
     else:
         complete = _complete(args, run).complete
         table, provenance = complete.table, complete.provenance

@@ -19,7 +19,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import islice
+from itertools import islice, product
 from typing import Iterator, Sequence
 
 from .errors import BellSeriesError, BudgetExceeded, PreconditionError
@@ -277,9 +277,10 @@ class ReorderPlan:
 class ReorderOutcome:
     success: bool
     plan: ReorderPlan | None
-    best_keepable: int | None  # None when a certificate decided, not the solver
+    best_keepable: int | None  # None when a solver-free cover decided, not the solver
     required: int
     obstruction: str = ""
+    certificate: tuple[dict, int] | None = None  # a failure's verified cover: _cover_bound
 
 
 def _block_pairs(run: RecordedRun, blocks: dict[Pairing, list[int]]):
@@ -288,39 +289,41 @@ def _block_pairs(run: RecordedRun, blocks: dict[Pairing, list[int]]):
     return {p: Counter(zip(map(a, slots), map(b, slots))) for p, slots in blocks.items()}
 
 
-_QUAD_CLASSES = [
-    (a, b, ap, bp) for a in VALUES for b in VALUES for ap in VALUES for bp in VALUES
-]
-
-
 def _class_pair(quad: tuple[int, int, int, int], pairing: Pairing) -> tuple[int, int]:
     a = quad[0] if pairing.a_row == "a" else quad[2]
     b = quad[1] if pairing.b_row == "b" else quad[3]
     return a, b
 
 
+#: Per outcome-quadruple class (a, b, a', b'), its four (block, pair) cells.
+_CLASS_CELLS = {
+    q: tuple((p, _class_pair(q, p)) for p in PAIRINGS) for q in product(VALUES, repeat=4)
+}
+
+
+def _program(pair_counts):
+    """The reorder integer program: a variable per class whose four pairs
+    all four blocks recorded, and per recorded (block, pair) cell a row with
+    a 1 for each class that takes the cell, bounded by the cell's count."""
+    classes = [q for q, four in _CLASS_CELLS.items()
+               if all(pair_counts[p][pair] for p, pair in four)]
+    cells = [(p, pair) for p in PAIRINGS for pair in sorted(pair_counts[p])]
+    rows = [[int(cell in _CLASS_CELLS[q]) for q in classes] for cell in cells]
+    return classes, cells, rows, [pair_counts[p][pair] for p, pair in cells]
+
+
 def _max_joint_arrangement(pair_counts) -> tuple[int, dict[tuple, int]]:
     """Largest m such that m slot quadruples can be drawn with each pairing's
     projection available in its block.  Exact small integer program."""
     # numpy and scipy.optimize take most of the package's import time; only
-    # a reorder that no certificate decides needs them.
+    # a reorder that no solver-free cover decides needs them.
     import numpy as np
     from scipy.optimize import LinearConstraint, milp
 
-    classes = [
-        q
-        for q in _QUAD_CLASSES
-        if all(pair_counts[p].get(_class_pair(q, p), 0) > 0 for p in PAIRINGS)
-    ]
+    classes, _, rows, capacities = _program(pair_counts)
     if not classes:
         return 0, {}
-    rows = []
-    bounds = []
-    for p in PAIRINGS:
-        for pair, count in sorted(pair_counts[p].items()):
-            rows.append([1 if _class_pair(q, p) == pair else 0 for q in classes])
-            bounds.append(count)
-    constraints = LinearConstraint(np.array(rows), -np.inf, np.array(bounds))
+    constraints = LinearConstraint(np.array(rows), -np.inf, np.array(capacities))
     res = milp(
         c=-np.ones(len(classes)),
         constraints=constraints,
@@ -347,73 +350,38 @@ def _time_queues(items: Sequence, key):
     return lambda value, n=1: list(islice(heads.get(value, ()), n))
 
 
-def _arrangement_obstruction(pair_counts, chosen: dict, best: int, required: int) -> str:
-    """Why the integer program's best plan ``chosen`` keeps too few
-    quadruples, read off the plan and the block pair counts.
+def _lp_dual_cover(pair_counts) -> tuple[dict, int] | None:
+    """The LP relaxation's optimal dual, each weight rounded to a fraction of
+    denominator at most 12, over their common denominator; None when the
+    solver fails.  Only run after the integer program has loaded scipy."""
+    from scipy.optimize import linprog
 
-    Were some quadruple class offered by all four blocks with a slot to
-    spare in each, one more quadruple could be kept.  So every class needs
-    a pair its block never recorded or a (block, pair) capacity the plan
-    uses up, and the text lists those capacities.  With no class offered by
-    all four blocks nothing can be kept, and the text lists what each block
-    offers instead.
-    """
-
-    def listing(pairs_by_block: dict) -> str:
-        return "; ".join(
-            f"({p.key}) " + ", ".join(f"({a:+d},{b:+d}) x{n}" for (a, b), n in pairs)
-            for p, pairs in pairs_by_block.items()
-            if pairs
-        )
-
-    offered = {p: sorted(pair_counts[p].items()) for p in PAIRINGS}
-    if not chosen:
-        return (
-            "no outcome quadruple has its pairs in all four blocks, so none can be "
-            f"kept, {required} required; the blocks offer {listing(offered)}"
-        )
-    used_up = {}
-    for p in PAIRINGS:
-        used = Counter()
-        for q, k in chosen.items():
-            used[_class_pair(q, p)] += k
-        used_up[p] = [(pair, n) for pair, n in offered[p] if used[pair] == n]
-    return (
-        f"at most {best} quadruples can be kept, {required} required: each outcome "
-        "quadruple needs a pair its block never recorded or a capacity the best plan "
-        f"uses up: {listing(used_up)}"
-    )
-
-
-def _chsh_sum_bound(pair_counts) -> tuple[int, int, Pairing]:
-    """The most quadruples the run's CHSH sum lets a reorder keep: (bound,
-    W, the first pairing whose negated total gives W).
-
-    With T_p a block's sum of outcome products a*b, N the slots of all
-    blocks and W the largest |T_AB + T_AB' + T_A'B + T_A'B' - 2*T_p|:
-    - a kept quadruple adds +-(a(b +- b') + a'(b -+ b')) to that sum, at
-      most 2 in size for values in {-1, 0, +1}, zeros included;
-    - each of a block's n_p - m dropped slots moves its T_p by at most 1;
-    - so W <= 2m + (N - 4m), that is m <= (N - W)/2.
-    """
-    totals = {p: sum(a * b * n for (a, b), n in pair_counts[p].items()) for p in PAIRINGS}
-    full = sum(totals.values())
-    flipped = max(PAIRINGS, key=lambda p: abs(full - 2 * totals[p]))
-    worst = abs(full - 2 * totals[flipped])
-    slots = sum(sum(counts.values()) for counts in pair_counts.values())
-    return (slots - worst) // 2, worst, flipped
-
-
-def _chsh_sum_certificate(pair_counts, required: int) -> str | None:
-    """An exact proof of infeasibility from :func:`_chsh_sum_bound`."""
-    bound, worst, flipped = _chsh_sum_bound(pair_counts)
-    if bound >= required:
+    classes, cells, rows, capacities = _program(pair_counts)
+    if not classes:
+        return {}, 1
+    res = linprog([-1] * len(classes), A_ub=rows, b_ub=capacities)
+    if res.status != 0:
         return None
-    return (
-        f"the CHSH sum of the blocks' outcome-product totals, ({flipped.key}) negated, "
-        f"reaches {worst} in size; each kept quadruple adds at most 2 to it and each "
-        f"dropped slot moves it by at most 1, so at most {bound} can be kept, {required} required"
-    )
+    duals = [Fraction(-y).limit_denominator(12) for y in res.ineqlin.marginals]
+    d = math.lcm(*(y.denominator for y in duals))
+    return {cell: int(y * d) for cell, y in zip(cells, duals) if y}, d
+
+
+def _cover_bound(pair_counts, cover: tuple[dict, int]) -> int | None:
+    """The most quadruples ``cover`` lets a reorder keep, or None when it is
+    no cover; exact, in integers.  A cover (weights, d) gives (block, pair)
+    cells non-negative integer weights over d, and every class the four
+    blocks offer weighs at least d on its four cells.  So each kept
+    quadruple uses up weight 1, and no plan keeps more than the cells' sum
+    of weight * count, over d."""
+    weights, d = cover
+    if d < 1 or min(weights.values(), default=0) < 0:
+        return None
+    for cells in _CLASS_CELLS.values():
+        if (sum(weights.get(c, 0) for c in cells) < d
+                and all(pair_counts[p][pair] for p, pair in cells)):
+            return None
+    return sum(w * pair_counts[p][pair] for (p, pair), w in weights.items()) // d
 
 
 #: Per row, the two blocks its cells fall in: under the distant station's
@@ -421,42 +389,42 @@ def _chsh_sum_certificate(pair_counts, required: int) -> str | None:
 _ROW_BLOCKS = {key: tuple(p for p in PAIRINGS if key in (p.a_row, p.b_row)) for key in ROW_KEYS}
 
 
-def _regime_bound(pair_counts) -> tuple[int, str, dict[int, tuple[int, int]]]:
-    """The fewest quadruples any one row lets a reorder keep: (bound, row,
-    per value the row's cells in each of its :data:`_ROW_BLOCKS`), for the
-    first row where it is smallest.
-
-    Each kept quadruple takes a slot of one value from both of a row's
-    blocks, so a row keeps at most the sum over values of the smaller
-    count.  Every MILP plan meets these limits: the bound relaxes it.
-    """
-    best = None
+def _covers(pair_counts) -> Iterator[tuple[str, tuple[dict, int]]]:
+    """The solver-free covers, as (label, cover).  First eight CHSH sign
+    patterns: block p gets a sign s_p, all equal but one, and cell
+    (p, (a, b)) weight 1 - s_p*a*b over d = 2, as a quadruple's four signed
+    products sum to at most 2, zeros included; with T_p a block's product
+    sum, the bound is (N - sum of s_p*T_p) // 2 over the N slots.  Then per
+    row, weight 1 over d = 1 on its cells of each value in whichever of its
+    :data:`_ROW_BLOCKS` holds fewer, as a quadruple takes one from both."""
+    for negated in PAIRINGS:
+        for sign in (1, -1):
+            weights = {(p, (a, b)): 1 - sign * (-a * b if p is negated else a * b)
+                       for p in PAIRINGS for a, b in pair_counts[p]}
+            yield f"the CHSH sum with ({negated.key}) negated", (weights, 2)
     for key, blocks in _ROW_BLOCKS.items():
         side = 0 if blocks[0].a_row == key else 1
-        counts = {
-            v: tuple(sum(n for pair, n in pair_counts[p].items() if pair[side] == v)
-                     for p in blocks)
-            for v in VALUES
-        }
-        bound = sum(min(c) for c in counts.values())
-        if best is None or bound < best[0]:
-            best = (bound, key, counts)
-    return best
+        weights = {}
+        for v in VALUES:
+            cells = [[(p, pair) for pair in pair_counts[p] if pair[side] == v] for p in blocks]
+            fewer = min(cells, key=lambda found: sum(pair_counts[p][pair] for p, pair in found))
+            weights.update(dict.fromkeys(fewer, 1))
+        yield f"row {key}'s per-value counts", (weights, 1)
 
 
-def _regime_certificate(pair_counts, required: int) -> str | None:
-    """An exact proof of infeasibility when some row's cells are too
-    unevenly spread over the values of its two blocks: see
-    :func:`_regime_bound`."""
-    bound, key, counts = _regime_bound(pair_counts)
-    if bound >= required:
-        return None
-    first, second = (p.key for p in _ROW_BLOCKS[key])
-    per_value = "; ".join(f"{v:+d}: {n1} vs {n2}" for v, (n1, n2) in counts.items())
+def _render(label: str, pair_counts, cover: tuple[dict, int], bound: int, required: int) -> str:
+    """A verified cover's text: label, weighted recorded cells, bound."""
+    weights, d = cover
+    listing = "; ".join(
+        f"({p.key}) " + ", ".join(cells)
+        for p in PAIRINGS
+        if (cells := [f"({a:+d},{b:+d}) {n}x{weights[p, (a, b)]}"
+                      for (a, b), n in sorted(pair_counts[p].items()) if weights.get((p, (a, b)))])
+    )
     return (
-        f"row {key} has per-value counts that differ between block ({first}) and "
-        f"block ({second}): {per_value}; each kept quadruple takes one cell of one "
-        f"value from both blocks, so at most {bound} can be kept, {required} required"
+        f"{label}: every outcome quadruple the four blocks offer weighs at least {d} on its "
+        f"four cells; the weighted recorded cells, as count x weight: {listing or 'none'}; "
+        f"so at most {bound} can be kept, {required} required"
     )
 
 
@@ -470,36 +438,42 @@ def reorder_to_sica(run: RecordedRun, budget: int | None = None) -> ReorderOutco
     table of the rearranged run then passes :func:`check_sica`, and the
     permutation part changes no measured correlation.
 
-    Failure is a result, not an error.  Every decider reads the one table of
-    outcome-pair counts per block (:func:`_block_pairs`) and, of the budget,
-    only the ``required`` count it implies; in order: the CHSH-sum bound of
-    :func:`_chsh_sum_bound`, the regime-count bound of :func:`_regime_bound`,
-    then the integer program.  A certified failure names its certificate
-    and leaves ``best_keepable`` None; a failure the program decides
-    carries the best keepable m and the capacities its best plan uses up
-    (:func:`_arrangement_obstruction`).  Only the program needs numpy and
-    scipy.
+    Failure is a result, not an error; ``required`` is the fewest
+    quadruples the budget lets it keep.  Unless a setting pair was never
+    measured, the block pair counts (:func:`_block_pairs`) decide, shown
+    by one verified cover (:func:`_cover_bound`): the smallest of
+    :func:`_covers`, first on a tie, leaves ``best_keepable`` None and
+    loads neither numpy nor scipy; else the integer program's best m,
+    with its rounded LP dual (:func:`_lp_dual_cover`) as certificate when
+    that verifies below ``required``.  A solver failure is an error.
     """
     if budget is None:
         budget = default_discard_budget(run.slots)
     blocks = pairing_blocks(run)
+    required = max(1, max(len(blocks[p]) - min(budget, len(blocks[p]) - 1) for p in PAIRINGS))
     empty = [p.key for p in PAIRINGS if not blocks[p]]
     if empty:
         return ReorderOutcome(
-            False, None, 0, 1, f"never-measured setting pairs: {', '.join(empty)}"
+            False, None, 0, required, f"never-measured setting pairs: {', '.join(empty)}"
         )
-    required = max(1, max(len(blocks[p]) - min(budget, len(blocks[p]) - 1) for p in PAIRINGS))
     pair_counts = _block_pairs(run, blocks)
-    certificate = (_chsh_sum_certificate(pair_counts, required)
-                   or _regime_certificate(pair_counts, required))
-    if certificate is not None:
-        return ReorderOutcome(False, None, None, required, certificate)
+    bound, label, cover = min(
+        ((_cover_bound(pair_counts, c), label, c) for label, c in _covers(pair_counts)),
+        key=lambda found: found[0],
+    )
+    if bound < required:
+        obstruction = _render(label, pair_counts, cover, bound, required)
+        return ReorderOutcome(False, None, None, required, obstruction, cover)
     best, chosen = _max_joint_arrangement(pair_counts)
     if best < required:
-        return ReorderOutcome(
-            False, None, best, required,
-            _arrangement_obstruction(pair_counts, chosen, best, required),
-        )
+        cover = _lp_dual_cover(pair_counts)
+        bound = None if cover is None else _cover_bound(pair_counts, cover)
+        if bound is None or bound >= required:
+            return ReorderOutcome(False, None, best, required, (
+                f"the integer program keeps at most {best}, {required} required; "
+                "its LP dual gave no certificate"))
+        obstruction = _render("the integer program's LP dual", pair_counts, cover, bound, required)
+        return ReorderOutcome(False, None, best, required, obstruction, cover)
     # Each quadruple, in class order, takes the earliest unused slot of each
     # block that carries its projection.
     a_out, b_out = run.a_outcomes, run.b_outcomes
@@ -575,9 +549,6 @@ class CompleteTable:
 
     def check(self) -> SicaVerdict:
         return check_sica(self.table, self.schedule)
-
-    def factual_slots(self, pairing: Pairing) -> tuple[int, ...]:
-        return tuple(pairing_blocks(self._schedule_run())[pairing])
 
     def factual_correlations(self):
         blocks = pairing_blocks(self._schedule_run())
@@ -741,16 +712,12 @@ def build_complete_table(
     return CompletionResult(complete, discarded, note)
 
 
-def fill_counterfactual(run: RecordedRun, policy: str) -> SeriesTable:
-    """Fill the never-measured cells of a run's table.
-
-    ``"zeros"`` writes 0 everywhere a setting was inactive; under the block
-    layout every pairing then retains at most half of each station's
-    detections.  The identity-preserving completion is
-    :func:`build_complete_table`.
+def fill_counterfactual(run: RecordedRun) -> SeriesTable:
+    """Fill the never-measured cells of a run's table with 0, everywhere a
+    setting was inactive; under the block layout every pairing then retains
+    at most half of each station's detections.  The identity-preserving
+    completion is :func:`build_complete_table`.
     """
-    if policy != "zeros":
-        raise PreconditionError(f"unknown fill policy {policy!r}")
     table = table_from_run(run)
     rows = {key: tuple(ZERO if v is None else v for v in table.row(key)) for key in ROW_KEYS}
     return SeriesTable.from_rows(rows["a"], rows["b"], rows["a_prime"], rows["b_prime"])

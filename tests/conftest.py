@@ -4,7 +4,14 @@ import numpy as np
 import pytest
 from hypothesis import strategies as st
 
-from bellseries.model import ROW_KEYS, SeriesTable
+from bellseries.model import (
+    ROW_KEYS,
+    ASetting,
+    BSetting,
+    RecordedRun,
+    SeriesTable,
+    custom_schedule,
+)
 
 
 def make_rng(seed):
@@ -112,6 +119,21 @@ def table_objects(draw):
         else:
             data[target] = draw(json_values)
     return data
+
+
+@st.composite
+def recorded_runs(draw, slots=st.integers(0, 12)):
+    """Runs on any settings, with or without zeros, or with every outcome
+    +1 (so that reordering can succeed)."""
+    slots = draw(slots)
+    pick = st.lists(st.booleans(), min_size=slots, max_size=slots)
+    schedule = custom_schedule(
+        [ASetting.ALPHA_PRIME if x else ASetting.ALPHA for x in draw(pick)],
+        [BSetting.BETA_PRIME if x else BSetting.BETA for x in draw(pick)],
+    )
+    values = st.sampled_from(draw(st.sampled_from(((-1, 1), (-1, 0, 1), (1,)))))
+    outcomes = st.lists(values, min_size=slots, max_size=slots)
+    return RecordedRun(schedule, tuple(draw(outcomes)), tuple(draw(outcomes)))
 
 
 @pytest.fixture

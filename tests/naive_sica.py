@@ -13,7 +13,10 @@ completion's matching, by copying every donor and removing each one taken.
 
 ``naive_regime_bound`` and ``naive_chsh_sum_bound`` read the reorder
 regime-count bound and CHSH-sum bound off the run's own series, slot by
-slot, without the block pair counts ``sica`` reads them from.
+slot, without the block pair counts ``sica``'s covers read them from.
+``naive_cover_bound`` verifies a reorder cover the same way: per outcome
+quadruple class, it scans the run's slots for the class's pair in each
+block, and it sums the slots' weights one by one.
 
 ``naive_build_complete_table`` and ``naive_condense_run_table`` write the
 block-layout completion and the condensation of a run-derived table out by
@@ -22,6 +25,8 @@ cells by the series identity.  The completion is a full table under the
 block layout of its kept slots; its F/C marks, written out quarter by
 quarter, must equal the ones ``sica.CompleteTable`` reads off that schedule.
 """
+
+import itertools
 
 from bellseries import sica
 from bellseries.errors import PreconditionError
@@ -74,10 +79,11 @@ def naive_plan(run):
 
 
 def naive_regime_bound(run):
-    """``sica._regime_bound`` by list scans: per row (a, b, a', b'), the
-    values it recorded under the distant station's unprimed setting and
-    under its primed one, each counted with ``list.count``; the bound is the
-    smallest per-row sum of the smaller counts, first such row in order."""
+    """The smallest bound of ``sica._covers``' row covers by list scans:
+    per row (a, b, a', b'), the values it recorded under the distant
+    station's unprimed setting and under its primed one, each counted with
+    ``list.count``; the bound is the smallest per-row sum of the smaller
+    counts, first such row in order."""
     settings = {"a": run.schedule.a_settings, "b": run.schedule.b_settings}
     outcomes = {"a": run.a_outcomes, "b": run.b_outcomes}
     best = None
@@ -95,10 +101,11 @@ def naive_regime_bound(run):
 
 
 def naive_chsh_sum_bound(run):
-    """``sica._chsh_sum_bound`` by one scan of the run: each slot's outcome
-    product joins the list of its setting pair, T_p is that list's sum, N
-    the slots scanned, W the largest |T_AB + T_AB' + T_A'B + T_A'B' - 2*T_p|
-    (the first such p in order), and the bound is (N - W) // 2."""
+    """The smallest bound of ``sica._covers``' CHSH covers by one scan of
+    the run: each slot's outcome product joins the list of its setting
+    pair, T_p is that list's sum, N the slots scanned, W the largest
+    |T_AB + T_AB' + T_A'B + T_A'B' - 2*T_p| (the first such p in order),
+    and the bound is (N - W) // 2."""
     products = {p: [] for p in PAIRINGS}
     for i in range(run.slots):
         pairing = Pairing((run.schedule.a_settings[i], run.schedule.b_settings[i]))
@@ -110,6 +117,31 @@ def naive_chsh_sum_bound(run):
         if best is None or worst > best[1]:
             best = ((run.slots - worst) // 2, worst, p)
     return best
+
+
+def naive_cover_bound(run, cover):
+    """``sica._cover_bound`` by scans of the run.  A cover (weights, d) maps
+    (setting pair, (a, b)) cells to integer weights over d.  Each of the 81
+    classes (a, b, a', b') needs (a, b) in block (alpha, beta), (a, b') in
+    (alpha, beta'), (a', b) in (alpha', beta) and (a', b') in (alpha',
+    beta'); a class whose four pairs some slot of each block recorded must
+    weigh at least d on those cells.  The bound is the sum of each slot's
+    cell weight, over d, rounded down; None when the cover fails."""
+    weights, d = cover
+    if d < 1 or any(w < 0 for w in weights.values()):
+        return None
+    slot_cells = [
+        (Pairing((run.schedule.a_settings[i], run.schedule.b_settings[i])),
+         (run.a_outcomes[i], run.b_outcomes[i]))
+        for i in range(run.slots)
+    ]
+    for a, b, ap, bp in itertools.product((-1, 0, 1), repeat=4):
+        needs = [(Pairing.AB, (a, b)), (Pairing.ABP, (a, bp)),
+                 (Pairing.APB, (ap, b)), (Pairing.APBP, (ap, bp))]
+        if all(cell in slot_cells for cell in needs):
+            if sum(weights.get(cell, 0) for cell in needs) < d:
+                return None
+    return sum(weights.get(cell, 0) for cell in slot_cells) // d
 
 
 def naive_stable_match(donors, targets):

@@ -275,7 +275,7 @@ def test_criterion_09_zero_fill_never_applicable():
         rows = (rng.integers(0, 2, size=(4, slots)) * 2 - 1).tolist()
         table = SeriesTable.from_rows(*(tuple(r) for r in rows))
         run = replay(table, block_halves(slots))
-        filled = bs.fill_counterfactual(run, "zeros")
+        filled = bs.fill_counterfactual(run)
         for p in Pairing:
             for frac in bs.station_retention(filled, p).values():
                 if frac is None or frac > Fraction(1, 2):

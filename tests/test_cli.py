@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -22,7 +23,7 @@ from bellseries.model import (
 from bellseries.oracle import EnumSpec, max_chsh
 from bellseries.sica import fill_counterfactual
 
-from conftest import event_logs, json_values, table_objects
+from conftest import event_logs, json_values, recorded_runs, table_objects
 
 
 def test_simulate_is_reproducible(cli, tmp_path):
@@ -342,12 +343,21 @@ _SCHEDULE_4 = "{schedule-4}"
     (("sica-check", "--input", _EMPTY_TABLE), "table has no slots"),
     (("sica-condense", "--input", _EMPTY_LOG), "table has no slots"),
     (("sica-condense", "--input", _EMPTY_TABLE), "table has no slots"),
+    (("sica-complete", "--input", _LOG, "--free-choices", "zz,1"), "'zz' is not hexadecimal"),
+    (("sica-complete", "--input", _LOG, "--free-choices", "15,1"),
+     "word 0x15 does not fit 2 bits"),
+    (("oracle", "--objective", "chsh", "--slots", "1", "--constraint", "bogus"),
+     "unknown constraint 'bogus'"),
+    ((*_SIM, "--model", "deterministic"), "--model deterministic reads its instruction table"),
+    (("figures", "--which", "nope"), "unknown dataset 'nope'"),
 ], ids=["angles-word", "angles-inf", "angles-nan", "angles-overflow", "negative-slots",
         "negative-seed", "constraint-word", "constraint-div-zero", "fill-sica-no-choices",
         "reorder-budget", "complete-budget", "fill-zeros-budget", "fill-sica-budget",
         "oracle-huge-slots", "simulate-empty-instructions", "complete-empty-log",
         "fill-sica-empty-log", "simulate-schedule-file-length", "oracle-witnesses",
-        "check-empty-log", "check-empty-table", "condense-empty-log", "condense-empty-table"])
+        "check-empty-log", "check-empty-table", "condense-empty-log", "condense-empty-table",
+        "free-choice-not-hex", "free-choice-too-wide", "oracle-unknown-constraint",
+        "simulate-deterministic-without-input", "figures-unknown-dataset"])
 def test_bad_arguments_exit_3(cli, tmp_path, capsys, argv, message):
     files = {_LOG: tmp_path / "black.jsonl", _EMPTY_LOG: tmp_path / "empty.jsonl",
              _EMPTY_TABLE: tmp_path / "empty.json", _SCHEDULE_4: tmp_path / "sched4.json"}
@@ -601,21 +611,6 @@ def test_table_commands_on_fuzzed_tables_exit_0_or_3(cli, tmp_path, capsys, argv
 _SCHEDULE_SLOTS = st.sampled_from((0, 4, 8, 8, 5))
 
 
-@st.composite
-def recorded_runs(draw, slots=st.integers(0, 12)):
-    """Runs on any settings, with or without zeros, or with every outcome
-    +1 (so that reordering can succeed)."""
-    slots = draw(slots)
-    pick = st.lists(st.booleans(), min_size=slots, max_size=slots)
-    schedule = custom_schedule(
-        [ASetting.ALPHA_PRIME if x else ASetting.ALPHA for x in draw(pick)],
-        [BSetting.BETA_PRIME if x else BSetting.BETA for x in draw(pick)],
-    )
-    values = st.sampled_from(draw(st.sampled_from(((-1, 1), (-1, 0, 1), (1,)))))
-    outcomes = st.lists(values, min_size=slots, max_size=slots)
-    return RecordedRun(schedule, tuple(draw(outcomes)), tuple(draw(outcomes)))
-
-
 @settings(max_examples=60, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(run=st.none() | recorded_runs(), text=event_logs(),
@@ -675,7 +670,7 @@ def test_schedule_files_on_fuzzed_contents_exit_0_or_3(cli, tmp_path, capsys, da
     table = tmp_path / "table.json"
     cells = table_from_run(run)
     if full:
-        cells = fill_counterfactual(run, "zeros")
+        cells = fill_counterfactual(run)
     fileio.write_json_atomic(str(table), fileio.table_to_json(cells))
     simulate = ("simulate", "--seed", "1", "--slots", "8", "--output", str(tmp_path / "o.jsonl"))
     for argv in (simulate, ("sica-check", "--input", str(table)),
@@ -750,6 +745,12 @@ def test_oracle_cardinality_command(cli, capsys):
     assert report["witness"] == fileio.table_to_json(
         SeriesTable.from_rows((-1, -1), (-1, -1), (-1, -1), (-1, -1))
     )
+
+
+def test_oracle_reads_a_strict_eta_constraint(cli, capsys):
+    assert cli("oracle", "--objective", "chsh", "--slots", "1", "--constraint", "eta<1/2") == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["spec"]["constraint"] == {"kind": "eta_below", "threshold": "1/2"}
 
 
 def test_oracle_equal_nc_constraint(cli, capsys):
@@ -843,10 +844,10 @@ def test_reading_commands_do_not_load_numpy(tmp_path, argv):
 
 
 @pytest.mark.parametrize("eta, certificate", [
-    (1.0, "the CHSH sum of the blocks' outcome-product totals"),
-    (0.9, "the CHSH sum of the blocks' outcome-product totals"),
+    (1.0, r"the CHSH sum with \(\w+:\w+\) negated: "),
+    (0.9, r"the CHSH sum with \(\w+:\w+\) negated: "),
     # Every product of an eta 0 log is 0, so its CHSH sum decides nothing.
-    (0.0, "has per-value counts that differ between block"),
+    (0.0, r"row \w+'s per-value counts: "),
 ], ids=["chsh-sum", "chsh-sum-lossy", "regime"])
 def test_certified_reorder_failure_loads_neither_numpy_nor_scipy(tmp_path, eta, certificate):
     from bellseries.simulate import SourceConfig, simulate
@@ -857,7 +858,7 @@ def test_certified_reorder_failure_loads_neither_numpy_nor_scipy(tmp_path, eta, 
     assert (code, loaded) == (0, [])
     assert report["success"] is False
     assert report["best_keepable"] is None
-    assert certificate in report["obstruction"]
+    assert re.match(certificate, report["obstruction"])
 
 
 def test_reorder_the_certificates_cannot_decide_loads_the_solver(tmp_path):
@@ -866,3 +867,29 @@ def test_reorder_the_certificates_cannot_decide_loads_the_solver(tmp_path):
     code, loaded, report = _fresh_cli(tmp_path, "sica-reorder", "--input", "red.jsonl")
     assert (code, loaded) == (0, ["numpy", "scipy"])
     assert (report["success"], report["best_keepable"]) == (True, 2)
+
+
+def test_reorder_failure_the_integer_program_decides_loads_the_solver(tmp_path):
+    from bellseries.simulate import SourceConfig, simulate
+
+    config = SourceConfig(model="quantum", schedule=block_halves(40), seed=3, eta=1.0)
+    fileio.write_run_file(simulate(config), str(tmp_path / "run.jsonl"))
+    code, loaded, report = _fresh_cli(tmp_path, "sica-reorder", "--input", "run.jsonl")
+    assert (code, loaded) == (0, ["numpy", "scipy"])
+    assert (report["success"], report["best_keepable"], report["required"]) == (False, 5, 6)
+    assert report["obstruction"].startswith("the integer program's LP dual: ")
+    assert report["obstruction"].endswith("; so at most 5 can be kept, 6 required")
+
+
+def test_reorder_of_a_never_measured_setting_pair_reports_the_required_count(
+        cli, tmp_path, capsys):
+    # The budget of 5 lets each 50-slot block keep 45; both alpha' blocks are empty.
+    schedule = custom_schedule([ASetting.ALPHA] * 100,
+                               [BSetting.BETA] * 50 + [BSetting.BETA_PRIME] * 50)
+    fileio.write_run_file(RecordedRun(schedule, (1,) * 100, (-1,) * 100),
+                          str(tmp_path / "run.jsonl"))
+    assert cli("sica-reorder", "--input", str(tmp_path / "run.jsonl")) == 0
+    assert json.loads(capsys.readouterr().out) == {
+        "command": "sica-reorder", "success": False, "best_keepable": 0, "required": 45,
+        "obstruction": "never-measured setting pairs: alpha_prime:beta, alpha_prime:beta_prime",
+    }

@@ -3,14 +3,19 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bellseries import refdata, sica
 from bellseries.errors import BellSeriesError, BudgetExceeded, PreconditionError
 from bellseries.model import (
+    ASetting,
+    BSetting,
     Pairing,
     RecordedRun,
     SeriesTable,
     block_halves,
+    custom_schedule,
     pairing_blocks,
     project_table,
     random_per_slot,
@@ -31,10 +36,12 @@ from bellseries.oracle import census_complete_tables
 from bellseries.simulate import SourceConfig, simulate
 from bellseries.stats import chsh, correlation
 
+from conftest import recorded_runs
 from naive_sica import (
     naive_build_complete_table,
     naive_chsh_sum_bound,
     naive_condense_run_table,
+    naive_cover_bound,
     naive_plan,
     naive_regime_bound,
     naive_stable_match,
@@ -65,7 +72,9 @@ def test_witness_detail_names_slots():
 
 
 def test_black_run_cannot_be_reordered():
-    # S = 4 over 8 slots: the CHSH sum is 8 = N, so no quadruple can be kept.
+    # S = 4 over 8 slots: every recorded cell agrees with the CHSH pattern
+    # that negates (alpha, beta'), so it weighs 0, and no quadruple is
+    # offered by all four blocks.
     run = refdata.fig6("black")
     assert chsh(table_from_run(run)) == 4
     outcome = reorder_to_sica(run)
@@ -73,10 +82,11 @@ def test_black_run_cannot_be_reordered():
     assert outcome.best_keepable is None
     assert outcome.required == 1
     assert outcome.obstruction == (
-        "the CHSH sum of the blocks' outcome-product totals, (alpha:beta_prime) negated, "
-        "reaches 8 in size; each kept quadruple adds at most 2 to it and each dropped "
-        "slot moves it by at most 1, so at most 0 can be kept, 1 required"
+        "the CHSH sum with (alpha:beta_prime) negated: every outcome quadruple the four "
+        "blocks offer weighs at least 2 on its four cells; the weighted recorded cells, as "
+        "count x weight: none; so at most 0 can be kept, 1 required"
     )
+    assert naive_cover_bound(run, outcome.certificate) == 0
 
 
 def test_red_run_reorders_and_condenses():
@@ -126,21 +136,35 @@ def test_reorder_is_stable_under_block_internal_shuffle():
     assert shuffled.best_keepable == reorder_to_sica(red).best_keepable
 
 
+def _cover_bounds(run):
+    """(bound, label) of each of ``sica._covers``, in order."""
+    pair_counts = sica._block_pairs(run, pairing_blocks(run))
+    return [(sica._cover_bound(pair_counts, cover), label)
+            for label, cover in sica._covers(pair_counts)]
+
+
+def _smallest(run, family):
+    """The smallest (bound, label) of the CHSH or the row covers, first on a tie."""
+    prefix = "the CHSH sum" if family == "chsh" else "row "
+    return min((found for found in _cover_bounds(run) if found[1].startswith(prefix)),
+               key=lambda found: found[0])
+
+
 @pytest.mark.parametrize("eta", [1.0, 0.9])
 def test_large_divergent_run_fails_by_chsh_sum_certificate(eta):
     sched = random_per_slot(4000, 31)
     run = simulate(SourceConfig(model="quantum", schedule=sched, seed=32, eta=eta))
-    bound, worst, flipped = sica._chsh_sum_bound(sica._block_pairs(run, pairing_blocks(run)))
+    bound, _, _ = naive_chsh_sum_bound(run)
     outcome = reorder_to_sica(run)
     assert (outcome.success, outcome.best_keepable) == (False, None)
     assert bound < outcome.required
-    assert outcome.obstruction.startswith(
-        "the CHSH sum of the blocks' outcome-product totals, "
-        f"({flipped.key}) negated, reaches {worst} in size; "
-    )
+    assert outcome.obstruction.startswith("the CHSH sum with (")
+    assert " negated: every outcome quadruple the four blocks offer weighs at least 2 " in (
+        outcome.obstruction)
     assert outcome.obstruction.endswith(
-        f"so at most {bound} can be kept, {outcome.required} required"
+        f"; so at most {bound} can be kept, {outcome.required} required"
     )
+    assert naive_cover_bound(run, outcome.certificate) == bound
 
 
 def test_regime_certificate_names_the_binding_row():
@@ -152,20 +176,26 @@ def test_regime_certificate_names_the_binding_row():
     config = SourceConfig(model="deterministic", schedule=random_per_slot(2000, 0), seed=0,
                           instructions=SeriesTable.from_rows(*rows))
     run = simulate(config)
-    pair_counts = sica._block_pairs(run, pairing_blocks(run))
-    bound, row, counts = sica._regime_bound(pair_counts)
+    bound, row, counts = naive_regime_bound(run)
     outcome = reorder_to_sica(run)
-    assert bound < outcome.required <= sica._chsh_sum_bound(pair_counts)[0]
-    first, second = (p.key for p in Pairing if row in (p.a_row, p.b_row))
+    assert bound < outcome.required <= naive_chsh_sum_bound(run)[0]
     assert outcome.obstruction.startswith(
-        f"row {row} has per-value counts that differ between block ({first}) and "
-        f"block ({second}): "
+        f"row {row}'s per-value counts: every outcome quadruple the four blocks offer "
+        "weighs at least 1 on its four cells; "
     )
-    for v, (n1, n2) in counts.items():
-        assert f"{v:+d}: {n1} vs {n2}" in outcome.obstruction
     assert outcome.obstruction.endswith(
-        f"so at most {bound} can be kept, {outcome.required} required"
+        f"; so at most {bound} can be kept, {outcome.required} required"
     )
+    weights, d = outcome.certificate
+    assert d == 1 and set(weights.values()) == {1}
+    # Per value, the weighted cells are the row's cells of that value in the
+    # block that holds fewer of them, if it holds any.
+    blocks = [p for p in Pairing if row in (p.a_row, p.b_row)]
+    side = 0 if blocks[0].a_row == row else 1
+    for v, (n1, n2) in counts.items():
+        weighted = {p for p, cell in weights if cell[side] == v}
+        assert weighted == ({blocks[0] if n1 <= n2 else blocks[1]} if min(n1, n2) else set())
+    assert naive_cover_bound(run, outcome.certificate) == bound
 
 
 def _seeded_small_run(seed: int) -> tuple[RecordedRun, int | None]:
@@ -200,8 +230,8 @@ def test_regime_bound_matches_list_scan(seed):
         run = simulate(config)
     else:
         run, _ = _seeded_small_run(seed)
-    blocks = pairing_blocks(run)
-    assert sica._regime_bound(sica._block_pairs(run, blocks)) == naive_regime_bound(run)
+    bound, row, _ = naive_regime_bound(run)
+    assert _smallest(run, "row") == (bound, f"row {row}'s per-value counts")
 
 
 def test_chsh_sum_bound_matches_run_scan():
@@ -212,115 +242,149 @@ def test_chsh_sum_bound_matches_run_scan():
         runs.append((simulate(config), (None, 0, 3)[seed % 3]))
     fired = 0
     for run, budget in runs:
-        blocks = pairing_blocks(run)
-        if not all(blocks.values()):
+        if not all(pairing_blocks(run).values()):
             continue
-        bound = sica._chsh_sum_bound(sica._block_pairs(run, blocks))
-        assert bound == naive_chsh_sum_bound(run)
-        fired += bound[0] < reorder_to_sica(run, budget).required
+        bound = naive_chsh_sum_bound(run)[0]
+        assert _smallest(run, "chsh")[0] == bound
+        fired += bound < reorder_to_sica(run, budget).required
     assert 5 <= fired < len(runs) - 5, fired
 
 
 def test_reorder_bounds_are_sound():
-    """Over 600 seeded small runs, zeros included: neither the CHSH-sum
-    nor the regime-count bound falls below what the integer program keeps;
-    a certified failure is one the program reports too, decided by the
-    first bound that fires; with none firing, the outcome is the program's."""
-    reached = {"chsh-sum": 0, "regime": 0, "milp-fail": 0, "milp-success": 0}
+    """Over 600 seeded small runs, zeros included: no cover bounds below
+    what the integer program keeps, and the program decides success.  Every
+    failure but a never-measured one carries a cover that the slot-scan
+    verifier accepts, with its bound below ``required``: the smallest
+    solver-free cover when that decides, else the LP dual, whose bound
+    equals the program's best."""
+    reached = {"chsh-sum": 0, "regime": 0, "milp-fail": 0, "milp-success": 0,
+               "never-measured": 0}
     for seed in range(600):
         run, budget = _seeded_small_run(seed)
+        outcome = reorder_to_sica(run, budget)
         blocks = pairing_blocks(run)
         if not all(blocks.values()):
+            reached["never-measured"] += 1
+            assert (outcome.success, outcome.best_keepable, outcome.certificate) == (
+                False, 0, None), seed
+            assert outcome.obstruction.startswith("never-measured setting pairs: "), seed
             continue
-        outcome = reorder_to_sica(run, budget)
-        pair_counts = sica._block_pairs(run, blocks)
-        chsh_sum, _, _ = sica._chsh_sum_bound(pair_counts)
-        regime, _, _ = sica._regime_bound(pair_counts)
-        best, _ = sica._max_joint_arrangement(pair_counts)
-        assert best <= min(chsh_sum, regime), seed
-        if chsh_sum < outcome.required:
-            kind = "chsh-sum"
-            assert outcome.obstruction.startswith("the CHSH sum of"), seed
-        elif regime < outcome.required:
-            kind = "regime"
-            assert "has per-value counts that differ" in outcome.obstruction, seed
+        best, _ = sica._max_joint_arrangement(sica._block_pairs(run, blocks))
+        bounds = _cover_bounds(run)
+        smallest = min(bounds, key=lambda found: found[0])
+        assert best <= smallest[0], seed
+        assert outcome.success == (best >= outcome.required), seed
+        if outcome.success:
+            reached["milp-success"] += 1
+            assert outcome.best_keepable == best and outcome.certificate is None, seed
+            continue
+        bound = naive_cover_bound(run, outcome.certificate)
+        assert bound is not None and bound < outcome.required, seed
+        assert outcome.obstruction.endswith(
+            f"; so at most {bound} can be kept, {outcome.required} required"), seed
+        if smallest[0] < outcome.required:
+            kind = "chsh-sum" if smallest[1].startswith("the CHSH sum") else "regime"
+            assert outcome.best_keepable is None, seed
+            assert bound == smallest[0], seed
+            assert outcome.obstruction.startswith(smallest[1] + ": "), seed
         else:
-            kind = "milp-success" if outcome.success else "milp-fail"
-            assert outcome.best_keepable == best, seed
-            assert outcome.success == (best >= outcome.required), seed
-        if kind in ("chsh-sum", "regime"):
-            assert best < outcome.required, seed
-            assert (outcome.success, outcome.best_keepable) == (False, None), seed
+            kind = "milp-fail"
+            assert outcome.best_keepable == best == bound, seed
+            assert outcome.obstruction.startswith("the integer program's LP dual: "), seed
         reached[kind] += 1
     assert all(reached.values()), reached
 
 
-def _listed_capacities(text: str) -> set[tuple[str, tuple[int, int], int]]:
-    """The (block, pair, count) entries of an obstruction's closing list,
-    written "(block) (a,b) xN, (a,b) xN; (block) ..."."""
-    out = set()
-    for group in text.split("; "):
-        block, entries = group.split(" ", 1)
-        for entry in entries.split(", "):
-            pair, count = entry.split(" x")
-            a, b = pair.strip("()").split(",")
-            out.add((block.strip("()"), (int(a), int(b)), int(count)))
-    return out
-
-
-def test_milp_failure_names_the_capacities_its_best_plan_uses_up():
-    """Every failure the integer program decides lists exactly the (block,
-    pair, count) capacities its best plan takes in full, and each of the 81
-    outcome-quadruple classes needs one of them or a pair its block never
-    recorded.  With no class offered by all four blocks, it lists what each
-    block offers."""
+def test_milp_failure_carries_the_lp_dual_certificate():
+    """Every failure the integer program decides carries its rounded LP
+    dual as certificate: the slot-scan verifier accepts it, its bound is the
+    program's best, below ``required``, and the text lists each weighted
+    recorded cell.  With no class offered by all four blocks, the dual
+    weighs nothing and bounds 0."""
     runs = [_seeded_small_run(seed) for seed in range(300)]
     for seed in range(160):
         slots = random.Random(seed).choice((24, 40, 64, 100, 200, 400))
         config = SourceConfig(model="quantum", schedule=block_halves(slots), seed=seed,
                               eta=(1.0, 0.95, 0.8)[seed % 3])
         runs.append((simulate(config), (None, 0, 1, 3)[seed % 4]))
-    reached = {"used-up": 0, "none offered": 0}
+    reached = {"kept": 0, "none offered": 0}
     for run, budget in runs:
-        blocks = pairing_blocks(run)
         outcome = reorder_to_sica(run, budget)
-        if outcome.success or outcome.best_keepable is None or not all(blocks.values()):
+        measured = all(pairing_blocks(run).values())
+        if outcome.success or outcome.best_keepable is None or not measured:
             continue
-        counts = {p.key: {} for p in Pairing}
-        for p, slots in blocks.items():
-            for i in slots:
-                pair = (run.a_outcomes[i], run.b_outcomes[i])
-                counts[p.key][pair] = counts[p.key].get(pair, 0) + 1
-        best, chosen = sica._max_joint_arrangement(sica._block_pairs(run, blocks))
-        assert outcome.best_keepable == best < outcome.required
-        head = f"at most {best} quadruples can be kept, {outcome.required} required: "
-        if not chosen:
+        best = outcome.best_keepable
+        assert naive_cover_bound(run, outcome.certificate) == best < outcome.required
+        assert outcome.obstruction.startswith(
+            "the integer program's LP dual: every outcome quadruple the four blocks offer "
+            f"weighs at least {outcome.certificate[1]} on its four cells; the weighted "
+            "recorded cells, as count x weight: "
+        )
+        assert outcome.obstruction.endswith(
+            f"; so at most {best} can be kept, {outcome.required} required")
+        weights, _ = outcome.certificate
+        for (p, (a, b)), w in weights.items():
+            n = sum(1 for i in pairing_blocks(run)[p]
+                    if (run.a_outcomes[i], run.b_outcomes[i]) == (a, b))
+            assert f"({a:+d},{b:+d}) {n}x{w}" in outcome.obstruction
+        if weights:
+            reached["kept"] += 1
+        else:
             reached["none offered"] += 1
-            assert outcome.obstruction.startswith(
-                "no outcome quadruple has its pairs in all four blocks, so none can be "
-                f"kept, {outcome.required} required; the blocks offer "
-            )
-            listed = _listed_capacities(outcome.obstruction.split("the blocks offer ")[1])
-            assert listed == {(key, pair, n) for key, c in counts.items() for pair, n in c.items()}
-            assert all(any(sica._class_pair(q, p) not in counts[p.key] for p in Pairing)
-                       for q in sica._QUAD_CLASSES)
-            continue
-        reached["used-up"] += 1
-        assert outcome.obstruction.startswith(head)
-        used = {p.key: {} for p in Pairing}
-        for q, k in chosen.items():
-            for p in Pairing:
-                pair = sica._class_pair(q, p)
-                used[p.key][pair] = used[p.key].get(pair, 0) + k
-        used_up = {(key, pair, n) for key, c in counts.items() for pair, n in c.items()
-                   if used[key].get(pair) == n}
-        listed = _listed_capacities(outcome.obstruction.split("uses up: ")[1])
-        assert listed == used_up
-        for q in sica._QUAD_CLASSES:
-            needs = {(p.key, sica._class_pair(q, p)) for p in Pairing}
-            assert any(pair not in counts[key] or (key, pair, counts[key][pair]) in used_up
-                       for key, pair in needs), q
-    assert reached["used-up"] >= 10 and reached["none offered"] >= 2, reached
+            assert best == 0 and "count x weight: none; " in outcome.obstruction
+    assert reached["kept"] >= 10 and reached["none offered"] >= 2, reached
+
+
+@pytest.mark.parametrize("dual", ["solver fails", "no cover"])
+def test_milp_failure_without_a_verified_dual_says_so(monkeypatch, dual):
+    import scipy.optimize
+
+    def failed_linprog(c, **kwargs):
+        if dual == "solver fails":
+            return scipy.optimize.OptimizeResult(status=2, success=False, message="infeasible")
+        # Zero duals cover no class.
+        marginals = [0.0] * len(kwargs["b_ub"])
+        return scipy.optimize.OptimizeResult(
+            status=0, success=True, ineqlin=scipy.optimize.OptimizeResult(marginals=marginals))
+
+    run = simulate(SourceConfig(model="quantum", schedule=block_halves(40), seed=3, eta=1.0))
+    monkeypatch.setattr(scipy.optimize, "linprog", failed_linprog)
+    outcome = reorder_to_sica(run)
+    assert (outcome.success, outcome.best_keepable, outcome.required) == (False, 5, 6)
+    assert outcome.certificate is None
+    assert outcome.obstruction == (
+        "the integer program keeps at most 5, 6 required; its LP dual gave no certificate"
+    )
+
+
+def test_never_measured_setting_pair_reports_the_required_count():
+    # A stays at alpha and B moves from beta to beta' halfway: both alpha'
+    # blocks are empty, and the default budget of 5 leaves 45 of 50 slots.
+    schedule = custom_schedule([ASetting.ALPHA] * 100,
+                               [BSetting.BETA] * 50 + [BSetting.BETA_PRIME] * 50)
+    outcome = reorder_to_sica(RecordedRun(schedule, (1,) * 100, (1,) * 100))
+    assert (outcome.success, outcome.best_keepable, outcome.required) == (False, 0, 45)
+    assert outcome.obstruction == (
+        "never-measured setting pairs: alpha_prime:beta, alpha_prime:beta_prime"
+    )
+    assert outcome.certificate is None
+
+
+@settings(max_examples=80, deadline=None)
+@given(run=recorded_runs(), budget=st.sampled_from((None, 0, 1, 3)))
+def test_reorder_outcomes_on_fuzzed_runs_prove_themselves(run, budget):
+    outcome = reorder_to_sica(run, budget)
+    if outcome.success:
+        rearranged = apply_plan(run, outcome.plan)
+        assert check_sica(table_from_run(rearranged)).holds
+        kept = {p: len(slots) for p, slots in pairing_blocks(rearranged).items()}
+        assert set(kept.values()) == {outcome.plan.kept_per_block}
+        assert outcome.plan.kept_per_block >= outcome.required
+    elif outcome.certificate is None:
+        assert outcome.obstruction.startswith("never-measured setting pairs: ")
+    else:
+        bound = naive_cover_bound(run, outcome.certificate)
+        assert bound is not None and bound < outcome.required
 
 
 def test_default_discard_budget_grows_like_sqrt():
@@ -477,7 +541,7 @@ def test_completion_budget_refusal_names_the_quarters():
 
 def test_fill_zeros_marks_counterfactuals_as_missed():
     run = refdata.fig6("black")
-    table = fill_counterfactual(run, "zeros")
+    table = fill_counterfactual(run)
     assert table.fully_measured
     assert table.b[0] == 0  # slot 0 measured beta_prime, so beta got nothing
 
@@ -514,8 +578,6 @@ def test_condense_rejects_unequal_blocks():
     # 8 slots, but three of one pairing and one of another
     sched_ids = [Pairing.ABP, Pairing.ABP, Pairing.ABP, Pairing.AB,
                  Pairing.APB, Pairing.APB, Pairing.APBP, Pairing.APBP]
-    from bellseries.model import custom_schedule
-
     sched = custom_schedule(
         [p.a_setting for p in sched_ids], [p.b_setting for p in sched_ids]
     )
