@@ -79,10 +79,10 @@ def _make_schedule(spec: str, slots: int, seed: int | None = None) -> Schedule:
     )
 
 
-def _load_input(path: str, as_table: bool = True):
-    """A table file is a single JSON object; anything else is an event log.
-    The file is read once and the log parsed from that text.  A log is laid
-    out as a table only ``as_table``: commands that work on the run skip it."""
+def _load_input(path: str):
+    """(table, provenance, None) of a table file, a single JSON object, and
+    (None, None, run) of anything else, an event log.  The file is read once
+    and the log parsed from that text."""
     text = fileio.read_text(path)
     try:
         data = fileio.parse_json(text)
@@ -92,8 +92,7 @@ def _load_input(path: str, as_table: bool = True):
         table = fileio.table_from_json(data)
         provenance = fileio.provenance_from_json(data)
         return table, provenance, None
-    run = fileio.read_run_events(text)
-    return (table_from_run(run) if as_table else None), None, run
+    return None, None, fileio.read_run_events(text)
 
 
 def _parse_free_choices(text: str, quarter: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -203,8 +202,8 @@ def _cmd_simulate(args) -> int:
             raise PreconditionError(
                 "--model deterministic reads its instruction table from --input"
             )
-        table, _, _ = _load_input(args.input)
-        instructions = table
+        table, _, log = _load_input(args.input)
+        instructions = table if log is None else table_from_run(log)
     try:
         angles = tuple(float(x) for x in args.angles.split(","))
     except ValueError:
@@ -228,7 +227,7 @@ def _cmd_simulate(args) -> int:
         "output": args.output,
         "seed": args.seed,
         "slots": run.slots,
-        "analysis": correlation_report(table_from_run(run)),
+        "analysis": correlation_report(run),
     }
     _print_json(report, args)
     return 0
@@ -236,7 +235,7 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_analyze(args) -> int:
     table, _, run = _load_input(args.input)
-    report = correlation_report(table)
+    report = correlation_report(table if run is None else run)
     if run is not None:
         report["detectors"] = {
             label: {
@@ -256,15 +255,17 @@ def _cmd_analyze(args) -> int:
 
 
 def _read_table(args):
-    """The table at ``--input``, the schedule it is read under, and the
-    :class:`CompleteTable` it is if its file carries F/C marks, else None.
-    The marks record a completed table's schedule: its factual ("F") cells
-    fix it, derived here once, and a given ``--schedule`` must be that one.
-    Otherwise the schedule is the given one, if any."""
-    table, provenance, _ = _load_input(args.input)
-    schedule = _make_schedule(args.schedule, table.slots) if args.schedule else None
+    """The table or event log at ``--input``, the schedule it is read under,
+    and the :class:`CompleteTable` it is if its file carries F/C marks, else
+    None.  The marks record a completed table's schedule: its factual ("F")
+    cells fix it, derived here once, and a given ``--schedule`` must be that
+    one.  Otherwise the schedule is the given one, if any, which ``sica``
+    checks against the table's cells or the log's own schedule."""
+    table, provenance, run = _load_input(args.input)
+    data = table if run is None else run
+    schedule = _make_schedule(args.schedule, data.slots) if args.schedule else None
     if provenance is None:
-        return table, schedule, None
+        return data, schedule, None
     factual = SeriesTable(table.slots, *(
         [v if m == "F" else None for v, m in zip(table.row(key), provenance[key])]
         for key in ROW_KEYS
@@ -302,7 +303,7 @@ def _cmd_sica_check(args) -> int:
 def _run_input(args, what: str) -> RecordedRun:
     """The event log at ``--input`` for a command that takes ``--budget``."""
     _non_negative("--budget", args.budget)
-    _, _, run = _load_input(args.input, as_table=False)
+    _, _, run = _load_input(args.input)
     if run is None:
         raise PreconditionError(f"{what} works on event logs, not full tables")
     return run
@@ -333,7 +334,7 @@ def _cmd_sica_reorder(args) -> int:
         if args.output:
             fileio.write_run_file(rearranged, args.output)
             report["output"] = args.output
-        report["analysis"] = correlation_report(table_from_run(rearranged))
+        report["analysis"] = correlation_report(rearranged)
     else:
         report["obstruction"] = outcome.obstruction
     _print_json(report, args)
@@ -473,7 +474,7 @@ def _figure_artifacts(name: str):
     if isinstance(built, SeriesTable):
         return ("table", fileio.table_to_json(built), correlation_report(built))
     if isinstance(built, RecordedRun):
-        stats = correlation_report(table_from_run(built))
+        stats = correlation_report(built)
         outcome = reorder_to_sica(built)
         stats["reorder"] = {
             "success": outcome.success,

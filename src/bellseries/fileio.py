@@ -30,28 +30,32 @@ from typing import Any, Iterator, TextIO
 
 from .errors import ParseError, PreconditionError, StructuralError
 from .model import (
+    EVENT_PAIRINGS,
+    EVENTS,
     MEASURED_VALUES,
     ROW_KEYS,
     ASetting,
     BSetting,
     RecordedRun,
     SeriesTable,
+    bad_cell,
     custom_schedule,
-    is_outcome,
+    gather,
 )
 
 _EVENT_FIELDS = ("slot", "a_setting", "b_setting", "a", "b")
 _A_SETTINGS = {s.value: s for s in ASetting}
 _B_SETTINGS = {s.value: s for s in BSetting}
-# What json.dumps(event, sort_keys=True) writes before the slot number, for
-# each of the 36 (a, a_setting, b, b_setting) a RecordedRun can hold: plain-int
-# outcomes and setting names that need no escaping.
-_EVENT_HEADS = {
-    (a, sa, b, sb): f'{{"a": {a}, "a_setting": "{sa.value}", "b": {b}, '
-    f'"b_setting": "{sb.value}", "slot": '
-    for a in MEASURED_VALUES for sa in ASetting for b in MEASURED_VALUES for sb in BSetting
-}
-_HEAD_EVENTS = {head: event for event, head in _EVENT_HEADS.items()}
+# Per event code, what json.dumps(event, sort_keys=True) writes before the
+# slot number: plain-int outcomes and setting names that need no escaping.
+_EVENT_HEADS = tuple(
+    f'{{"a": {a}, "a_setting": "{p.a_setting.value}", "b": {b}, '
+    f'"b_setting": "{p.b_setting.value}", "slot": '
+    for p, a, b in EVENTS
+)
+_HEAD_EVENTS = {head: code for code, head in enumerate(_EVENT_HEADS)}
+# Per (a_setting, b_setting, a, b) of an event read through json.loads, its code.
+_FIELD_EVENTS = {(p.a_setting, p.b_setting, a, b): code for code, (p, a, b) in enumerate(EVENTS)}
 # About this many characters of an event log are decoded at a time.
 _BLOCK = 1 << 16
 
@@ -72,10 +76,7 @@ def parse_json(text: str, lineno: int | None = None, name: str | None = None) ->
 def write_run_events(run: RecordedRun, fp: TextIO) -> None:
     if run.meta is not None:
         fp.write(json.dumps({"meta": run.meta}, sort_keys=True) + "\n")
-    schedule = run.schedule
-    heads = map(_EVENT_HEADS.__getitem__, zip(
-        run.a_outcomes, schedule.a_settings, run.b_outcomes, schedule.b_settings
-    ))
+    heads = map(_EVENT_HEADS.__getitem__, run.events)
     fp.writelines(map("%s%d}\n".__mod__, zip(heads, range(run.slots))))
 
 
@@ -115,25 +116,23 @@ def read_run_events(text: str) -> RecordedRun:
     seen_meta = False
     # Slot numbers are kept only once an event comes out of slot order.
     slots: list[int] | None = None
-    a_settings: list[ASetting] = []
-    b_settings: list[BSetting] = []
-    a_out: list[int] = []
-    b_out: list[int] = []
-    columns = (a_out, a_settings, b_out, b_settings)
+    # The event codes, a block at a time, and how many there are.
+    blocks: list[bytes] = []
+    count = 0
     for first_line, lines in _blocks(text):
         lines = list(map(str.strip, lines))
         heads = list(map(str.rstrip, lines, repeat("0123456789}")))
-        events = list(map(_HEAD_EVENTS.get, heads))
-        first = len(a_out)
+        codes = list(map(_HEAD_EVENTS.get, heads))
         # The tails hold only digits and "}", so one comparison checks each.
-        if None not in events and "\n".join(map(str.removeprefix, lines, heads)) == (
-            "}\n".join(map(str, range(first, first + len(lines)))) + "}"
+        if None not in codes and "\n".join(map(str.removeprefix, lines, heads)) == (
+            "}\n".join(map(str, range(count, count + len(lines)))) + "}"
         ):
-            for column, values in zip(columns, zip(*events)):
-                column.extend(values)
+            blocks.append(bytes(codes))
             if slots is not None:
-                slots.extend(range(first, len(a_out)))
+                slots.extend(range(count, count + len(codes)))
+            count += len(codes)
             continue
+        block = bytearray()
         for lineno, line in enumerate(lines, first_line):
             if not line:
                 continue
@@ -141,7 +140,7 @@ def read_run_events(text: str) -> RecordedRun:
             if not isinstance(obj, dict):
                 raise ParseError(f"expected an object, got {type(obj).__name__}", lineno)
             if "meta" in obj:
-                if a_out or seen_meta:
+                if count or seen_meta:
                     raise ParseError("meta line must be the first line", lineno)
                 meta = obj["meta"]
                 seen_meta = True
@@ -158,12 +157,14 @@ def read_run_events(text: str) -> RecordedRun:
                 raise ParseError(f"outcome b={b!r} not one of 1, -1, 0", lineno)
             if type(slot) is not int:
                 raise ParseError(f"slot {slot!r} is not an integer", lineno)
-            if slots is None and slot != len(a_out):
-                slots = list(range(len(a_out)))
+            if slots is None and slot != count:
+                slots = list(range(count))
             if slots is not None:
                 slots.append(slot)
-            for column, value in zip(columns, (a, a_setting, b, b_setting)):
-                column.append(value)
+            block.append(_FIELD_EVENTS[a_setting, b_setting, a, b])
+            count += 1
+        blocks.append(bytes(block))
+    events = b"".join(blocks)
     if slots is not None:
         expected = range(len(slots))
         seen = sorted(slots)
@@ -176,13 +177,10 @@ def read_run_events(text: str) -> RecordedRun:
                 if len(seen) > 8
                 else f"slots are not contiguous from 0: saw {seen}"
             )
-        order = sorted(expected, key=slots.__getitem__)
-        a_settings, b_settings, a_out, b_out = (
-            [column[i] for i in order] for column in (a_settings, b_settings, a_out, b_out)
-        )
-    return RecordedRun(
-        custom_schedule(a_settings, b_settings), tuple(a_out), tuple(b_out), meta=meta
-    )
+        events = bytes(gather(events, sorted(expected, key=slots.__getitem__)))
+    a_settings, b_settings = zip(*((p.a_setting, p.b_setting) for p in EVENT_PAIRINGS))
+    schedule = custom_schedule(gather(a_settings, events), gather(b_settings, events))
+    return RecordedRun.from_events(schedule, events, meta)
 
 
 def table_to_json(table: SeriesTable, provenance: dict[str, tuple[str, ...]] | None = None) -> dict:
@@ -208,9 +206,9 @@ def table_from_json(data: dict) -> SeriesTable:
         row = data[key]
         if not isinstance(row, list) or len(row) != slots:
             raise StructuralError(f"row {key!r} must be a list of {slots} cells")
-        for i, v in enumerate(row):
-            if v is not None and not is_outcome(v):
-                raise StructuralError(f"row {key!r} slot {i} holds {v!r}")
+        i = bad_cell(row)
+        if i is not None:
+            raise StructuralError(f"row {key!r} slot {i} holds {row[i]!r}")
         rows[key] = tuple(row)
     return SeriesTable(slots, rows["a"], rows["b"], rows["a_prime"], rows["b_prime"])
 
@@ -229,7 +227,8 @@ def provenance_from_json(data: dict) -> dict[str, tuple[str, ...]] | None:
         if (
             not isinstance(marks, list)
             or len(marks) != data["slots"]
-            or any(m not in ("F", "C") for m in marks)
+            # Test the types first: a list or dict mark cannot go in a set.
+            or not (set(map(type, marks)) <= {str} and set(marks) <= {"F", "C"})
         ):
             raise StructuralError(f"provenance row {key!r} must be 'F'/'C' per slot")
         out[key] = tuple(marks)

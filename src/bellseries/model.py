@@ -13,8 +13,10 @@ an absent cell are logically different states and are never conflated.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from enum import Enum
+from itertools import compress, product
+from operator import itemgetter
 from typing import Optional, Sequence
 
 from .errors import PreconditionError, StructuralError
@@ -35,6 +37,15 @@ def is_outcome(v) -> bool:
 
 
 Cell = Optional[int]
+
+
+def bad_cell(row: Sequence) -> int | None:
+    """The index of the first cell of ``row`` that is neither None nor an
+    outcome, if any.  Two set tests at C speed decide, types first so that
+    no unhashable cell reaches set(); the scan only names the culprit."""
+    if set(map(type, row)) <= {int, type(None)} and set(row) <= {None, *MEASURED_VALUES}:
+        return None
+    return next(i for i, v in enumerate(row) if v is not None and not is_outcome(v))
 
 ROW_KEYS = ("a", "b", "a_prime", "b_prime")
 
@@ -89,6 +100,29 @@ class Pairing(Enum):
 
 PAIRINGS = (Pairing.AB, Pairing.ABP, Pairing.APB, Pairing.APBP)
 
+#: The 36 events a slot of a run can record, (setting pair, a, b), each at
+#: its event code 9 * (the pair's index in PAIRINGS) + 3 * (a + 1) + (b + 1).
+EVENTS = tuple(product(PAIRINGS, (MINUS, ZERO, PLUS), (MINUS, ZERO, PLUS)))
+#: Per event code, its setting pair, its a and its b: the columns of EVENTS.
+EVENT_PAIRINGS, EVENT_A, EVENT_B = zip(*EVENTS)
+#: Per event code, the cells (a, b, a', b') it lays out in a table.
+EVENT_COLUMNS = tuple(
+    tuple({p.a_row: a, p.b_row: b}.get(key) for key in ROW_KEYS) for p, a, b in EVENTS
+)
+_EVENT_PAIRING = bytes(code // 9 for code in range(len(EVENTS))).ljust(256, b"\0")
+_PRIMED = {ASetting.ALPHA: 0, ASetting.ALPHA_PRIME: 1, BSetting.BETA: 0, BSetting.BETA_PRIME: 1}
+
+
+def gather(table: Sequence, keys: Sequence) -> tuple:
+    """``tuple(table[k] for k in keys)``, looked up at C speed."""
+    return itemgetter(*keys)(table) if len(keys) > 1 else tuple(map(table.__getitem__, keys))
+
+
+def _bytewise(slots: int, terms) -> bytes:
+    """Per byte, the sum of weight * byte over (weight, bytes) ``terms``; each is below 256."""
+    total = sum(weight * int.from_bytes(part, "big") for weight, part in terms)
+    return total.to_bytes(slots, "big")
+
 
 @dataclass(frozen=True)
 class SeriesTable:
@@ -118,11 +152,11 @@ class SeriesTable:
                 f"rows differ in length: {sorted(len(r) for r in rows)}"
             )
         for key, row in zip(ROW_KEYS, rows):
-            for i, v in enumerate(row):
-                if v is not None and not is_outcome(v):
-                    raise StructuralError(
-                        f"row {key} slot {i}: cell {v!r} is not one of 1, -1, 0, None"
-                    )
+            i = bad_cell(row)
+            if i is not None:
+                raise StructuralError(
+                    f"row {key} slot {i}: cell {row[i]!r} is not one of 1, -1, 0, None"
+                )
         return cls(len(rows[0]), *rows)
 
     def row(self, key: str) -> tuple[Cell, ...]:
@@ -142,39 +176,34 @@ class SeriesTable:
 class Schedule:
     """Per-slot assignment of analyzer settings to both stations.
 
-    Two schedules are equal when they assign the same settings slot for
-    slot; ``kind`` and ``seed`` only describe where the assignment came
-    from and survive neither event-log serialization nor comparison.
+    ``codes`` holds per slot the index of its setting pair in
+    :data:`PAIRINGS`, ``2 * (A primed) + (B primed)``.  Two schedules are
+    equal when they assign the same settings slot for slot; ``kind`` and
+    ``seed`` only describe where the assignment came from and survive
+    neither event-log serialization nor comparison.
     """
 
-    kind: str
-    a_settings: tuple[ASetting, ...]
-    b_settings: tuple[BSetting, ...]
-    seed: int | None = None
+    kind: str = field(compare=False)
+    a_settings: tuple[ASetting, ...] = field(compare=False)
+    b_settings: tuple[BSetting, ...] = field(compare=False)
+    seed: int | None = field(default=None, compare=False)
+    codes: bytes = field(init=False, repr=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "a_settings", tuple(self.a_settings))
-        object.__setattr__(self, "b_settings", tuple(self.b_settings))
-        if len(self.a_settings) != len(self.b_settings):
+        a, b = tuple(self.a_settings), tuple(self.b_settings)
+        if len(a) != len(b):
             raise PreconditionError("schedule station assignments differ in length")
-
-    def __eq__(self, other):
-        if not isinstance(other, Schedule):
-            return NotImplemented
-        return (
-            self.a_settings == other.a_settings
-            and self.b_settings == other.b_settings
-        )
-
-    def __hash__(self):
-        return hash((self.a_settings, self.b_settings))
+        object.__setattr__(self, "a_settings", a)
+        object.__setattr__(self, "b_settings", b)
+        primed = (bytes(gather(_PRIMED, settings)) for settings in (a, b))
+        object.__setattr__(self, "codes", _bytewise(len(a), zip((2, 1), primed)))
 
     @property
     def slots(self) -> int:
-        return len(self.a_settings)
+        return len(self.codes)
 
     def pairing(self, slot: int) -> Pairing:
-        return _PAIRING_BY_SETTINGS[(self.a_settings[slot], self.b_settings[slot])]
+        return PAIRINGS[self.codes[slot]]
 
     def to_json(self) -> dict:
         data: dict = {
@@ -185,9 +214,6 @@ class Schedule:
         if self.seed is not None:
             data["seed"] = self.seed
         return data
-
-
-_PAIRING_BY_SETTINGS = {(p.a_setting, p.b_setting): p for p in PAIRINGS}
 
 
 def block_halves(slots: int) -> Schedule:
@@ -220,8 +246,8 @@ def random_per_slot(slots: int, seed: int) -> Schedule:
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
     a_bits = rng.integers(0, 2, size=slots).tolist()
     b_bits = rng.integers(0, 2, size=slots).tolist()
-    a = map((ASetting.ALPHA, ASetting.ALPHA_PRIME).__getitem__, a_bits)
-    b = map((BSetting.BETA, BSetting.BETA_PRIME).__getitem__, b_bits)
+    a = gather((ASetting.ALPHA, ASetting.ALPHA_PRIME), a_bits)
+    b = gather((BSetting.BETA, BSetting.BETA_PRIME), b_bits)
     return Schedule("random", a, b, seed=seed)
 
 
@@ -238,20 +264,23 @@ def schedule_from_json(data: dict) -> Schedule:
     return Schedule(data.get("kind", "custom"), a, b, seed=data.get("seed"))
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class RecordedRun:
     """A run: one setting pair and one outcome pair per slot.
 
     Outcomes are integers in {+1, -1, 0}; at most one detector fires per
     station per slot, which the single signed value per station encodes by
-    construction.  ``meta`` carries provenance (simulator configuration,
-    seeds, generator name) and does not take part in equality.
+    construction.  ``events`` holds each slot's event code (see
+    :data:`EVENTS`), which every per-slot pass reads.  ``meta`` carries
+    provenance (simulator configuration, seeds, generator name) and does not
+    take part in equality.
     """
 
-    schedule: Schedule
-    a_outcomes: tuple[int, ...]
-    b_outcomes: tuple[int, ...]
-    meta: dict | None = field(default=None)
+    schedule: Schedule = field(compare=False)
+    a_outcomes: tuple[int, ...] = field(compare=False)
+    b_outcomes: tuple[int, ...] = field(compare=False)
+    meta: dict | None = field(default=None, compare=False)
+    events: bytes = field(init=False, repr=False)
 
     def __post_init__(self):
         object.__setattr__(self, "a_outcomes", tuple(self.a_outcomes))
@@ -264,35 +293,34 @@ class RecordedRun:
             if not (set(map(type, series)) <= {int} and set(series).issubset(MEASURED_VALUES)):
                 bad = next(v for v in series if not is_outcome(v))
                 raise PreconditionError(f"outcome {bad!r} not one of +1, -1, 0")
+        # (1, 2, 0)[v] is v + 1 for v in (-1, 0, 1).
+        a, b = (bytes(gather((1, 2, 0), series)) for series in (self.a_outcomes, self.b_outcomes))
+        object.__setattr__(self, "events", _bytewise(n, ((9, self.schedule.codes), (3, a), (1, b))))
+
+    @classmethod
+    def from_events(cls, schedule: Schedule, events: bytes, meta: dict | None = None):
+        """The run whose event codes are ``events``: codes below 36 that
+        carry ``schedule``'s setting pairs.  The outcomes are read off the
+        codes, so they need no check."""
+        if events.translate(_EVENT_PAIRING) != schedule.codes:
+            raise PreconditionError("event codes do not follow the schedule")
+        run = cls.__new__(cls)
+        values = (schedule, gather(EVENT_A, events), gather(EVENT_B, events), meta, bytes(events))
+        for f, value in zip(fields(cls), values):
+            object.__setattr__(run, f.name, value)
+        return run
 
     @property
     def slots(self) -> int:
         return self.schedule.slots
 
-    def __eq__(self, other):
-        if not isinstance(other, RecordedRun):
-            return NotImplemented
-        return (
-            self.schedule == other.schedule
-            and self.a_outcomes == other.a_outcomes
-            and self.b_outcomes == other.b_outcomes
-        )
-
 
 def table_from_run(run: RecordedRun) -> SeriesTable:
     """Lay the recorded outcomes into the four series; cells under inactive
-    settings stay unmeasured.  The run has already checked its outcomes, so
-    the cells are not checked again."""
-    alpha, beta = ASetting.ALPHA, BSetting.BETA
-    a_set, b_set = run.schedule.a_settings, run.schedule.b_settings
-    a_out, b_out = run.a_outcomes, run.b_outcomes
-    return SeriesTable(
-        run.slots,
-        tuple([v if s is alpha else None for s, v in zip(a_set, a_out)]),
-        tuple([v if s is beta else None for s, v in zip(b_set, b_out)]),
-        tuple([None if s is alpha else v for s, v in zip(a_set, a_out)]),
-        tuple([None if s is beta else v for s, v in zip(b_set, b_out)]),
-    )
+    settings stay unmeasured.  Each row looks its cells up by event code;
+    the run has already checked its outcomes, so they are not checked
+    again."""
+    return SeriesTable(run.slots, *(gather(cells, run.events) for cells in zip(*EVENT_COLUMNS)))
 
 
 def derive_schedule(table: SeriesTable) -> Schedule:
@@ -317,10 +345,7 @@ def derive_schedule(table: SeriesTable) -> Schedule:
     (a_meas, _), (b_meas, _) = masks
     alpha, alpha_prime = ASetting.ALPHA, ASetting.ALPHA_PRIME
     beta, beta_prime = BSetting.BETA, BSetting.BETA_PRIME
-    return custom_schedule(
-        [alpha if m else alpha_prime for m in a_meas],
-        [beta if m else beta_prime for m in b_meas],
-    )
+    return custom_schedule(gather((alpha_prime, alpha), a_meas), gather((beta_prime, beta), b_meas))
 
 
 def project_table(table: SeriesTable, schedule: Schedule, meta: dict | None = None) -> RecordedRun:
@@ -337,10 +362,12 @@ def project_table(table: SeriesTable, schedule: Schedule, meta: dict | None = No
     return RecordedRun(schedule, a_out, b_out, meta=meta)
 
 
+def pairing_slots(schedule: Schedule, pairings) -> list[int]:
+    """The slots whose setting pair is one of ``pairings``, in time order."""
+    mask = bytes(p in pairings for p in PAIRINGS).ljust(256, b"\0")
+    return list(compress(range(schedule.slots), schedule.codes.translate(mask)))
+
+
 def pairing_blocks(run: RecordedRun) -> dict[Pairing, list[int]]:
     """Slots grouped by the active setting pair, each group in time order."""
-    blocks: dict[Pairing, list[int]] = {p: [] for p in PAIRINGS}
-    append = {(p.a_setting, p.b_setting): blocks[p].append for p in PAIRINGS}
-    for slot, settings in enumerate(zip(run.schedule.a_settings, run.schedule.b_settings)):
-        append[settings](slot)
-    return blocks
+    return {p: pairing_slots(run.schedule, (p,)) for p in PAIRINGS}

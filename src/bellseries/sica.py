@@ -24,6 +24,7 @@ from typing import Iterator, Sequence
 
 from .errors import BellSeriesError, BudgetExceeded, PreconditionError
 from .model import (
+    EVENTS,
     MINUS,
     PAIRINGS,
     PLUS,
@@ -38,7 +39,9 @@ from .model import (
     SeriesTable,
     block_halves,
     derive_schedule,
+    gather,
     pairing_blocks,
+    pairing_slots,
     table_from_run,
 )
 from .stats import chsh_combination, correlation_over_slots
@@ -79,15 +82,10 @@ def _distant_regimes(schedule: Schedule) -> dict[str, tuple[list[int], list[int]
     """Per row, its slots grouped by the distant station's setting (unprimed,
     then primed), in time order.  Rows a and a' share one split of B's
     settings, rows b and b' one split of A's."""
-
-    def split(settings, first, second):
-        return (
-            [i for i, s in enumerate(settings) if s is first],
-            [i for i, s in enumerate(settings) if s is second],
-        )
-
-    by_b = split(schedule.b_settings, BSetting.BETA, BSetting.BETA_PRIME)
-    by_a = split(schedule.a_settings, ASetting.ALPHA, ASetting.ALPHA_PRIME)
+    by_b = tuple(pairing_slots(schedule, [p for p in PAIRINGS if p.b_setting is s])
+                 for s in BSetting)
+    by_a = tuple(pairing_slots(schedule, [p for p in PAIRINGS if p.a_setting is s])
+                 for s in ASetting)
     return {"a": by_b, "a_prime": by_b, "b": by_a, "b_prime": by_a}
 
 
@@ -126,12 +124,18 @@ def _fill_identity_pairs(
     return free
 
 
-def _resolve_schedule(table: SeriesTable, schedule: Schedule | None) -> Schedule:
-    """The schedule ``table`` is read under: the one its recorded cells fix,
-    and a given one must be that one.  A fully measured table fixes none and
-    must be given one; a completed table is read under the schedule it
-    carries (see :class:`CompleteTable`).  A table of no slots is refused:
-    no verdict on it may pass vacuously."""
+def _resolve_schedule(
+    data: SeriesTable | RecordedRun, schedule: Schedule | None
+) -> tuple[SeriesTable, Schedule]:
+    """The table ``data`` is, and the schedule it is read under: the one its
+    recorded cells fix, and a given one must be that one.  A run is laid out
+    by :func:`table_from_run` and fixes its own schedule, not derived again.
+    A fully measured table fixes none and must be given one; a completed
+    table is read under the schedule it carries (see :class:`CompleteTable`).
+    A table of no slots is refused: no verdict on it may pass vacuously."""
+    table, recorded = (
+        (table_from_run(data), data.schedule) if isinstance(data, RecordedRun) else (data, None)
+    )
     if not table.slots:
         raise PreconditionError("the table has no slots, so there is no series identity to check")
     if schedule is not None and schedule.slots != table.slots:
@@ -144,21 +148,22 @@ def _resolve_schedule(table: SeriesTable, schedule: Schedule | None) -> Schedule
                 "cannot check the series identity of a fully measured table without "
                 "a schedule: its cells fix none"
             )
-        return schedule
-    try:
-        derived = derive_schedule(table)
-    except PreconditionError as exc:
-        if schedule is not None:
-            raise
-        raise PreconditionError(
-            "cannot check the series identity of a partially measured table without a "
-            f"schedule: {exc}"
-        ) from exc
-    if schedule is not None and schedule != derived:
+        return table, schedule
+    if recorded is None:
+        try:
+            recorded = derive_schedule(table)
+        except PreconditionError as exc:
+            if schedule is not None:
+                raise
+            raise PreconditionError(
+                "cannot check the series identity of a partially measured table without a "
+                f"schedule: {exc}"
+            ) from exc
+    if schedule is not None and schedule != recorded:
         raise PreconditionError(
             "the table's unmeasured cells do not follow the given schedule"
         )
-    return derived
+    return table, recorded
 
 
 def _compare(table: SeriesTable, schedule: Schedule) -> tuple[SicaVerdict, dict]:
@@ -202,18 +207,18 @@ def _compare(table: SeriesTable, schedule: Schedule) -> tuple[SicaVerdict, dict]
     return SicaVerdict(len(witnesses) == 0, tuple(witnesses)), pairs
 
 
-def check_sica(table: SeriesTable, schedule: Schedule | None = None) -> SicaVerdict:
+def check_sica(table: SeriesTable | RecordedRun, schedule: Schedule | None = None) -> SicaVerdict:
     """Does each station's series read the same under both distant settings?
 
-    The table is read under the schedule its recorded cells fix, and a
-    given one must be that one; a fully measured table fixes none and is
-    read under the given one.  Under it, each row's recorded cells are split
-    by the distant station's setting into two subsequences, aligned in time
-    order, and compared term by term.  A table read under no schedule, or
-    whose cells fix another than the given one, raises
-    :class:`PreconditionError` rather than pass.
+    The table (a run: its laid-out table) is read under the schedule its
+    recorded cells fix, and a given one must be that one; a fully measured
+    table fixes none and is read under the given one.  Under it, each row's
+    recorded cells are split by the distant station's setting into two
+    subsequences, aligned in time order, and compared term by term.  A
+    table read under no schedule, or whose cells fix another than the given
+    one, raises :class:`PreconditionError` rather than pass.
     """
-    return _compare(table, _resolve_schedule(table, schedule))[0]
+    return _compare(*_resolve_schedule(table, schedule))[0]
 
 
 # ---------------------------------------------------------------------------
@@ -242,15 +247,15 @@ def _condense_pairs(
     return out, sources
 
 
-def condense(table: SeriesTable, schedule: Schedule | None = None) -> SeriesTable:
-    """Halve a table that satisfies the series identity.
+def condense(table: SeriesTable | RecordedRun, schedule: Schedule | None = None) -> SeriesTable:
+    """Halve a table (a run: its laid-out table) that satisfies the identity.
 
     The table condenses along the regime structure of its schedule, which
     is settled as for :func:`check_sica`; a run-derived table thereby loses
     all its unmeasured cells and keeps its four measured correlations
     exactly.
     """
-    out, _ = _condense_pairs(table, _resolve_schedule(table, schedule))
+    out, _ = _condense_pairs(*_resolve_schedule(table, schedule))
     return out
 
 
@@ -283,10 +288,13 @@ class ReorderOutcome:
     certificate: tuple[dict, int] | None = None  # a failure's verified cover: _cover_bound
 
 
-def _block_pairs(run: RecordedRun, blocks: dict[Pairing, list[int]]):
+def _block_pairs(run: RecordedRun) -> dict[Pairing, Counter]:
     """Per block, how many of its slots carry each outcome pair (a, b)."""
-    a, b = run.a_outcomes.__getitem__, run.b_outcomes.__getitem__
-    return {p: Counter(zip(map(a, slots), map(b, slots))) for p, slots in blocks.items()}
+    pairs: dict[Pairing, Counter] = {p: Counter() for p in PAIRINGS}
+    for code, n in Counter(run.events).items():
+        p, a, b = EVENTS[code]
+        pairs[p][a, b] = n
+    return pairs
 
 
 def _class_pair(quad: tuple[int, int, int, int], pairing: Pairing) -> tuple[int, int]:
@@ -449,14 +457,14 @@ def reorder_to_sica(run: RecordedRun, budget: int | None = None) -> ReorderOutco
     """
     if budget is None:
         budget = default_discard_budget(run.slots)
-    blocks = pairing_blocks(run)
-    required = max(1, max(len(blocks[p]) - min(budget, len(blocks[p]) - 1) for p in PAIRINGS))
-    empty = [p.key for p in PAIRINGS if not blocks[p]]
+    pair_counts = _block_pairs(run)
+    sizes = {p: sum(pair_counts[p].values()) for p in PAIRINGS}
+    required = max(1, max(sizes[p] - min(budget, sizes[p] - 1) for p in PAIRINGS))
+    empty = [p.key for p in PAIRINGS if not sizes[p]]
     if empty:
         return ReorderOutcome(
             False, None, 0, required, f"never-measured setting pairs: {', '.join(empty)}"
         )
-    pair_counts = _block_pairs(run, blocks)
     bound, label, cover = min(
         ((_cover_bound(pair_counts, c), label, c) for label, c in _covers(pair_counts)),
         key=lambda found: found[0],
@@ -476,14 +484,14 @@ def reorder_to_sica(run: RecordedRun, budget: int | None = None) -> ReorderOutco
         return ReorderOutcome(False, None, best, required, obstruction, cover)
     # Each quadruple, in class order, takes the earliest unused slot of each
     # block that carries its projection.
-    a_out, b_out = run.a_outcomes, run.b_outcomes
+    blocks = pairing_blocks(run)
     block_orders: dict[Pairing, tuple[int, ...]] = {}
     kept: set[int] = set()
     for p in PAIRINGS:
-        take = _time_queues(blocks[p], lambda slot: (a_out[slot], b_out[slot]))
+        take = _time_queues(blocks[p], run.events.__getitem__)
         order: list[int] = []
         for q in sorted(chosen):
-            picked = take(_class_pair(q, p), chosen[q])
+            picked = take(EVENTS.index((p, *_class_pair(q, p))), chosen[q])
             if len(picked) < chosen[q]:
                 raise AssertionError("arrangement certified feasible but not realizable")
             order.extend(picked)
@@ -499,19 +507,15 @@ def apply_plan(run: RecordedRun, plan: ReorderPlan) -> RecordedRun:
     stay in time order under their original settings, and within each block
     the j-th kept position takes the j-th donor's outcome pair."""
     donors_at: dict[int, int] = {}
-    for p, order in plan.block_orders.items():
-        positions = sorted(order)
-        for pos, donor in zip(positions, order):
-            donors_at[pos] = donor
+    for order in plan.block_orders.values():
+        donors_at.update(zip(sorted(order), order))
     kept = sorted(donors_at)
-    a_out = tuple(run.a_outcomes[donors_at[i]] for i in kept)
-    b_out = tuple(run.b_outcomes[donors_at[i]] for i in kept)
     schedule = Schedule(
-        "custom",
-        tuple(run.schedule.a_settings[i] for i in kept),
-        tuple(run.schedule.b_settings[i] for i in kept),
+        "custom", gather(run.schedule.a_settings, kept), gather(run.schedule.b_settings, kept)
     )
-    return RecordedRun(schedule, a_out, b_out, meta=run.meta)
+    # A donor's event code carries its block's setting pair and its outcomes.
+    events = bytes(gather(run.events, gather(donors_at, kept)))
+    return RecordedRun.from_events(schedule, events, meta=run.meta)
 
 
 # ---------------------------------------------------------------------------

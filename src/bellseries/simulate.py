@@ -29,8 +29,6 @@ from .model import (
     PAIRINGS,
     PLUS,
     ROW_KEYS,
-    ASetting,
-    BSetting,
     Pairing,
     RecordedRun,
     Schedule,
@@ -112,21 +110,16 @@ def _meta(config: SourceConfig, draw_order: str) -> dict:
     return meta
 
 
-def simulate(config: SourceConfig) -> RecordedRun:
-    """Generate a run from the configured source, schedule, and efficiency.
-
-    Bit-exact reproducible: the same config (seed included) always yields
-    the same run.
-    """
+def _draw_events(config: SourceConfig) -> tuple[bytes, str]:
+    """Each slot's event code, drawn as whole arrays, and the draw order.  The
+    arrays are freed on return, before the run's tuples are built."""
     # numpy is imported where a command draws, so commands that read stay light.
     import numpy as np
 
-    schedule = config.schedule
-    n = schedule.slots
+    n = config.schedule.slots
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(config.seed)))
     # Per slot, the index of its setting pair in PAIRINGS: 2 * primed A + primed B.
-    a_primed = np.fromiter(map(ASetting.ALPHA_PRIME.__eq__, schedule.a_settings), np.intp, n)
-    b_primed = np.fromiter(map(BSetting.BETA_PRIME.__eq__, schedule.b_settings), np.intp, n)
+    pairing = np.frombuffer(config.schedule.codes, np.uint8)
     if config.model == "quantum":
         s = rng.random(n)
         t = rng.random(n)
@@ -134,19 +127,29 @@ def simulate(config: SourceConfig) -> RecordedRun:
         u_b = rng.random(n)
         same_below = np.array([(1.0 + config.pairing_correlation(p)) / 2.0 for p in PAIRINGS])
         a = np.where(t < 0.5, PLUS, MINUS)
-        b = np.where(s < same_below[2 * a_primed + b_primed], a, -a)
+        b = np.where(s < same_below[pairing], a, -a)
         draw_order = "s,t,u_a,u_b"
     else:
         u_a = rng.random(n)
         u_b = rng.random(n)
         table = config.instructions
         j = np.arange(n) % table.slots
-        a = np.array([table.a, table.a_prime])[a_primed, j]
-        b = np.array([table.b, table.b_prime])[b_primed, j]
+        a = np.array([table.a, table.a_prime])[pairing >> 1, j]
+        b = np.array([table.b, table.b_prime])[pairing & 1, j]
         draw_order = "u_a,u_b"
     a[u_a >= config.eta] = 0
     b[u_b >= config.eta] = 0
-    return RecordedRun(schedule, a.tolist(), b.tolist(), meta=_meta(config, draw_order))
+    return (9 * pairing + 3 * (a + 1) + (b + 1)).astype(np.uint8).tobytes(), draw_order
+
+
+def simulate(config: SourceConfig) -> RecordedRun:
+    """Generate a run from the configured source, schedule, and efficiency.
+
+    Bit-exact reproducible: the same config (seed included) always yields
+    the same run.
+    """
+    events, draw_order = _draw_events(config)
+    return RecordedRun.from_events(config.schedule, events, meta=_meta(config, draw_order))
 
 
 def replay(table: SeriesTable, schedule: Schedule, meta: dict | None = None) -> RecordedRun:

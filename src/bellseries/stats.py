@@ -25,6 +25,8 @@ from typing import Iterable, Mapping
 
 from .errors import PreconditionError
 from .model import (
+    EVENT_COLUMNS,
+    EVENTS,
     MINUS,
     PAIRINGS,
     PLUS,
@@ -95,8 +97,12 @@ def _sum_props(columns: Mapping) -> dict[str, int]:
     return totals
 
 
-def _counts(table: SeriesTable) -> dict[str, int]:
-    return _sum_props(Counter(zip(*(table.row(key) for key in ROW_KEYS))))
+def _counts(data: SeriesTable | RecordedRun) -> dict[str, int]:
+    """The summed counts of a table, or of a run laid out as one: a run's
+    columns are those of its event codes."""
+    if isinstance(data, RecordedRun):
+        return _sum_props({EVENT_COLUMNS[code]: n for code, n in Counter(data.events).items()})
+    return _sum_props(Counter(zip(*(data.row(key) for key in ROW_KEYS))))
 
 
 def _ratio(num: int, den: int) -> Fraction | None:
@@ -396,12 +402,10 @@ def run_detector_efficiencies(run: RecordedRun) -> dict[str, dict[str, object]]:
     any slot where that detector fired, a coincidence one where the distant
     station also detected (either sign).  Efficiency is their ratio.
     """
-    events = Counter(
-        zip(run.schedule.a_settings, run.schedule.b_settings, run.a_outcomes, run.b_outcomes)
-    )
     counters: dict[str, list[int]] = {}
-    for (a_setting, b_setting, a_v, b_v), n in events.items():
-        for row, v, distant in ((a_setting.row, a_v, b_v), (b_setting.row, b_v, a_v)):
+    for code, n in Counter(run.events).items():
+        pairing, a_v, b_v = EVENTS[code]
+        for row, v, distant in ((pairing.a_row, a_v, b_v), (pairing.b_row, b_v, a_v)):
             if v != ZERO:
                 rec = counters.setdefault(f"{row}{'+' if v == PLUS else '-'}", [0, 0])
                 rec[0] += n
@@ -443,8 +447,10 @@ def _frac_json(x: Fraction | None) -> dict | None:
     }
 
 
-def correlation_report(table: SeriesTable) -> dict:
-    """Everything the analyzer computes for one table, JSON-shaped."""
+def correlation_report(table: SeriesTable | RecordedRun) -> dict:
+    """Everything the analyzer computes for one table, JSON-shaped.  A run
+    reports as the table :func:`~bellseries.model.table_from_run` lays it
+    out, counted from its event codes."""
     counts = _counts(table)
     fully_measured = _fully_measured(table, counts)
     detail = _chsh_detail(counts)

@@ -16,7 +16,10 @@ regime-count bound and CHSH-sum bound off the run's own series, slot by
 slot, without the block pair counts ``sica``'s covers read them from.
 ``naive_cover_bound`` verifies a reorder cover the same way: per outcome
 quadruple class, it scans the run's slots for the class's pair in each
-block, and it sums the slots' weights one by one.
+block, and it sums the slots' weights one by one.  ``naive_block_pairs``
+counts each block's outcome pairs and ``naive_distant_regimes`` splits
+each row's slots by the distant setting, both slot by slot from the
+setting and outcome tuples instead of the event codes.
 
 ``naive_build_complete_table`` and ``naive_condense_run_table`` write the
 block-layout completion and the condensation of a run-derived table out by
@@ -54,7 +57,7 @@ _ROW_READS = (
 def naive_plan(run):
     """(block_orders, discarded_slots, kept_per_block) by first-match scans."""
     blocks = pairing_blocks(run)
-    best, chosen = sica._max_joint_arrangement(sica._block_pairs(run, blocks))
+    best, chosen = sica._max_joint_arrangement(sica._block_pairs(run))
     quads = []
     for q in sorted(chosen):
         quads.extend([q] * chosen[q])
@@ -142,6 +145,29 @@ def naive_cover_bound(run, cover):
             if sum(weights.get(cell, 0) for cell in needs) < d:
                 return None
     return sum(weights.get(cell, 0) for cell in slot_cells) // d
+
+
+def naive_block_pairs(run):
+    """``sica._block_pairs``: per setting pair, how many of its slots carry
+    each outcome pair, counted one slot at a time."""
+    pairs = {p: {} for p in PAIRINGS}
+    for i in range(run.slots):
+        pairing = Pairing((run.schedule.a_settings[i], run.schedule.b_settings[i]))
+        pair = (run.a_outcomes[i], run.b_outcomes[i])
+        pairs[pairing][pair] = pairs[pairing].get(pair, 0) + 1
+    return pairs
+
+
+def naive_distant_regimes(schedule):
+    """``sica._distant_regimes``: per row, its slots under the distant
+    station's unprimed setting, then under its primed one."""
+    out = {}
+    for row, _, _, distant, unprimed in _ROW_READS:
+        settings = schedule.a_settings if distant == "a" else schedule.b_settings
+        first = [i for i in range(schedule.slots) if settings[i] == unprimed]
+        second = [i for i in range(schedule.slots) if settings[i] != unprimed]
+        out[row] = (first, second)
+    return out
 
 
 def naive_stable_match(donors, targets):
@@ -250,7 +276,7 @@ def naive_condense_run_table(table, schedule):
         raise PreconditionError(f"series identity fails, cannot condense: {lines}")
     blocks = {p: [] for p in PAIRINGS}
     for i in range(schedule.slots):
-        blocks[schedule.pairing(i)].append(i)
+        blocks[Pairing((schedule.a_settings[i], schedule.b_settings[i]))].append(i)
     sizes = {p: len(blocks[p]) for p in PAIRINGS}
     if len(set(sizes.values())) != 1 or min(sizes.values()) == 0:
         raise PreconditionError(

@@ -15,10 +15,16 @@ from bellseries.model import (
     PLUS,
     ASetting,
     BSetting,
+    Pairing,
     RecordedRun,
     Schedule,
 )
 from bellseries.simulate import _meta
+
+
+def _pairing(schedule, slot):
+    """The slot's setting pair, from its two settings rather than the codes."""
+    return Pairing((schedule.a_settings[slot], schedule.b_settings[slot]))
 
 
 def _generator(seed):
@@ -48,7 +54,7 @@ def naive_simulate(config):
         u_b = rng.random(n)
         e_by_pairing = {p: config.pairing_correlation(p) for p in PAIRINGS}
         for i in range(n):
-            e = e_by_pairing[config.schedule.pairing(i)]
+            e = e_by_pairing[_pairing(config.schedule, i)]
             same = s[i] < (1.0 + e) / 2.0
             sign = PLUS if t[i] < 0.5 else MINUS
             a = sign
@@ -81,8 +87,8 @@ def naive_simulate(config):
 
 
 def naive_pairing_blocks(run):
-    """Slots grouped by their setting pair, asking the schedule slot by slot."""
+    """Slots grouped by their setting pair, read off the settings slot by slot."""
     blocks = {p: [] for p in PAIRINGS}
     for i in range(run.slots):
-        blocks[run.schedule.pairing(i)].append(i)
+        blocks[_pairing(run.schedule, i)].append(i)
     return blocks

@@ -185,3 +185,17 @@ def naive_run_detectors(run):
                 if distant != 0:
                     rec[1] += 1
     return {label: tuple(rec) for label, rec in out.items()}
+
+
+def naive_run_columns(run):
+    """How many slots of a run lay out each column (a, b, a', b'): each
+    slot's two outcomes go in the rows of its two active settings, the
+    other two cells are None."""
+    out = {}
+    for i in range(run.slots):
+        cells = dict.fromkeys(("a", "b", "a_prime", "b_prime"))
+        cells[run.schedule.a_settings[i].row] = run.a_outcomes[i]
+        cells[run.schedule.b_settings[i].row] = run.b_outcomes[i]
+        column = (cells["a"], cells["b"], cells["a_prime"], cells["b_prime"])
+        out[column] = out.get(column, 0) + 1
+    return out

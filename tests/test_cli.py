@@ -9,7 +9,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from bellseries import fileio, refdata
+from bellseries import fileio, refdata, sica
 from bellseries.model import (
     ASetting,
     BSetting,
@@ -706,6 +706,27 @@ def test_schedule_flag_on_an_event_log_must_agree_with_it(cli, tmp_path, capsys,
     assert cli(*argv, "--input", str(log), "--output", str(out)) == 3
     assert message in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_a_log_is_read_under_its_own_schedule_not_derived_again(cli, tmp_path, capsys,
+                                                                 monkeypatch):
+    run, log = _random_log(tmp_path)
+    sched = tmp_path / "sched.json"
+    sched.write_text(json.dumps(run.schedule.to_json()))
+    table = tmp_path / "table.json"
+    table.write_text(json.dumps(fileio.table_to_json(table_from_run(run))))
+    commands = ("sica-check", "sica-condense")
+    expected = {c: (cli(c, "--input", str(table)), capsys.readouterr().out) for c in commands}
+
+    def derive(_table):
+        raise AssertionError("a log's schedule was derived from its table")
+
+    monkeypatch.setattr(sica, "derive_schedule", derive)
+    for command in commands:
+        for flag in ((), ("--schedule", f"file:{sched}")):
+            got = cli(command, "--input", str(log), *flag), capsys.readouterr().out
+            assert got == expected[command]
+    assert expected["sica-check"][0] == 0
 
 
 def test_random_schedule_on_a_table_exits_3(cli, tmp_path, capsys):

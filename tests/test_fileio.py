@@ -1,15 +1,17 @@
 import io
 import json
 import random
+import re
 from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bellseries import fileio
+from bellseries import fileio, refdata
 from bellseries.errors import BellSeriesError, ParseError, PreconditionError, StructuralError
 from bellseries.model import (
+    EVENTS,
     RecordedRun,
     SeriesTable,
     block_halves,
@@ -19,6 +21,7 @@ from bellseries.model import (
 from bellseries.simulate import SourceConfig, simulate
 
 from conftest import EVENT, event_logs, make_rng, random_table
+from naive_model import naive_event_code, naive_events
 
 
 def _sample_run(seed=3, slots=12):
@@ -290,32 +293,42 @@ def test_fuzzed_event_logs_load_or_raise_a_named_error(text):
 
 # --- the block decoder against json.loads ----------------------------------
 
-_KEYS = sorted(fileio._EVENT_HEADS, key=repr)
+# Every (a, a_setting, b, b_setting) a run can hold, and its event code.
+_CODES = {(a, p.a_setting, b, p.b_setting): code for code, (p, a, b) in enumerate(EVENTS)}
+_KEYS = sorted(_CODES, key=repr)
+
+
+def _head(key):
+    return fileio._EVENT_HEADS[_CODES[key]]
 
 
 @pytest.mark.parametrize("key", _KEYS, ids=repr)
 def test_every_head_plus_a_slot_reads_back_as_its_key(key):
     a, a_setting, b, b_setting = key
     for slot in (0, 7, 10**18 - 1):
-        loaded = json.loads(fileio._EVENT_HEADS[key] + f"{slot}}}")
+        loaded = json.loads(_head(key) + f"{slot}}}")
         expected = {"a": a, "a_setting": a_setting.value, "b": b,
                     "b_setting": b_setting.value, "slot": slot}
         assert loaded == expected
         assert [type(loaded[k]) for k in expected] == [type(v) for v in expected.values()]
-    assert fileio._HEAD_EVENTS[fileio._EVENT_HEADS[key]] == key
+    assert fileio._HEAD_EVENTS[_head(key)] == _CODES[key] == naive_event_code(*key)
 
 
 def _outcome(text, block_decode=True):
-    """What read_run_events makes of ``text``: the run and its meta, or the
-    error's type, message and line number.  Without ``block_decode`` no
-    line's head is known, so every line goes through json.loads."""
+    """What read_run_events makes of ``text``: the run's event codes, the
+    outcome, setting and pairing-code series built from them, and its meta;
+    or the error's type, message and line number.  Without ``block_decode``
+    no line's head is known, so every line goes through json.loads."""
     heads = fileio._HEAD_EVENTS if block_decode else {}
     with mock.patch.object(fileio, "_HEAD_EVENTS", heads):
         try:
             run = fileio.read_run_events(text)
         except BellSeriesError as exc:
             return type(exc), str(exc), getattr(exc, "line_number", None)
-    return run, run.meta
+    assert run.events == naive_events(run)
+    schedule = run.schedule
+    return (run.events, run.a_outcomes, run.b_outcomes, schedule.a_settings,
+            schedule.b_settings, schedule.codes, run.meta)
 
 
 def _json_calls(text):
@@ -333,12 +346,12 @@ def _json_calls(text):
        st.sampled_from(("", " ", "\t", "\r")), st.booleans())
 def test_every_line_the_decoder_accepts_reads_as_json_loads_reads_it(keys, pad, meta):
     lines = ['{"meta": {"seed": 1}}'] if meta else []
-    lines += [pad + fileio._EVENT_HEADS[key] + f"{slot}}}" + pad for slot, key in enumerate(keys)]
+    lines += [pad + _head(key) + f"{slot}}}" + pad for slot, key in enumerate(keys)]
     text = "".join(line + "\n" for line in lines)
     assert _json_calls(text) == int(meta)
-    run, _ = _outcome(text)
-    assert list(zip(run.a_outcomes, run.schedule.a_settings,
-                    run.b_outcomes, run.schedule.b_settings)) == keys
+    events, a_out, b_out, a_settings, b_settings, _, _ = _outcome(text)
+    assert list(zip(a_out, a_settings, b_out, b_settings)) == keys
+    assert list(events) == [_CODES[key] for key in keys]
     assert _outcome(text) == _outcome(text, block_decode=False)
 
 
@@ -503,3 +516,41 @@ def test_hostile_json_is_a_parse_error(tmp_path, name):
     path.write_text('{"slots": 1, "a": ' + _HOSTILE[name])
     with pytest.raises(ParseError):
         fileio.read_table(str(path))
+
+
+_WHERE = ("first", "middle", "last")
+
+
+def _slot(where, slots):
+    return {"first": 0, "middle": slots // 2, "last": slots - 1}[where]
+
+
+@pytest.mark.parametrize("where", _WHERE)
+@pytest.mark.parametrize("bad", [2, True, 1.0, "1", [], {}], ids=repr)
+def test_table_json_names_the_first_bad_cell(tmp_path, cli, capsys, where, bad):
+    slot = _slot(where, 7)
+    data = {"slots": 7, "a": [1, None, -1, 0, None, 1, 0], "b": [None] * 7,
+            "a_prime": [0] * 7, "b_prime": [None, 1, -1, 0, 1, 1, 1]}
+    data["b_prime"][slot] = bad
+    message = f"row 'b_prime' slot {slot} holds {bad!r}"
+    with pytest.raises(StructuralError, match=re.escape(message)):
+        fileio.table_from_json(data)
+    # Unhashable cells too are named, and the command exits 3, not 4.
+    path = tmp_path / "table.json"
+    path.write_text(json.dumps(data))
+    assert cli("analyze", "--input", str(path)) == 3
+    assert f"slot {slot} holds" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("where", _WHERE)
+@pytest.mark.parametrize("bad", ["f", "", 1, None, [], {}], ids=repr)
+def test_provenance_refuses_a_bad_mark(tmp_path, cli, capsys, where, bad):
+    complete = refdata.fig8()
+    data = fileio.table_to_json(complete.table, complete.provenance)
+    data["provenance"]["a_prime"][_slot(where, data["slots"])] = bad
+    with pytest.raises(StructuralError, match="provenance row 'a_prime' must be 'F'/'C' per slot"):
+        fileio.provenance_from_json(data)
+    path = tmp_path / "table.json"
+    path.write_text(json.dumps(data))
+    assert cli("sica-check", "--input", str(path)) == 3
+    assert "must be 'F'/'C' per slot" in capsys.readouterr().err

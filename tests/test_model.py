@@ -1,7 +1,11 @@
+import io
 import re
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from bellseries import fileio, sica, stats
 from bellseries.errors import PreconditionError, StructuralError
 from bellseries.model import (
     MINUS,
@@ -14,6 +18,7 @@ from bellseries.model import (
     RecordedRun,
     SeriesTable,
     block_halves,
+    custom_schedule,
     derive_schedule,
     pairing_blocks,
     project_table,
@@ -21,9 +26,13 @@ from bellseries.model import (
     schedule_from_json,
     table_from_run,
 )
+from bellseries.simulate import SourceConfig, replay, simulate
 
 from conftest import make_rng, random_table
+from naive_model import naive_events, naive_table_from_run
+from naive_sica import naive_block_pairs, naive_distant_regimes
 from naive_simulate import naive_pairing_blocks
+from naive_stats import naive_run_columns, naive_run_detectors
 
 
 def test_pairing_rows_and_keys():
@@ -132,3 +141,78 @@ def test_recorded_run_names_the_first_bad_outcome(bad):
         RecordedRun(block_halves(4), (1, 0, 1, 1), (1, bad, -1, 7))
     with pytest.raises(PreconditionError, match="outcome 7 not one of"):
         RecordedRun(block_halves(4), (1, 7, 1, 1), (1, bad, -1, 1))
+
+
+@pytest.mark.parametrize("where", ["first", "middle", "last"])
+@pytest.mark.parametrize("bad", [2, True, 1.0, "1", [], {}], ids=repr)
+def test_from_rows_names_the_first_bad_cell(where, bad):
+    slot = {"first": 0, "middle": 3, "last": 6}[where]
+    row = [1, None, -1, 0, None, 1, 0]
+    row[slot] = bad
+    with pytest.raises(StructuralError, match=re.escape(
+            f"row a_prime slot {slot}: cell {bad!r} is not one of 1, -1, 0, None")):
+        SeriesTable.from_rows((1,) * 7, (None,) * 7, row, (7, 0, 0, 0, 0, 0, 7))
+
+
+@st.composite
+def _runs(draw):
+    """Runs of 0-70 slots: each station on random settings or on one
+    setting throughout, each station's outcomes from one of four alphabets,
+    all zeros among them."""
+    slots = draw(st.integers(0, 70))
+
+    def station(settings):
+        fixed = draw(st.sampled_from((None, *settings)))
+        pick = st.sampled_from(settings)
+        return [fixed] * slots if fixed else draw(st.lists(pick, min_size=slots, max_size=slots))
+
+    def outcomes():
+        values = st.sampled_from(draw(st.sampled_from(((-1, 1), (-1, 0, 1), (1,), (0,)))))
+        return tuple(draw(st.lists(values, min_size=slots, max_size=slots)))
+
+    schedule = custom_schedule(station(tuple(ASetting)), station(tuple(BSetting)))
+    return RecordedRun(schedule, outcomes(), outcomes())
+
+
+def _derived_runs(run):
+    """Runs the package makes from ``run``: decoded from its written log,
+    simulated, projected and replayed under its schedule, and rearranged by
+    a successful reorder."""
+    buf = io.StringIO()
+    fileio.write_run_events(run, buf)
+    yield fileio.read_run_events(buf.getvalue())
+    yield simulate(SourceConfig(model="quantum", schedule=run.schedule, seed=run.slots, eta=0.8))
+    full = sica.fill_counterfactual(run)
+    yield project_table(full, run.schedule)
+    if run.slots % 2 == 0 and run.slots:
+        yield replay(full, block_halves(2 * run.slots))
+    outcome = sica.reorder_to_sica(run, budget=run.slots)
+    if outcome.success:
+        yield sica.apply_plan(run, outcome.plan)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_runs())
+def test_run_path_reads_the_event_codes_as_the_per_slot_references(run):
+    assert run.events == naive_events(run)
+    assert table_from_run(run) == naive_table_from_run(run)
+    assert pairing_blocks(run) == naive_pairing_blocks(run)
+    assert stats._counts(run) == stats._sum_props(naive_run_columns(run))
+    assert stats.correlation_report(run) == stats.correlation_report(table_from_run(run))
+    detectors = stats.run_detector_efficiencies(run)
+    assert {label: (rec["singles"], rec["coincidences"]) for label, rec in detectors.items()} == (
+        naive_run_detectors(run))
+    assert sica._block_pairs(run) == naive_block_pairs(run)
+    assert sica._distant_regimes(run.schedule) == naive_distant_regimes(run.schedule)
+    for derived in _derived_runs(run):
+        # The tuples every caller sees and the codes every pass reads agree.
+        assert derived.events == naive_events(derived)
+        again = RecordedRun(derived.schedule, derived.a_outcomes, derived.b_outcomes)
+        assert again.events == derived.events and again == derived
+
+
+def test_from_events_refuses_codes_off_the_schedule():
+    run = RecordedRun(block_halves(4), (1, 0, -1, 1), (0, 0, 1, -1))
+    assert RecordedRun.from_events(run.schedule, run.events) == run
+    with pytest.raises(PreconditionError, match="do not follow the schedule"):
+        RecordedRun.from_events(random_per_slot(4, 1), run.events)

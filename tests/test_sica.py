@@ -138,7 +138,7 @@ def test_reorder_is_stable_under_block_internal_shuffle():
 
 def _cover_bounds(run):
     """(bound, label) of each of ``sica._covers``, in order."""
-    pair_counts = sica._block_pairs(run, pairing_blocks(run))
+    pair_counts = sica._block_pairs(run)
     return [(sica._cover_bound(pair_counts, cover), label)
             for label, cover in sica._covers(pair_counts)]
 
@@ -269,7 +269,7 @@ def test_reorder_bounds_are_sound():
                 False, 0, None), seed
             assert outcome.obstruction.startswith("never-measured setting pairs: "), seed
             continue
-        best, _ = sica._max_joint_arrangement(sica._block_pairs(run, blocks))
+        best, _ = sica._max_joint_arrangement(sica._block_pairs(run))
         bounds = _cover_bounds(run)
         smallest = min(bounds, key=lambda found: found[0])
         assert best <= smallest[0], seed
