@@ -30,7 +30,6 @@ from typing import Any, Iterator, TextIO
 
 from .errors import ParseError, PreconditionError, StructuralError
 from .model import (
-    EVENT_PAIRINGS,
     EVENTS,
     MEASURED_VALUES,
     ROW_KEYS,
@@ -39,7 +38,7 @@ from .model import (
     RecordedRun,
     SeriesTable,
     bad_cell,
-    custom_schedule,
+    custom_schedule,  # unused here; perfbench/launch.py wraps fileio.custom_schedule
     gather,
 )
 
@@ -178,9 +177,7 @@ def read_run_events(text: str) -> RecordedRun:
                 else f"slots are not contiguous from 0: saw {seen}"
             )
         events = bytes(gather(events, sorted(expected, key=slots.__getitem__)))
-    a_settings, b_settings = zip(*((p.a_setting, p.b_setting) for p in EVENT_PAIRINGS))
-    schedule = custom_schedule(gather(a_settings, events), gather(b_settings, events))
-    return RecordedRun.from_events(schedule, events, meta)
+    return RecordedRun.from_events(events, meta)
 
 
 def table_to_json(table: SeriesTable, provenance: dict[str, tuple[str, ...]] | None = None) -> dict:

@@ -110,7 +110,9 @@ EVENT_COLUMNS = tuple(
     tuple({p.a_row: a, p.b_row: b}.get(key) for key in ROW_KEYS) for p, a, b in EVENTS
 )
 _EVENT_PAIRING = bytes(code // 9 for code in range(len(EVENTS))).ljust(256, b"\0")
+_EVENT_CODES, _PAIRING_CODES = bytes(range(len(EVENTS))), bytes(range(len(PAIRINGS)))
 _PRIMED = {ASetting.ALPHA: 0, ASetting.ALPHA_PRIME: 1, BSetting.BETA: 0, BSetting.BETA_PRIME: 1}
+_A_OF_PAIRING, _B_OF_PAIRING = zip(*(p.value for p in PAIRINGS))
 
 
 def gather(table: Sequence, keys: Sequence) -> tuple:
@@ -177,26 +179,31 @@ class Schedule:
     """Per-slot assignment of analyzer settings to both stations.
 
     ``codes`` holds per slot the index of its setting pair in
-    :data:`PAIRINGS`, ``2 * (A primed) + (B primed)``.  Two schedules are
-    equal when they assign the same settings slot for slot; ``kind`` and
-    ``seed`` only describe where the assignment came from and survive
+    :data:`PAIRINGS`, ``2 * (A primed) + (B primed)``: the only stored form,
+    from which :attr:`a_settings` and :attr:`b_settings` are computed on
+    each request.  Two schedules are equal when their codes are; ``kind``
+    and ``seed`` only describe where the assignment came from and survive
     neither event-log serialization nor comparison.
     """
 
     kind: str = field(compare=False)
-    a_settings: tuple[ASetting, ...] = field(compare=False)
-    b_settings: tuple[BSetting, ...] = field(compare=False)
+    codes: bytes = field(repr=False)
     seed: int | None = field(default=None, compare=False)
-    codes: bytes = field(init=False, repr=False)
 
     def __post_init__(self):
-        a, b = tuple(self.a_settings), tuple(self.b_settings)
-        if len(a) != len(b):
-            raise PreconditionError("schedule station assignments differ in length")
-        object.__setattr__(self, "a_settings", a)
-        object.__setattr__(self, "b_settings", b)
-        primed = (bytes(gather(_PRIMED, settings)) for settings in (a, b))
-        object.__setattr__(self, "codes", _bytewise(len(a), zip((2, 1), primed)))
+        codes = bytes(self.codes)
+        bad = codes.translate(None, _PAIRING_CODES)
+        if bad:
+            raise PreconditionError(f"pairing code {bad[0]} is not one of 0-3")
+        object.__setattr__(self, "codes", codes)
+
+    @property
+    def a_settings(self) -> tuple[ASetting, ...]:
+        return gather(_A_OF_PAIRING, self.codes)
+
+    @property
+    def b_settings(self) -> tuple[BSetting, ...]:
+        return gather(_B_OF_PAIRING, self.codes)
 
     @property
     def slots(self) -> int:
@@ -228,14 +235,8 @@ def block_halves(slots: int) -> Schedule:
         raise PreconditionError(
             f"block-halves schedule needs a slot count divisible by 4, got {slots}"
         )
-    quarter = slots // 4
-    a = [ASetting.ALPHA] * (2 * quarter) + [ASetting.ALPHA_PRIME] * (2 * quarter)
-    b = (
-        [BSetting.BETA_PRIME] * quarter
-        + [BSetting.BETA] * (2 * quarter)
-        + [BSetting.BETA_PRIME] * quarter
-    )
-    return Schedule("block", tuple(a), tuple(b))
+    quarters = (Pairing.ABP, Pairing.AB, Pairing.APB, Pairing.APBP)
+    return Schedule("block", b"".join(bytes([PAIRINGS.index(p)]) * (slots // 4) for p in quarters))
 
 
 def random_per_slot(slots: int, seed: int) -> Schedule:
@@ -244,15 +245,19 @@ def random_per_slot(slots: int, seed: int) -> Schedule:
     import numpy as np
 
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
-    a_bits = rng.integers(0, 2, size=slots).tolist()
-    b_bits = rng.integers(0, 2, size=slots).tolist()
-    a = gather((ASetting.ALPHA, ASetting.ALPHA_PRIME), a_bits)
-    b = gather((BSetting.BETA, BSetting.BETA_PRIME), b_bits)
-    return Schedule("random", a, b, seed=seed)
+    a_primed = rng.integers(0, 2, size=slots)
+    b_primed = rng.integers(0, 2, size=slots)
+    return Schedule("random", (2 * a_primed + b_primed).astype(np.uint8).tobytes(), seed)
 
 
 def custom_schedule(a_settings: Sequence[ASetting], b_settings: Sequence[BSetting]) -> Schedule:
-    return Schedule("custom", tuple(a_settings), tuple(b_settings))
+    """The schedule setting A to ``a_settings`` and B to ``b_settings``, slot
+    by slot: the one place settings become pairing codes."""
+    a, b = tuple(a_settings), tuple(b_settings)
+    if len(a) != len(b):
+        raise PreconditionError("schedule station assignments differ in length")
+    primed = (bytes(gather(_PRIMED, settings)) for settings in (a, b))
+    return Schedule("custom", _bytewise(len(a), zip((2, 1), primed)))
 
 
 def schedule_from_json(data: dict) -> Schedule:
@@ -261,54 +266,63 @@ def schedule_from_json(data: dict) -> Schedule:
         b = tuple(BSetting(v) for v in data["b_settings"])
     except (KeyError, ValueError, TypeError) as exc:
         raise PreconditionError(f"bad schedule data: {exc}") from exc
-    return Schedule(data.get("kind", "custom"), a, b, seed=data.get("seed"))
+    return Schedule(data.get("kind", "custom"), custom_schedule(a, b).codes, data.get("seed"))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class RecordedRun:
     """A run: one setting pair and one outcome pair per slot.
 
     Outcomes are integers in {+1, -1, 0}; at most one detector fires per
     station per slot, which the single signed value per station encodes by
     construction.  ``events`` holds each slot's event code (see
-    :data:`EVENTS`), which every per-slot pass reads.  ``meta`` carries
-    provenance (simulator configuration, seeds, generator name) and does not
-    take part in equality.
+    :data:`EVENTS`): the only stored form, which every per-slot pass reads
+    and from which :attr:`a_outcomes` and :attr:`b_outcomes` are computed on
+    each request.  ``meta`` carries provenance (simulator configuration,
+    seeds, generator name) and does not take part in equality.
     """
 
     schedule: Schedule = field(compare=False)
-    a_outcomes: tuple[int, ...] = field(compare=False)
-    b_outcomes: tuple[int, ...] = field(compare=False)
+    events: bytes = field(repr=False)
     meta: dict | None = field(default=None, compare=False)
-    events: bytes = field(init=False, repr=False)
 
-    def __post_init__(self):
-        object.__setattr__(self, "a_outcomes", tuple(self.a_outcomes))
-        object.__setattr__(self, "b_outcomes", tuple(self.b_outcomes))
-        n = self.schedule.slots
-        if len(self.a_outcomes) != n or len(self.b_outcomes) != n:
+    def __init__(self, schedule: Schedule, a_outcomes, b_outcomes, meta: dict | None = None):
+        a_outcomes, b_outcomes = tuple(a_outcomes), tuple(b_outcomes)
+        n = schedule.slots
+        if len(a_outcomes) != n or len(b_outcomes) != n:
             raise PreconditionError("run outcome series must match the schedule length")
-        for series in (self.a_outcomes, self.b_outcomes):
+        for series in (a_outcomes, b_outcomes):
             # Two set tests at C speed decide; the scan only names the culprit.
             if not (set(map(type, series)) <= {int} and set(series).issubset(MEASURED_VALUES)):
                 bad = next(v for v in series if not is_outcome(v))
                 raise PreconditionError(f"outcome {bad!r} not one of +1, -1, 0")
         # (1, 2, 0)[v] is v + 1 for v in (-1, 0, 1).
-        a, b = (bytes(gather((1, 2, 0), series)) for series in (self.a_outcomes, self.b_outcomes))
-        object.__setattr__(self, "events", _bytewise(n, ((9, self.schedule.codes), (3, a), (1, b))))
+        a, b = (bytes(gather((1, 2, 0), series)) for series in (a_outcomes, b_outcomes))
+        self._store(schedule, _bytewise(n, ((9, schedule.codes), (3, a), (1, b))), meta)
+
+    def _store(self, schedule: Schedule, events: bytes, meta: dict | None) -> None:
+        for f, value in zip(fields(self), (schedule, events, meta)):
+            object.__setattr__(self, f.name, value)
 
     @classmethod
-    def from_events(cls, schedule: Schedule, events: bytes, meta: dict | None = None):
-        """The run whose event codes are ``events``: codes below 36 that
-        carry ``schedule``'s setting pairs.  The outcomes are read off the
-        codes, so they need no check."""
-        if events.translate(_EVENT_PAIRING) != schedule.codes:
-            raise PreconditionError("event codes do not follow the schedule")
+    def from_events(cls, events: bytes, meta: dict | None = None) -> "RecordedRun":
+        """The run whose event codes are ``events``, each below 36; its
+        schedule is read off the codes."""
+        events = bytes(events)
+        bad = events.translate(None, _EVENT_CODES)
+        if bad:
+            raise PreconditionError(f"event code {bad[0]} is not one of 0-{len(EVENTS) - 1}")
         run = cls.__new__(cls)
-        values = (schedule, gather(EVENT_A, events), gather(EVENT_B, events), meta, bytes(events))
-        for f, value in zip(fields(cls), values):
-            object.__setattr__(run, f.name, value)
+        run._store(Schedule("custom", events.translate(_EVENT_PAIRING)), events, meta)
         return run
+
+    @property
+    def a_outcomes(self) -> tuple[int, ...]:
+        return gather(EVENT_A, self.events)
+
+    @property
+    def b_outcomes(self) -> tuple[int, ...]:
+        return gather(EVENT_B, self.events)
 
     @property
     def slots(self) -> int:
@@ -329,23 +343,21 @@ def derive_schedule(table: SeriesTable) -> Schedule:
     Requires exactly one of (a, a') and one of (b, b') measured per slot;
     otherwise the earliest slot without one is named, A before B.
     """
-    # Per station: is the unprimed cell measured, is the primed one not?
+    # Per station: is the unprimed cell unmeasured, is the primed one measured?
     masks = [
-        ([v is not None for v in row], [v is None for v in primed_row])
+        ([v is None for v in row], [v is not None for v in primed_row])
         for row, primed_row in ((table.a, table.a_prime), (table.b, table.b_prime))
     ]
-    if any(measured != unmeasured for measured, unmeasured in masks):
+    if any(unmeasured != primed for unmeasured, primed in masks):
         for i in range(table.slots):
-            for station, (measured, unmeasured) in zip("AB", masks):
-                if measured[i] != unmeasured[i]:
+            for station, (unmeasured, primed) in zip("AB", masks):
+                if unmeasured[i] != primed[i]:
                     raise PreconditionError(
                         f"slot {i}: expected exactly one measured {station} cell, "
                         "table is not run-derived"
                     )
-    (a_meas, _), (b_meas, _) = masks
-    alpha, alpha_prime = ASetting.ALPHA, ASetting.ALPHA_PRIME
-    beta, beta_prime = BSetting.BETA, BSetting.BETA_PRIME
-    return custom_schedule(gather((alpha_prime, alpha), a_meas), gather((beta_prime, beta), b_meas))
+    (_, a_primed), (_, b_primed) = masks
+    return Schedule("custom", _bytewise(table.slots, ((2, bytes(a_primed)), (1, bytes(b_primed)))))
 
 
 def project_table(table: SeriesTable, schedule: Schedule, meta: dict | None = None) -> RecordedRun:
@@ -357,15 +369,19 @@ def project_table(table: SeriesTable, schedule: Schedule, meta: dict | None = No
         raise PreconditionError(
             f"schedule has {schedule.slots} slots but the table has {table.slots}"
         )
-    a_out = tuple(table.row(schedule.a_settings[i].row)[i] for i in range(table.slots))
-    b_out = tuple(table.row(schedule.b_settings[i].row)[i] for i in range(table.slots))
+    a_out = tuple(table.row(s.row)[i] for i, s in enumerate(schedule.a_settings))
+    b_out = tuple(table.row(s.row)[i] for i, s in enumerate(schedule.b_settings))
     return RecordedRun(schedule, a_out, b_out, meta=meta)
+
+
+def pairing_mask(schedule: Schedule, pairings) -> bytes:
+    """Per slot, 1 if its setting pair is one of ``pairings``, else 0."""
+    return schedule.codes.translate(bytes(p in pairings for p in PAIRINGS).ljust(256, b"\0"))
 
 
 def pairing_slots(schedule: Schedule, pairings) -> list[int]:
     """The slots whose setting pair is one of ``pairings``, in time order."""
-    mask = bytes(p in pairings for p in PAIRINGS).ljust(256, b"\0")
-    return list(compress(range(schedule.slots), schedule.codes.translate(mask)))
+    return list(compress(range(schedule.slots), pairing_mask(schedule, pairings)))
 
 
 def pairing_blocks(run: RecordedRun) -> dict[Pairing, list[int]]:

@@ -38,9 +38,11 @@ from .model import (
     Schedule,
     SeriesTable,
     block_halves,
+    custom_schedule,
     derive_schedule,
     gather,
     pairing_blocks,
+    pairing_mask,
     pairing_slots,
     table_from_run,
 )
@@ -510,12 +512,9 @@ def apply_plan(run: RecordedRun, plan: ReorderPlan) -> RecordedRun:
     for order in plan.block_orders.values():
         donors_at.update(zip(sorted(order), order))
     kept = sorted(donors_at)
-    schedule = Schedule(
-        "custom", gather(run.schedule.a_settings, kept), gather(run.schedule.b_settings, kept)
-    )
     # A donor's event code carries its block's setting pair and its outcomes.
     events = bytes(gather(run.events, gather(donors_at, kept)))
-    return RecordedRun.from_events(schedule, events, meta=run.meta)
+    return RecordedRun.from_events(events, meta=run.meta)
 
 
 # ---------------------------------------------------------------------------
@@ -538,33 +537,27 @@ class CompleteTable:
             raise PreconditionError("a complete table has no unmeasured cells")
         _resolve_schedule(self.table, self.schedule)
 
-    def _schedule_run(self) -> RecordedRun:
-        """A run of the schedule with every outcome +1: laid out as a table,
-        its measured cells are this table's factual ones."""
-        slots = self.schedule.slots
-        return RecordedRun(self.schedule, (PLUS,) * slots, (PLUS,) * slots)
-
     @property
     def provenance(self) -> dict[str, tuple[str, ...]]:
         """Per row, "F" on the factual cells and "C" on the counterfactual
         ones: the marks a table file records the schedule by."""
-        laid = table_from_run(self._schedule_run())
-        return {key: tuple(["C" if v is None else "F" for v in laid.row(key)]) for key in ROW_KEYS}
+        return {key: gather(("C", "F"), pairing_mask(self.schedule, _ROW_BLOCKS[key]))
+                for key in ROW_KEYS}
 
     def check(self) -> SicaVerdict:
         return check_sica(self.table, self.schedule)
 
     def factual_correlations(self):
-        blocks = pairing_blocks(self._schedule_run())
-        return {p: correlation_over_slots(self.table, p, blocks[p]) for p in PAIRINGS}
+        return {p: correlation_over_slots(self.table, p, pairing_slots(self.schedule, (p,)))
+                for p in PAIRINGS}
 
     def condense(self) -> "CompleteTable":
         """Rows a and a' keep the same slot at each position, and so do b
         and b': the kept slots' settings are the condensed schedule."""
         out, sources = _condense_pairs(self.table, self.schedule)
-        a_set, b_set = self.schedule.a_settings, self.schedule.b_settings
-        schedule = Schedule(
-            "custom", map(a_set.__getitem__, sources["a"]), map(b_set.__getitem__, sources["b"])
+        schedule = custom_schedule(
+            gather(self.schedule.a_settings, sources["a"]),
+            gather(self.schedule.b_settings, sources["b"]),
         )
         return CompleteTable(out, schedule)
 
@@ -572,8 +565,7 @@ class CompleteTable:
         """Re-pick which slots count as the factual observation of each
         pairing, and report the resulting per-pairing statistics and CHSH
         combination.  Defaults to the construction's own factual slots."""
-        blocks = pairing_blocks(self._schedule_run())
-        chosen: dict[Pairing, tuple[int, ...]] = {p: tuple(blocks[p]) for p in PAIRINGS}
+        chosen = {p: tuple(pairing_slots(self.schedule, (p,))) for p in PAIRINGS}
         if overrides:
             for p, slots in overrides.items():
                 picked = tuple(slots)
@@ -696,11 +688,8 @@ def build_complete_table(
     donors_a, targets_a = zip(*match_a[:m])
     donors_ap, targets_ap = zip(*match_ap[:m])
     kept = donors_a + targets_a + donors_ap + targets_ap
-    trimmed = RecordedRun(
-        block_halves(4 * m),
-        tuple(a_out[i] for i in kept),
-        tuple(run.b_outcomes[i] for i in kept),
-    )
+    # The kept slots come quarter by quarter, so their events lay out the block layout.
+    trimmed = RecordedRun.from_events(bytes(gather(run.events, kept)))
     factual = table_from_run(trimmed)
     rows = {key: list(factual.row(key)) for key in ROW_KEYS}
     free = _fill_identity_pairs(rows, trimmed.schedule)

@@ -111,8 +111,7 @@ def _meta(config: SourceConfig, draw_order: str) -> dict:
 
 
 def _draw_events(config: SourceConfig) -> tuple[bytes, str]:
-    """Each slot's event code, drawn as whole arrays, and the draw order.  The
-    arrays are freed on return, before the run's tuples are built."""
+    """Each slot's event code, drawn as whole arrays, and the draw order."""
     # numpy is imported where a command draws, so commands that read stay light.
     import numpy as np
 
@@ -149,7 +148,7 @@ def simulate(config: SourceConfig) -> RecordedRun:
     the same run.
     """
     events, draw_order = _draw_events(config)
-    return RecordedRun.from_events(config.schedule, events, meta=_meta(config, draw_order))
+    return RecordedRun.from_events(events, meta=_meta(config, draw_order))
 
 
 def replay(table: SeriesTable, schedule: Schedule, meta: dict | None = None) -> RecordedRun:
@@ -171,27 +170,18 @@ def replay(table: SeriesTable, schedule: Schedule, meta: dict | None = None) -> 
     if schedule.slots == table.slots:
         return project_table(table, schedule, meta=meta)
     if schedule.slots == 2 * table.slots:
-        active = {key: 0 for key in ROW_KEYS}
-        for i in range(schedule.slots):
-            active[schedule.a_settings[i].row] += 1
-            active[schedule.b_settings[i].row] += 1
+        # Per slot, the rows its A and its B setting read.
+        rows = [s.row for pair in zip(schedule.a_settings, schedule.b_settings) for s in pair]
+        active = {key: rows.count(key) for key in ROW_KEYS}
         bad = {k: v for k, v in active.items() if v != table.slots}
         if bad:
             raise PreconditionError(
                 f"sequential replay needs every row active exactly {table.slots} "
                 f"times, got {bad}"
             )
-        cursor = {key: 0 for key in ROW_KEYS}
-        a_out = []
-        b_out = []
-        for i in range(schedule.slots):
-            row = schedule.a_settings[i].row
-            a_out.append(table.row(row)[cursor[row]])
-            cursor[row] += 1
-            row = schedule.b_settings[i].row
-            b_out.append(table.row(row)[cursor[row]])
-            cursor[row] += 1
-        return RecordedRun(schedule, tuple(a_out), tuple(b_out), meta=meta)
+        cursors = {key: iter(table.row(key)) for key in ROW_KEYS}
+        values = [next(cursors[row]) for row in rows]
+        return RecordedRun(schedule, values[0::2], values[1::2], meta=meta)
     raise PreconditionError(
         f"schedule must cover {table.slots} or {2 * table.slots} slots, "
         f"got {schedule.slots}"

@@ -254,10 +254,13 @@ _SET_SIZES = tuple(f.name for f in fields(SetStats))[:12]
 
 
 def _fully_measured(table: SeriesTable, counts: Mapping[str, int]) -> bool:
-    return all(counts[f"recorded_{key}"] == table.slots for key in ROW_KEYS)
+    """Every cell recorded, on at least one slot: no verdict rests on none."""
+    return table.slots > 0 and all(counts[f"recorded_{key}"] == table.slots for key in ROW_KEYS)
 
 
 def _set_stats(table: SeriesTable, counts: Mapping[str, int]) -> SetStats:
+    if not table.slots:
+        raise PreconditionError("set statistics need recorded cells; the table has no slots")
     if not _fully_measured(table, counts):
         raise PreconditionError(
             "set statistics need every cell recorded; complete the table first "

@@ -16,18 +16,21 @@ def naive_event_code(a, a_setting, b, b_setting):
 
 def naive_events(run):
     """The run's event codes, one slot at a time."""
+    a_set, b_set = run.schedule.a_settings, run.schedule.b_settings
+    a_out, b_out = run.a_outcomes, run.b_outcomes
     codes = []
     for i in range(run.slots):
-        codes.append(naive_event_code(run.a_outcomes[i], run.schedule.a_settings[i],
-                                      run.b_outcomes[i], run.schedule.b_settings[i]))
+        codes.append(naive_event_code(a_out[i], a_set[i], b_out[i], b_set[i]))
     return bytes(codes)
 
 
 def naive_table_from_run(run):
     """Each slot's outcomes written into the rows of its two active
     settings; every other cell stays None."""
+    a_set, b_set = run.schedule.a_settings, run.schedule.b_settings
+    a_out, b_out = run.a_outcomes, run.b_outcomes
     rows = {key: [None] * run.slots for key in ROW_KEYS}
     for i in range(run.slots):
-        rows[run.schedule.a_settings[i].row][i] = run.a_outcomes[i]
-        rows[run.schedule.b_settings[i].row][i] = run.b_outcomes[i]
+        rows[a_set[i].row][i] = a_out[i]
+        rows[b_set[i].row][i] = b_out[i]
     return SeriesTable.from_rows(rows["a"], rows["b"], rows["a_prime"], rows["b_prime"])

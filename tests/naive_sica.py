@@ -56,6 +56,7 @@ _ROW_READS = (
 
 def naive_plan(run):
     """(block_orders, discarded_slots, kept_per_block) by first-match scans."""
+    a_out, b_out = run.a_outcomes, run.b_outcomes
     blocks = pairing_blocks(run)
     best, chosen = sica._max_joint_arrangement(sica._block_pairs(run))
     quads = []
@@ -69,7 +70,7 @@ def naive_plan(run):
         for q in quads:
             need = sica._class_pair(q, p)
             for idx, slot in enumerate(unused):
-                if (run.a_outcomes[slot], run.b_outcomes[slot]) == need:
+                if (a_out[slot], b_out[slot]) == need:
                     order.append(slot)
                     del unused[idx]
                     break
@@ -109,10 +110,12 @@ def naive_chsh_sum_bound(run):
     pair, T_p is that list's sum, N the slots scanned, W the largest
     |T_AB + T_AB' + T_A'B + T_A'B' - 2*T_p| (the first such p in order),
     and the bound is (N - W) // 2."""
+    a_set, b_set = run.schedule.a_settings, run.schedule.b_settings
+    a_out, b_out = run.a_outcomes, run.b_outcomes
     products = {p: [] for p in PAIRINGS}
     for i in range(run.slots):
-        pairing = Pairing((run.schedule.a_settings[i], run.schedule.b_settings[i]))
-        products[pairing].append(run.a_outcomes[i] * run.b_outcomes[i])
+        pairing = Pairing((a_set[i], b_set[i]))
+        products[pairing].append(a_out[i] * b_out[i])
     totals = {p: sum(products[p]) for p in PAIRINGS}
     best = None
     for p in PAIRINGS:
@@ -130,13 +133,13 @@ def naive_cover_bound(run, cover):
     beta'); a class whose four pairs some slot of each block recorded must
     weigh at least d on those cells.  The bound is the sum of each slot's
     cell weight, over d, rounded down; None when the cover fails."""
+    a_set, b_set = run.schedule.a_settings, run.schedule.b_settings
+    a_out, b_out = run.a_outcomes, run.b_outcomes
     weights, d = cover
     if d < 1 or any(w < 0 for w in weights.values()):
         return None
     slot_cells = [
-        (Pairing((run.schedule.a_settings[i], run.schedule.b_settings[i])),
-         (run.a_outcomes[i], run.b_outcomes[i]))
-        for i in range(run.slots)
+        (Pairing((a_set[i], b_set[i])), (a_out[i], b_out[i])) for i in range(run.slots)
     ]
     for a, b, ap, bp in itertools.product((-1, 0, 1), repeat=4):
         needs = [(Pairing.AB, (a, b)), (Pairing.ABP, (a, bp)),
@@ -150,10 +153,12 @@ def naive_cover_bound(run, cover):
 def naive_block_pairs(run):
     """``sica._block_pairs``: per setting pair, how many of its slots carry
     each outcome pair, counted one slot at a time."""
+    a_set, b_set = run.schedule.a_settings, run.schedule.b_settings
+    a_out, b_out = run.a_outcomes, run.b_outcomes
     pairs = {p: {} for p in PAIRINGS}
     for i in range(run.slots):
-        pairing = Pairing((run.schedule.a_settings[i], run.schedule.b_settings[i]))
-        pair = (run.a_outcomes[i], run.b_outcomes[i])
+        pairing = Pairing((a_set[i], b_set[i]))
+        pair = (a_out[i], b_out[i])
         pairs[pairing][pair] = pairs[pairing].get(pair, 0) + 1
     return pairs
 
@@ -270,13 +275,14 @@ def naive_condense_run_table(table, schedule):
     """Condense a run-derived table block by block: the j-th condensed slot
     takes a and b from the j-th slot of block (alpha, beta), a' from the
     j-th of (alpha', beta) and b' from the j-th of (alpha, beta')."""
+    a_set, b_set = schedule.a_settings, schedule.b_settings
     verdict = sica.check_sica(table, schedule)
     if not verdict.holds:
         lines = "; ".join(w.detail for w in verdict.witnesses[:3])
         raise PreconditionError(f"series identity fails, cannot condense: {lines}")
     blocks = {p: [] for p in PAIRINGS}
     for i in range(schedule.slots):
-        blocks[Pairing((schedule.a_settings[i], schedule.b_settings[i]))].append(i)
+        blocks[Pairing((a_set[i], b_set[i]))].append(i)
     sizes = {p: len(blocks[p]) for p in PAIRINGS}
     if len(set(sizes.values())) != 1 or min(sizes.values()) == 0:
         raise PreconditionError(

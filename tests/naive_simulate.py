@@ -18,13 +18,14 @@ from bellseries.model import (
     Pairing,
     RecordedRun,
     Schedule,
+    custom_schedule,
 )
 from bellseries.simulate import _meta
 
 
-def _pairing(schedule, slot):
-    """The slot's setting pair, from its two settings rather than the codes."""
-    return Pairing((schedule.a_settings[slot], schedule.b_settings[slot]))
+def _pairings(schedule):
+    """Each slot's setting pair, from its two settings rather than the codes."""
+    return [Pairing(settings) for settings in zip(schedule.a_settings, schedule.b_settings)]
 
 
 def _generator(seed):
@@ -38,11 +39,12 @@ def naive_random_per_slot(slots, seed):
     b_bits = rng.integers(0, 2, size=slots)
     a = tuple(ASetting.ALPHA if bit == 0 else ASetting.ALPHA_PRIME for bit in a_bits)
     b = tuple(BSetting.BETA if bit == 0 else BSetting.BETA_PRIME for bit in b_bits)
-    return Schedule("random", a, b, seed=seed)
+    return Schedule("random", custom_schedule(a, b).codes, seed)
 
 
 def naive_simulate(config):
     """The configured source's run, decided slot by slot."""
+    a_set, b_set = config.schedule.a_settings, config.schedule.b_settings
     n = config.schedule.slots
     rng = _generator(config.seed)
     a_out = []
@@ -53,8 +55,9 @@ def naive_simulate(config):
         u_a = rng.random(n)
         u_b = rng.random(n)
         e_by_pairing = {p: config.pairing_correlation(p) for p in PAIRINGS}
+        pairings = _pairings(config.schedule)
         for i in range(n):
-            e = e_by_pairing[_pairing(config.schedule, i)]
+            e = e_by_pairing[pairings[i]]
             same = s[i] < (1.0 + e) / 2.0
             sign = PLUS if t[i] < 0.5 else MINUS
             a = sign
@@ -72,8 +75,8 @@ def naive_simulate(config):
         table = config.instructions
         for i in range(n):
             j = i % table.slots
-            a = table.row(config.schedule.a_settings[i].row)[j]
-            b = table.row(config.schedule.b_settings[i].row)[j]
+            a = table.row(a_set[i].row)[j]
+            b = table.row(b_set[i].row)[j]
             if u_a[i] >= config.eta:
                 a = 0
             if u_b[i] >= config.eta:
@@ -89,6 +92,6 @@ def naive_simulate(config):
 def naive_pairing_blocks(run):
     """Slots grouped by their setting pair, read off the settings slot by slot."""
     blocks = {p: [] for p in PAIRINGS}
-    for i in range(run.slots):
-        blocks[_pairing(run.schedule, i)].append(i)
+    for i, pairing in enumerate(_pairings(run.schedule)):
+        blocks[pairing].append(i)
     return blocks

@@ -173,11 +173,13 @@ def naive_set_sizes(rows):
 
 def naive_run_detectors(run):
     """Per-detector (singles, coincidences), one slot at a time."""
+    a_set, b_set = run.schedule.a_settings, run.schedule.b_settings
+    a_out, b_out = run.a_outcomes, run.b_outcomes
     out = {}
     for i in range(run.slots):
-        a_row = run.schedule.a_settings[i].row
-        b_row = run.schedule.b_settings[i].row
-        a, b = run.a_outcomes[i], run.b_outcomes[i]
+        a_row = a_set[i].row
+        b_row = b_set[i].row
+        a, b = a_out[i], b_out[i]
         for label, v, distant in ((a_row, a, b), (b_row, b, a)):
             if v != 0:
                 rec = out.setdefault(label + ("+" if v == 1 else "-"), [0, 0])
@@ -191,11 +193,13 @@ def naive_run_columns(run):
     """How many slots of a run lay out each column (a, b, a', b'): each
     slot's two outcomes go in the rows of its two active settings, the
     other two cells are None."""
+    a_set, b_set = run.schedule.a_settings, run.schedule.b_settings
+    a_out, b_out = run.a_outcomes, run.b_outcomes
     out = {}
     for i in range(run.slots):
         cells = dict.fromkeys(("a", "b", "a_prime", "b_prime"))
-        cells[run.schedule.a_settings[i].row] = run.a_outcomes[i]
-        cells[run.schedule.b_settings[i].row] = run.b_outcomes[i]
+        cells[a_set[i].row] = a_out[i]
+        cells[b_set[i].row] = b_out[i]
         column = (cells["a"], cells["b"], cells["a_prime"], cells["b_prime"])
         out[column] = out.get(column, 0) + 1
     return out

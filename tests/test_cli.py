@@ -14,6 +14,7 @@ from bellseries.model import (
     ASetting,
     BSetting,
     RecordedRun,
+    Schedule,
     SeriesTable,
     block_halves,
     custom_schedule,
@@ -53,6 +54,15 @@ def test_analyze_empty_event_log(cli, tmp_path, capsys):
     out = capsys.readouterr().out
     assert "S undefined" in out
     assert "N_c = 0" in out
+    # No slots measure nothing, so no set verdict is reported on them.
+    assert "counting bound" not in out and "fully measured" not in out
+    table = tmp_path / "empty.json"
+    table.write_text(json.dumps({"slots": 0, "a": [], "b": [], "a_prime": [], "b_prime": []}))
+    for path in (empty, table):
+        assert cli("analyze", "--input", str(path)) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["slots"] == 0 and report["fully_measured"] is False
+        assert "set_stats" not in report and "cardinality_bound" not in report
 
 
 def test_analyze_writes_report_file(cli, tmp_path, read_json):
@@ -880,6 +890,29 @@ def test_certified_reorder_failure_loads_neither_numpy_nor_scipy(tmp_path, eta, 
     assert report["success"] is False
     assert report["best_keepable"] is None
     assert re.match(certificate, report["obstruction"])
+
+
+def test_run_path_commands_never_build_the_tuples(cli, tmp_path, capsys, monkeypatch):
+    """A run and a schedule store only their codes: the run path reads
+    those, so here every setting and outcome tuple view raises."""
+    def refuse(self):
+        raise AssertionError("a per-slot tuple was built")
+
+    for cls, names in ((Schedule, ("a_settings", "b_settings")),
+                       (RecordedRun, ("a_outcomes", "b_outcomes"))):
+        for name in names:
+            monkeypatch.setattr(cls, name, property(refuse))
+    log, red = tmp_path / "run.jsonl", tmp_path / "red.jsonl"
+    fileio.write_run_file(refdata.fig6("red"), str(red))
+    assert cli("simulate", "--seed", "32", "--slots", "4000", "--schedule", "random",
+               "--output", str(log)) == 0
+    for command in ("analyze", "sica-check", "sica-reorder"):
+        capsys.readouterr()
+        assert cli(command, "--input", str(log)) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["success"] is False and report["best_keepable"] is None
+    assert cli("sica-reorder", "--input", str(red), "--output", str(tmp_path / "out.jsonl")) == 0
+    assert json.loads(capsys.readouterr().out)["success"] is True
 
 
 def test_reorder_the_certificates_cannot_decide_loads_the_solver(tmp_path):

@@ -16,6 +16,7 @@ from bellseries.model import (
     BSetting,
     Pairing,
     RecordedRun,
+    Schedule,
     SeriesTable,
     block_halves,
     custom_schedule,
@@ -205,14 +206,33 @@ def test_run_path_reads_the_event_codes_as_the_per_slot_references(run):
     assert sica._block_pairs(run) == naive_block_pairs(run)
     assert sica._distant_regimes(run.schedule) == naive_distant_regimes(run.schedule)
     for derived in _derived_runs(run):
-        # The tuples every caller sees and the codes every pass reads agree.
+        # The tuples computed from the codes rebuild the codes.
         assert derived.events == naive_events(derived)
         again = RecordedRun(derived.schedule, derived.a_outcomes, derived.b_outcomes)
         assert again.events == derived.events and again == derived
+        decoded = RecordedRun.from_events(derived.events)
+        assert decoded == derived and decoded.schedule == derived.schedule
+        s = derived.schedule
+        assert custom_schedule(s.a_settings, s.b_settings) == s
+        assert schedule_from_json(s.to_json()) == s
 
 
-def test_from_events_refuses_codes_off_the_schedule():
+def test_from_events_reads_the_schedule_off_the_codes():
     run = RecordedRun(block_halves(4), (1, 0, -1, 1), (0, 0, 1, -1))
-    assert RecordedRun.from_events(run.schedule, run.events) == run
-    with pytest.raises(PreconditionError, match="do not follow the schedule"):
-        RecordedRun.from_events(random_per_slot(4, 1), run.events)
+    again = RecordedRun.from_events(run.events)
+    assert again == run and again.schedule == run.schedule
+    assert (again.a_outcomes, again.b_outcomes) == ((1, 0, -1, 1), (0, 0, 1, -1))
+    assert again.schedule.a_settings == run.schedule.a_settings
+    assert again.schedule.b_settings == run.schedule.b_settings
+
+
+@pytest.mark.parametrize("bad", [36, 37, 255])
+def test_from_events_refuses_a_code_past_the_events(bad):
+    with pytest.raises(PreconditionError, match=f"event code {bad} is not one of 0-35"):
+        RecordedRun.from_events(bytes([0, 35, bad, 1]))
+
+
+@pytest.mark.parametrize("bad", [4, 9, 255])
+def test_schedule_refuses_a_code_past_the_setting_pairs(bad):
+    with pytest.raises(PreconditionError, match=f"pairing code {bad} is not one of 0-3"):
+        Schedule("custom", bytes([0, 3, bad, 1]))

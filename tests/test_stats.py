@@ -97,6 +97,13 @@ def test_set_stats_requires_full_table():
         set_stats(partial)
 
 
+def test_set_verdicts_refuse_a_table_of_no_slots():
+    empty = SeriesTable.from_rows((), (), (), ())
+    for verdict in (set_stats, cardinality_bound):
+        with pytest.raises(PreconditionError, match="no slots"):
+            verdict(empty)
+
+
 def test_chsh_undefined_without_coincidences():
     table = SeriesTable.from_rows((1, 0), (0, 1), (1, 0), (0, 1))
     assert chsh(table) is None
