@@ -382,6 +382,10 @@ def _cmd_sica_complete(args) -> int:
 
 
 def _cmd_fill(args) -> int:
+    if args.policy == "zeros":
+        for flag, value in (("--free-choices", args.free_choices), ("--budget", args.budget)):
+            if value is not None:
+                raise PreconditionError(f"fill zeros takes no {flag}: it is for the sica policy")
     run = _run_input(args, "fill")
     if args.policy == "zeros":
         table, provenance = fill_counterfactual(run), None
@@ -585,7 +589,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("policy", choices=("zeros", "sica"))
     p.add_argument("--input", required=True)
     p.add_argument("--free-choices", help="for the sica policy")
-    p.add_argument("--budget", type=int)
+    p.add_argument("--budget", type=int, help="for the sica policy")
     _add_common(p, output_help="table JSON to write")
     p.set_defaults(func=_cmd_fill)
 

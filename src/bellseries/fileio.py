@@ -37,8 +37,8 @@ from .model import (
     BSetting,
     RecordedRun,
     SeriesTable,
-    bad_cell,
     custom_schedule,  # unused here; perfbench/launch.py wraps fileio.custom_schedule
+    first_bad,
     gather,
 )
 
@@ -150,10 +150,9 @@ def read_run_events(text: str) -> RecordedRun:
             a_setting = _setting(_A_SETTINGS, obj["a_setting"], "ASetting", lineno)
             b_setting = _setting(_B_SETTINGS, obj["b_setting"], "BSetting", lineno)
             a, b, slot = obj["a"], obj["b"], obj["slot"]
-            if type(a) is not int or a not in MEASURED_VALUES:
-                raise ParseError(f"outcome a={a!r} not one of 1, -1, 0", lineno)
-            if type(b) is not int or b not in MEASURED_VALUES:
-                raise ParseError(f"outcome b={b!r} not one of 1, -1, 0", lineno)
+            i = first_bad((a, b), MEASURED_VALUES)
+            if i is not None:
+                raise ParseError(f"outcome {'ab'[i]}={(a, b)[i]!r} not one of 1, -1, 0", lineno)
             if type(slot) is not int:
                 raise ParseError(f"slot {slot!r} is not an integer", lineno)
             if slots is None and slot != count:
@@ -198,16 +197,11 @@ def table_from_json(data: dict) -> SeriesTable:
     slots = data["slots"]
     if type(slots) is not int or slots < 0:
         raise StructuralError(f"slots must be a non-negative integer, got {slots!r}")
-    rows = {}
     for key in ROW_KEYS:
         row = data[key]
         if not isinstance(row, list) or len(row) != slots:
             raise StructuralError(f"row {key!r} must be a list of {slots} cells")
-        i = bad_cell(row)
-        if i is not None:
-            raise StructuralError(f"row {key!r} slot {i} holds {row[i]!r}")
-        rows[key] = tuple(row)
-    return SeriesTable(slots, rows["a"], rows["b"], rows["a_prime"], rows["b_prime"])
+    return SeriesTable.from_rows(data["a"], data["b"], data["a_prime"], data["b_prime"])
 
 
 def provenance_from_json(data: dict) -> dict[str, tuple[str, ...]] | None:
@@ -224,8 +218,7 @@ def provenance_from_json(data: dict) -> dict[str, tuple[str, ...]] | None:
         if (
             not isinstance(marks, list)
             or len(marks) != data["slots"]
-            # Test the types first: a list or dict mark cannot go in a set.
-            or not (set(map(type, marks)) <= {str} and set(marks) <= {"F", "C"})
+            or first_bad(marks, ("F", "C")) is not None
         ):
             raise StructuralError(f"provenance row {key!r} must be 'F'/'C' per slot")
         out[key] = tuple(marks)

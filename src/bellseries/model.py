@@ -29,23 +29,19 @@ ZERO = 0
 MEASURED_VALUES = (PLUS, MINUS, ZERO)
 
 
-def is_outcome(v) -> bool:
-    """A recorded outcome is a plain ``int`` in :data:`MEASURED_VALUES`;
-    ``True``, ``1.0`` and other values that merely compare equal are not.
-    A table cell is either this or ``None``."""
-    return type(v) is int and v in MEASURED_VALUES
-
-
 Cell = Optional[int]
 
 
-def bad_cell(row: Sequence) -> int | None:
-    """The index of the first cell of ``row`` that is neither None nor an
-    outcome, if any.  Two set tests at C speed decide, types first so that
-    no unhashable cell reaches set(); the scan only names the culprit."""
-    if set(map(type, row)) <= {int, type(None)} and set(row) <= {None, *MEASURED_VALUES}:
+def first_bad(items: Sequence, allowed: Sequence) -> int | None:
+    """The index of the first of ``items`` that is not one of ``allowed``,
+    type included (``True`` and ``1.0`` are not 1), if any.  Two set tests at
+    C speed decide, types first so that no unhashable item reaches set();
+    the scan only names the culprit."""
+    types, allowed = set(map(type, allowed)), set(allowed)
+    if set(map(type, items)) <= types and set(items) <= allowed:
         return None
-    return next(i for i, v in enumerate(row) if v is not None and not is_outcome(v))
+    return next(i for i, v in enumerate(items) if type(v) not in types or v not in allowed)
+
 
 ROW_KEYS = ("a", "b", "a_prime", "b_prime")
 
@@ -154,7 +150,7 @@ class SeriesTable:
                 f"rows differ in length: {sorted(len(r) for r in rows)}"
             )
         for key, row in zip(ROW_KEYS, rows):
-            i = bad_cell(row)
+            i = first_bad(row, (None, *MEASURED_VALUES))
             if i is not None:
                 raise StructuralError(
                     f"row {key} slot {i}: cell {row[i]!r} is not one of 1, -1, 0, None"
@@ -292,10 +288,9 @@ class RecordedRun:
         if len(a_outcomes) != n or len(b_outcomes) != n:
             raise PreconditionError("run outcome series must match the schedule length")
         for series in (a_outcomes, b_outcomes):
-            # Two set tests at C speed decide; the scan only names the culprit.
-            if not (set(map(type, series)) <= {int} and set(series).issubset(MEASURED_VALUES)):
-                bad = next(v for v in series if not is_outcome(v))
-                raise PreconditionError(f"outcome {bad!r} not one of +1, -1, 0")
+            i = first_bad(series, MEASURED_VALUES)
+            if i is not None:
+                raise PreconditionError(f"outcome {series[i]!r} not one of +1, -1, 0")
         # (1, 2, 0)[v] is v + 1 for v in (-1, 0, 1).
         a, b = (bytes(gather((1, 2, 0), series)) for series in (a_outcomes, b_outcomes))
         self._store(schedule, _bytewise(n, ((9, schedule.codes), (3, a), (1, b))), meta)

@@ -463,7 +463,7 @@ def _scan_max(spec: EnumSpec, objective: str, witness_cap: int) -> ExtremalResul
                 raise AssertionError("constrained witness fails the identity check")
     return ExtremalResult(
         max_value,
-        witnesses,
+        witnesses[:witness_cap],
         scanned,
         admissible,
         spec.space_size,

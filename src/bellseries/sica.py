@@ -30,8 +30,6 @@ from .model import (
     PLUS,
     ROW_KEYS,
     ZERO,
-    ASetting,
-    BSetting,
     Cell,
     Pairing,
     RecordedRun,
@@ -80,15 +78,21 @@ class SicaVerdict:
     witnesses: tuple[SicaWitness, ...]
 
 
-def _distant_regimes(schedule: Schedule) -> dict[str, tuple[list[int], list[int]]]:
-    """Per row, its slots grouped by the distant station's setting (unprimed,
-    then primed), in time order.  Rows a and a' share one split of B's
-    settings, rows b and b' one split of A's."""
-    by_b = tuple(pairing_slots(schedule, [p for p in PAIRINGS if p.b_setting is s])
-                 for s in BSetting)
-    by_a = tuple(pairing_slots(schedule, [p for p in PAIRINGS if p.a_setting is s])
-                 for s in ASetting)
-    return {"a": by_b, "a_prime": by_b, "b": by_a, "b_prime": by_a}
+#: Per row, the two blocks its cells fall in: under the distant station's
+#: unprimed setting, then under its primed one.
+_ROW_BLOCKS = {key: tuple(p for p in PAIRINGS if key in (p.a_row, p.b_row)) for key in ROW_KEYS}
+
+
+def _regimes(schedule: Schedule, full: bool) -> dict[str, tuple[list[int], list[int]]]:
+    """Per row, the slots of its two series in time order: those in the
+    blocks (:data:`_ROW_BLOCKS`) of the distant station's unprimed row, then
+    of its primed row; all of them on a fully measured table (``full``),
+    else only the row's own.  Rows that share a split share its list, so
+    the schedule is read four times."""
+    series = {key: tuple(tuple(p for p in _ROW_BLOCKS[k] if full or p in _ROW_BLOCKS[key])
+                         for k in ROW_KEYS if k[0] != key[0]) for key in ROW_KEYS}
+    slots = {group: pairing_slots(schedule, group) for group in set(sum(series.values(), ()))}
+    return {key: tuple(map(slots.get, groups)) for key, groups in series.items()}
 
 
 def _fill_identity_pairs(
@@ -105,7 +109,7 @@ def _fill_identity_pairs(
     row's regimes differ in length, a pair holds two different values, or a
     recorded 0 would be copied.
     """
-    regimes = _distant_regimes(schedule)
+    regimes = _regimes(schedule, True)
     free: list[tuple[str, int, int]] = []
     for key in ROW_KEYS:
         row = rows[key]
@@ -169,16 +173,17 @@ def _resolve_schedule(
 
 
 def _compare(table: SeriesTable, schedule: Schedule) -> tuple[SicaVerdict, dict]:
-    """The identity verdict of ``table`` read under ``schedule``, and per
-    row the slots it compared: those of the recorded cells under one
-    distant setting and under the other, the k-th of one against the k-th
-    of the other.  A row whose two lists differ in length is left out."""
+    """The identity verdict of ``table`` read under ``schedule``, which
+    :func:`_resolve_schedule` has settled on, and per row the slots it
+    compared: those of its two series (:func:`_regimes`), the k-th of one
+    against the k-th of the other.  A row whose two series differ in length
+    is left out."""
     witnesses: list[SicaWitness] = []
     pairs: dict[str, list[tuple[int, int]]] = {}
-    regimes = _distant_regimes(schedule)
+    regimes = _regimes(schedule, table.fully_measured)
     for key in ROW_KEYS:
         row = table.row(key)
-        left, right = ([i for i in slots if row[i] is not None] for slots in regimes[key])
+        left, right = regimes[key]
         if len(left) != len(right):
             witnesses.append(
                 SicaWitness(
@@ -392,11 +397,6 @@ def _cover_bound(pair_counts, cover: tuple[dict, int]) -> int | None:
                 and all(pair_counts[p][pair] for p, pair in cells)):
             return None
     return sum(w * pair_counts[p][pair] for (p, pair), w in weights.items()) // d
-
-
-#: Per row, the two blocks its cells fall in: under the distant station's
-#: unprimed setting, then under its primed one.
-_ROW_BLOCKS = {key: tuple(p for p in PAIRINGS if key in (p.a_row, p.b_row)) for key in ROW_KEYS}
 
 
 def _covers(pair_counts) -> Iterator[tuple[str, tuple[dict, int]]]:

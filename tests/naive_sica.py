@@ -21,6 +21,11 @@ counts each block's outcome pairs and ``naive_distant_regimes`` splits
 each row's slots by the distant setting, both slot by slot from the
 setting and outcome tuples instead of the event codes.
 
+``naive_check_sica`` is the identity check as the rule is written: per
+row, the recorded cells split by the distant setting, each part in time
+order, compared term by term, without the regimes ``sica`` reads off the
+schedule's setting-pair blocks.
+
 ``naive_build_complete_table`` and ``naive_condense_run_table`` write the
 block-layout completion and the condensation of a run-derived table out by
 hand, quarter by quarter and block by block, instead of filling and pairing
@@ -173,6 +178,33 @@ def naive_distant_regimes(schedule):
         second = [i for i in range(schedule.slots) if settings[i] != unprimed]
         out[row] = (first, second)
     return out
+
+
+def naive_check_sica(table, schedule):
+    """``sica.check_sica`` of ``table`` read under ``schedule``, scanning
+    each row's cells one by one; the same witnesses, at most 8 of them."""
+    witnesses = []
+    for row, _, _, distant, unprimed in _ROW_READS:
+        cells = table.row(row)
+        settings = schedule.a_settings if distant == "a" else schedule.b_settings
+        recorded = [i for i in range(table.slots) if cells[i] is not None]
+        left = [i for i in recorded if settings[i] == unprimed]
+        right = [i for i in recorded if settings[i] != unprimed]
+        if len(left) != len(right):
+            witnesses.append(sica.SicaWitness(
+                row, "length-mismatch",
+                f"row {row} has {len(left)} cells under one distant setting "
+                f"and {len(right)} under the other"))
+            continue
+        for pos, (sl, sr) in enumerate(zip(left, right)):
+            if cells[sl] != cells[sr]:
+                witnesses.append(sica.SicaWitness(
+                    row, "value-mismatch",
+                    f"row {row} position {pos}: {cells[sl]:+d} at slot {sl} vs "
+                    f"{cells[sr]:+d} at slot {sr}", pos, sl, sr))
+                if len(witnesses) == 8:
+                    return sica.SicaVerdict(False, tuple(witnesses))
+    return sica.SicaVerdict(not witnesses, tuple(witnesses))
 
 
 def naive_stable_match(donors, targets):

@@ -151,6 +151,12 @@ def test_oracle_command(cli, capsys):
     assert report["tables_scanned"] == 256
 
 
+def test_oracle_lists_no_witnesses_at_cap_zero(cli, capsys):
+    assert cli("oracle", "--objective", "chsh", "--slots", "2", "--witnesses", "0") == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["max"]["num"] == 2 and report["witnesses"] == []
+
+
 def test_exit_code_for_missing_input(cli, capsys):
     assert cli("analyze", "--input", "/no/such/file.jsonl") == 3
     assert "cannot read" in capsys.readouterr().err
@@ -339,6 +345,9 @@ _SCHEDULE_4 = "{schedule-4}"
     (("sica-complete", "--input", _LOG, "--free-choices", "1,2", "--budget", "-3"),
      "--budget"),
     (("fill", "zeros", "--input", _LOG, "--budget", "-3"), "--budget"),
+    (("fill", "zeros", "--input", _LOG, "--budget", "1"), "fill zeros takes no --budget"),
+    (("fill", "zeros", "--input", _LOG, "--free-choices", "1,2"),
+     "fill zeros takes no --free-choices"),
     (("fill", "sica", "--input", _LOG, "--free-choices", "1,2", "--budget", "-3"),
      "--budget"),
     (("oracle", "--objective", "chsh", "--slots", "4000"), "2^16000 tables"),
@@ -362,7 +371,8 @@ _SCHEDULE_4 = "{schedule-4}"
     (("figures", "--which", "nope"), "unknown dataset 'nope'"),
 ], ids=["angles-word", "angles-inf", "angles-nan", "angles-overflow", "negative-slots",
         "negative-seed", "constraint-word", "constraint-div-zero", "fill-sica-no-choices",
-        "reorder-budget", "complete-budget", "fill-zeros-budget", "fill-sica-budget",
+        "reorder-budget", "complete-budget", "fill-zeros-budget", "fill-zeros-a-budget",
+        "fill-zeros-free-choices", "fill-sica-budget",
         "oracle-huge-slots", "simulate-empty-instructions", "complete-empty-log",
         "fill-sica-empty-log", "simulate-schedule-file-length", "oracle-witnesses",
         "check-empty-log", "check-empty-table", "condense-empty-log", "condense-empty-table",

@@ -11,6 +11,7 @@ from bellseries.model import (
     MINUS,
     PAIRINGS,
     PLUS,
+    ROW_KEYS,
     ZERO,
     ASetting,
     BSetting,
@@ -21,6 +22,7 @@ from bellseries.model import (
     block_halves,
     custom_schedule,
     derive_schedule,
+    first_bad,
     pairing_blocks,
     project_table,
     random_per_slot,
@@ -135,6 +137,30 @@ def test_pairing_blocks_match_per_slot_loop(slots):
             assert pairing_blocks(run) == naive_pairing_blocks(run)
 
 
+def test_first_bad_reads_none_and_the_types_off_the_allowed_values():
+    cells = [1, None, -1, 0, None, 1, 0]
+    assert first_bad(cells, (None, 1, -1, 0)) is None
+    assert first_bad(cells, (1, -1, 0)) == 1
+    assert first_bad([], (1,)) is None
+    # Equal is not enough: True and 1.0 are not the int 1, nor 1 the float 1.0.
+    assert first_bad([1, 0, True], (1, 0)) == 2
+    assert first_bad([1, 1.0, 0], (1, 0)) == 1
+    assert first_bad([1.0, 1], (1.0,)) == 1
+
+
+@pytest.mark.parametrize("where", [0, 3, 6])
+@pytest.mark.parametrize("bad", [[], {}, set()], ids=repr)
+def test_first_bad_names_an_unhashable_item_where_it_sits(where, bad):
+    cells = [1, None, -1, 0, None, 1, 0]
+    cells[where] = bad
+    assert first_bad(cells, (None, 1, -1, 0)) == where
+    marks = ["F", "C", "C", "F", "F", "C", "F"]
+    marks[where] = bad
+    assert first_bad(marks, ("F", "C")) == where
+    # A bad hashable item before it is named first.
+    assert first_bad([2, *cells], (None, 1, -1, 0)) == 0
+
+
 @pytest.mark.parametrize("bad", [True, False, 1.0, 2, None, [], "1"], ids=repr)
 def test_recorded_run_names_the_first_bad_outcome(bad):
     # A's series is checked before B's, each from its first slot.
@@ -204,7 +230,10 @@ def test_run_path_reads_the_event_codes_as_the_per_slot_references(run):
     assert {label: (rec["singles"], rec["coincidences"]) for label, rec in detectors.items()} == (
         naive_run_detectors(run))
     assert sica._block_pairs(run) == naive_block_pairs(run)
-    assert sica._distant_regimes(run.schedule) == naive_distant_regimes(run.schedule)
+    assert sica._regimes(run.schedule, True) == naive_distant_regimes(run.schedule)
+    blocks = pairing_blocks(run)
+    assert sica._regimes(run.schedule, False) == {
+        key: tuple(blocks[p] for p in sica._ROW_BLOCKS[key]) for key in ROW_KEYS}
     for derived in _derived_runs(run):
         # The tuples computed from the codes rebuild the codes.
         assert derived.events == naive_events(derived)

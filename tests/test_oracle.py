@@ -49,6 +49,12 @@ def test_two_pair_tables():
     assert result.tables_scanned == 65536
 
 
+def test_a_zero_witness_cap_lists_no_witness():
+    # The maximum is still read off one witness, which is then not listed.
+    result = max_chsh(EnumSpec(slots=2), witness_cap=0)
+    assert result.max_value == 2 and result.witnesses == ()
+
+
 def test_witness_recomputes_exactly():
     result = max_chsh(EnumSpec(slots=4))
     w = result.witnesses[0]

@@ -39,6 +39,7 @@ from bellseries.stats import chsh, correlation
 from conftest import recorded_runs
 from naive_sica import (
     naive_build_complete_table,
+    naive_check_sica,
     naive_chsh_sum_bound,
     naive_condense_run_table,
     naive_cover_bound,
@@ -782,6 +783,51 @@ def test_condense_refuses_cells_off_the_schedule():
     run = RecordedRun(random_per_slot(8, 3), (1,) * 8, (1,) * 8)
     with pytest.raises(PreconditionError, match="do not follow the given schedule"):
         condense(table_from_run(run), block_halves(8))
+
+
+@st.composite
+def _block_layout_runs(draw):
+    """Block-layout runs of 4-16 slots, with or without zeros."""
+    slots = 4 * draw(st.integers(1, 4))
+    values = st.sampled_from(draw(st.sampled_from(((-1, 1), (-1, 0, 1), (1,)))))
+    outcomes = st.lists(values, min_size=slots, max_size=slots)
+    return RecordedRun(block_halves(slots), draw(outcomes), draw(outcomes))
+
+
+@settings(max_examples=150, deadline=None)
+@given(run=st.one_of(recorded_runs(st.integers(1, 12)), _block_layout_runs()))
+def test_check_sica_of_a_run_is_the_cell_by_cell_rule(run):
+    outcome = reorder_to_sica(run, budget=run.slots)
+    for checked in (run, apply_plan(run, outcome.plan)) if outcome.success else (run,):
+        table = table_from_run(checked)
+        want = naive_check_sica(table, checked.schedule)
+        for given_schedule in (None, checked.schedule):
+            assert check_sica(checked, given_schedule) == want
+            assert check_sica(table, given_schedule) == want
+
+
+@settings(max_examples=150, deadline=None)
+@given(slots=st.integers(1, 12), data=st.data())
+def test_check_sica_of_a_full_table_is_the_cell_by_cell_rule(slots, data):
+    values = st.sampled_from(data.draw(st.sampled_from(((1,), (-1, 1), (-1, 0, 1)))))
+    row = st.lists(values, min_size=slots, max_size=slots)
+    table = SeriesTable.from_rows(*(data.draw(row) for _ in range(4)))
+    schedule = data.draw(recorded_runs(st.just(slots))).schedule
+    assert check_sica(table, schedule) == naive_check_sica(table, schedule)
+
+
+@settings(max_examples=60, deadline=None)
+@given(run=_block_layout_runs(), data=st.data())
+def test_check_sica_of_a_completion_is_the_cell_by_cell_rule(run, data):
+    completions = [refdata.fig8(), refdata.fig9()]
+    bits = st.lists(st.integers(0, 1), min_size=run.slots // 4, max_size=run.slots // 4)
+    try:
+        built = build_complete_table(run, data.draw(bits), data.draw(bits)).complete
+        completions += [built, built.condense()]
+    except PreconditionError:
+        pass  # lossy, or quarters too unbalanced to complete
+    for complete in completions:
+        assert complete.check() == naive_check_sica(complete.table, complete.schedule)
 
 
 @pytest.mark.parametrize("seed", range(6))
