@@ -183,8 +183,7 @@ def _print_json(data: dict, args) -> None:
                 value = json.dumps(value, sort_keys=True)
             sys.stdout.write(f"{key}: {value}\n")
     else:
-        json.dump(data, sys.stdout, indent=2, sort_keys=True)
-        sys.stdout.write("\n")
+        sys.stdout.write(fileio.json_text(data) + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -419,9 +418,11 @@ def _spec_json(spec) -> dict:
 
 def _cmd_oracle(args) -> int:
     _non_negative("--witnesses", args.witnesses)
-    # The sweeps need numpy, which commands that only read should not load.
-    # They are called through the module, so a wrapper set on it applies.
-    from . import oracle
+    # The sweeps need numpy, which commands that only read should not load:
+    # the command loads the sweep engine with its other modules, so a
+    # sweep's own time holds no module loading.  The sweeps are called
+    # through the oracle module, so a wrapper set on it applies.
+    from . import _sweep, oracle
 
     spec = oracle.EnumSpec(
         slots=args.slots,

@@ -261,9 +261,46 @@ def _atomic_writer(path: str) -> Iterator[TextIO]:
             os.unlink(tmp)
 
 
+_SCALARS = {int, float, str, bool, type(None)}
+
+
+def _indented(value: Any, newline: str) -> str:
+    """``value`` as ``json.dumps(value, indent=2, sort_keys=True)`` writes it
+    where its lines begin with ``newline``: a line break and the indent."""
+    if isinstance(value, dict):
+        if not all(type(key) is str for key in value):
+            # Keys json converts to strings: left to json itself.
+            return json.dumps(value, indent=2, sort_keys=True).replace("\n", newline)
+        items = value.values()
+    elif isinstance(value, (list, tuple)):
+        items = value
+    else:
+        return json.dumps(value)
+    if not value:
+        return json.dumps(value)
+    inner = newline + "  "
+    if _SCALARS.issuperset(map(type, items)):
+        # A container of scalars: one call of the C encoder, the indent
+        # folded into its item separator.
+        text = json.dumps(value, sort_keys=True, separators=("," + inner, ": "))
+        return text[0] + inner + text[1:-1] + newline + text[-1]
+    if isinstance(value, dict):
+        body = (f"{json.dumps(key)}: {_indented(v, inner)}" for key, v in sorted(value.items()))
+        return "{" + inner + ("," + inner).join(body) + newline + "}"
+    return "[" + inner + ("," + inner).join(_indented(v, inner) for v in value) + newline + "]"
+
+
+def json_text(data: Any) -> str:
+    """The text ``json.dumps(data, indent=2, sort_keys=True)`` gives.
+
+    With an indent, json falls back to its pure-Python encoder; this writes
+    the same text with the C encoder, one call per container of scalars."""
+    return _indented(data, "\n")
+
+
 def write_json_atomic(path: str, data: Any) -> None:
     with _atomic_writer(path) as fp:
-        fp.write(json.dumps(data, indent=2, sort_keys=True) + "\n")
+        fp.write(json_text(data) + "\n")
 
 
 def write_run_file(run: RecordedRun, path: str) -> None:

@@ -16,13 +16,17 @@ Every objective and constraint sees a table only through the sum of its
 columns' property vectors: the counts :func:`~bellseries.stats.column_props`
 gives, the same counts every statistic in :mod:`bellseries.stats` reads,
 fed to the same formulas (``chsh_combination``, ``RETENTIONS``,
-``cardinality_sides``).  So scans meet in the middle (Horowitz & Sahni,
-JACM 21(2), 1974): each half table's vectors are reduced to their distinct
-values with multiplicities, and distinct left vectors are summed against
-distinct right vectors.  The work grows with the number of distinct pairs,
+``cardinality_sides``).  Each sweep sees only the counts it reads: each
+objective and each constraint declares them, and the vectors hold their
+union.  So scans meet in the middle (Horowitz & Sahni, JACM 21(2), 1974):
+each half table's vectors are reduced to their distinct values with
+multiplicities, and distinct left vectors are summed against distinct
+right vectors.  The work grows with the number of distinct pairs,
 while ``tables_scanned`` and ``admissible`` count every table a pair
 covers, weighted by the product of the multiplicities.  Witnesses are the
-first tables, in numeral order, whose pair reaches the extremum.
+first tables, in numeral order, whose pair reaches the extremum.  The
+scan itself, in numpy, is :mod:`bellseries._sweep`, imported only when a
+sweep runs: importing this module, or running the census, loads no numpy.
 
 Comparisons are integer-exact.  Every count is at most the slot number, so
 with M = lcm(1..slots) each ratio u/n or n_i/n_r times M is an integer;
@@ -39,8 +43,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-import numpy as np
-
 from .errors import BudgetExceeded, PreconditionError
 from .model import (
     PAIRINGS,
@@ -52,37 +54,9 @@ from .model import (
     table_from_run,
 )
 from .sica import _bits, _completion_quarter, _fill_identity_pairs, check_sica
-from .stats import (
-    COINCIDENCE,
-    DETECTION,
-    PRODUCT,
-    RETENTIONS,
-    cardinality_sides,
-    chsh,
-    chsh_combination,
-    clauser_horne_j,
-    column_props,
-    correlation_over_slots,
-    table_eta,
-)
+from .stats import chsh, clauser_horne_j, correlation_over_slots, table_eta
 
 DEFAULT_BUDGET = 2**26
-
-#: The counts of :func:`~bellseries.stats.column_props` the sweeps scan, in
-#: the order of a property vector's entries.
-_SCANNED = (
-    *PRODUCT.values(), *COINCIDENCE.values(), *DETECTION.values(),
-    "n_alpha_both_same", "n_alpha_prime_both_diff", "j",
-)
-_PROPS = len(_SCANNED)
-
-#: Per efficiency constraint: how one retention is compared with the
-#: threshold, and how the eight comparisons combine.
-_ETA_CONSTRAINTS = {
-    "eta_at_least": (np.greater_equal, np.logical_and),
-    "eta_at_most": (np.less_equal, np.logical_or),
-    "eta_below": (np.less, np.logical_or),
-}
 
 _VALUES = {"pm": (-1, 1), "pmz": (-1, 0, 1)}
 
@@ -119,6 +93,9 @@ class EnumSpec:
                 f"(block layout), got {self.slots}"
             )
         if isinstance(self.constraint, tuple):
+            # The kinds are the engine's, which the sweep loads next anyway.
+            from ._sweep import _ETA_CONSTRAINTS
+
             kind, q = self.constraint
             if kind not in _ETA_CONSTRAINTS:
                 raise PreconditionError(f"unknown constraint {self.constraint!r}")
@@ -171,51 +148,12 @@ class CensusResult:
 
 
 # ---------------------------------------------------------------------------
-# Property tables and half enumerations
+# Enumeration order
 
 
 @lru_cache(maxsize=None)
 def _column_classes(alphabet: str) -> tuple[tuple[int, int, int, int], ...]:
     return tuple(itertools.product(_VALUES[alphabet], repeat=4))
-
-
-@lru_cache(maxsize=None)
-def _column_props(alphabet: str) -> np.ndarray:
-    return np.array(
-        [[column_props(col)[name] for name in _SCANNED] for col in _column_classes(alphabet)],
-        dtype=np.int64,
-    )
-
-
-@dataclass(frozen=True)
-class _Half:
-    """A half-table enumeration reduced to its distinct property vectors."""
-
-    vectors: np.ndarray  # distinct vectors, one per row
-    inverse: np.ndarray  # raw half index -> row of ``vectors``
-    counts: np.ndarray  # number of raw halves sharing each row
-
-    @property
-    def raw_size(self) -> int:
-        return len(self.inverse)
-
-
-def _distinct(raw: np.ndarray) -> _Half:
-    vectors, inverse, counts = np.unique(
-        raw, axis=0, return_inverse=True, return_counts=True
-    )
-    return _Half(vectors, inverse.reshape(-1), counts)
-
-
-@lru_cache(maxsize=None)
-def _prefix_half(alphabet: str, n_slots: int) -> _Half:
-    """Property vectors of every column sequence of the given length,
-    indexed by the base-K numeral with the first slot most significant."""
-    col = _column_props(alphabet)
-    out = np.zeros((1, _PROPS), dtype=np.int64)
-    for _ in range(n_slots):
-        out = (out[:, None, :] + col[None, :, :]).reshape(-1, _PROPS)
-    return _distinct(out)
 
 
 @lru_cache(maxsize=None)
@@ -233,94 +171,6 @@ def _component_slot_vars() -> tuple[tuple[int, int, int, int], ...]:
     return tuple(tuple(var[key, slot] for key in ROW_KEYS) for slot in range(4))
 
 
-@lru_cache(maxsize=None)
-def _sica_component(alphabet: str) -> _Half:
-    values = _VALUES[alphabet]
-    k = len(values)
-    n = k**8
-    idx = np.arange(n)
-    digits = np.empty((n, 8), dtype=np.int64)
-    for j in range(8):
-        digits[:, j] = (idx // k ** (7 - j)) % k
-    col = _column_props(alphabet)
-    out = np.zeros((n, _PROPS), dtype=np.int64)
-    for va, vb, vap, vbp in _component_slot_vars():
-        cls = (
-            (digits[:, va] * k + digits[:, vb]) * k + digits[:, vap]
-        ) * k + digits[:, vbp]
-        out += col[cls]
-    return _distinct(out)
-
-
-def _halves(spec: EnumSpec) -> tuple[_Half, _Half]:
-    if spec.constraint == "sica":
-        grid = _sica_component(spec.alphabet)
-        if spec.slots == 4:
-            return grid, _prefix_half(spec.alphabet, 0)
-        return grid, grid
-    left = spec.slots // 2
-    return (
-        _prefix_half(spec.alphabet, left),
-        _prefix_half(spec.alphabet, spec.slots - left),
-    )
-
-
-# Distinct pairs summed per block: large enough to amortize numpy's per-call
-# cost, small enough that a block's temporaries stay in cache (4096 was
-# fastest among powers of two from 2^11 to 2^16 on the pmz 4-slot sweeps).
-_BLOCK_PAIRS = 1 << 12
-
-
-def _pair_blocks(left: _Half, right: _Half):
-    """Every distinct (left, right) pair, a block of left rows at a time.
-
-    Yields the flat index (left row times distinct rights, plus right row)
-    of the block's first pair, the summed counts by name (one contiguous
-    array each, the right row varying fastest), and the number of tables
-    each pair covers.
-    """
-    n_right = len(right.vectors)
-    step = max(1, _BLOCK_PAIRS // n_right)
-    for i0 in range(0, len(left.vectors), step):
-        rows = slice(i0, i0 + step)
-        sums = (left.vectors.T[:, rows, None] + right.vectors.T[:, None, :]).reshape(_PROPS, -1)
-        weight = (left.counts[rows, None] * right.counts[None, :]).reshape(-1)
-        yield i0 * n_right, dict(zip(_SCANNED, sums)), weight
-
-
-class _ArgMax:
-    """Running integer maximum over the distinct pairs of two halves, with
-    a flag per distinct pair that reaches it."""
-
-    def __init__(self, left: _Half, right: _Half) -> None:
-        self.left, self.right = left, right
-        self.value: int | None = None
-        self._hit = np.zeros((len(left.vectors), len(right.vectors)), dtype=bool)
-
-    def update(self, first_pair: int, values: np.ndarray, ok: np.ndarray) -> None:
-        if not ok.any():
-            return
-        m = int(values[ok].max())
-        if self.value is None or m > self.value:
-            self.value = m
-            self._hit[:] = False
-        if m == self.value:
-            self._hit.reshape(-1)[first_pair:first_pair + len(values)] = ok & (values == m)
-
-    def first_tables(self, cap: int) -> list[int]:
-        """Global indices of the first ``cap`` tables reaching the maximum:
-        raw left halves in numeral order, and within each the raw right
-        halves whose distinct pair hit."""
-        left, right = self.left, self.right
-        out: list[int] = []
-        for li in np.flatnonzero(self._hit.any(axis=1)[left.inverse]):
-            hit = np.flatnonzero(self._hit[left.inverse[li]][right.inverse])
-            out.extend(int(li) * right.raw_size + int(ri) for ri in hit[: cap - len(out)])
-            if len(out) == cap:
-                break
-        return out
-
-
 # ---------------------------------------------------------------------------
 # Witness reconstruction
 
@@ -332,8 +182,8 @@ def _digits(value: int, base: int, width: int) -> list[int]:
     return out
 
 
-def _table_from_index(spec: EnumSpec, global_idx: int, n_right: int) -> SeriesTable:
-    li, ri = divmod(global_idx, n_right)
+def _table_from_index(spec: EnumSpec, li: int, ri: int) -> SeriesTable:
+    """The table of raw left half ``li`` and raw right half ``ri``."""
     values = _VALUES[spec.alphabet]
     k = len(values)
     if spec.constraint == "sica":
@@ -355,50 +205,7 @@ def _table_from_index(spec: EnumSpec, global_idx: int, n_right: int) -> SeriesTa
 
 
 # ---------------------------------------------------------------------------
-# Objectives (scaled integers for the scan, exact rationals at the end)
-
-
-def _eta_defined(c: dict) -> np.ndarray:
-    return np.logical_and.reduce([c[n_r] >= 1 for n_r in DETECTION.values()])
-
-
-def _constraint_mask(spec: EnumSpec, c: dict) -> np.ndarray:
-    if spec.constraint == "equal_nc":
-        n = [c[COINCIDENCE[p]] for p in PAIRINGS]
-        return (n[0] >= 1) & (n[0] == n[1]) & (n[0] == n[2]) & (n[0] == n[3])
-    if isinstance(spec.constraint, tuple):
-        kind, q = spec.constraint
-        compare, combine = _ETA_CONSTRAINTS[kind]
-        hits = [compare(c[n_c] * q.denominator, q.numerator * c[n_r]) for n_c, n_r in RETENTIONS]
-        return _eta_defined(c) & combine.reduce(hits)
-    return np.ones(len(c["j"]), dtype=bool)
-
-
-# Each scaled objective takes the summed counts and ``per_count``, where
-# per_count[n] = M // n (0 for n = 0), and returns where the objective is
-# defined together with its value times M**power as int64.
-
-
-def _chsh_scaled(c: dict, per_count: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    n = [c[COINCIDENCE[p]] for p in PAIRINGS]
-    e = [c[PRODUCT[p]] * per_count[n_c] for p, n_c in zip(PAIRINGS, n)]
-    return np.logical_and.reduce([n_c >= 1 for n_c in n]), chsh_combination(*e)
-
-
-def _eta_scaled(c: dict, per_count: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    scale = {n_r: per_count[c[n_r]] for n_r in DETECTION.values()}
-    ratios = [c[n_c] * scale[n_r] for n_c, n_r in RETENTIONS]
-    return _eta_defined(c), np.minimum.reduce(ratios)
-
-
-def _s_eta_scaled(c: dict, per_count: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    s_ok, s = _chsh_scaled(c, per_count)
-    eta_ok, eta = _eta_scaled(c, per_count)
-    return s_ok & eta_ok, s * eta
-
-
-def _ch_scaled(c: dict, _per_count: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    return np.ones(len(c["j"]), dtype=bool), c["j"]
+# Objectives: the scan compares scaled integers, a witness gives the exact value
 
 
 def _exact_chsh(table: SeriesTable) -> Fraction | None:
@@ -414,43 +221,29 @@ def _exact_ch(table: SeriesTable) -> Fraction:
     return Fraction(clauser_horne_j(table).j)
 
 
-# objective -> (scaled scan values, exact value of a witness, power of M)
-_OBJECTIVES = {
-    "chsh": (_chsh_scaled, _exact_chsh, 1),
-    "s_eta": (_s_eta_scaled, _exact_s_eta, 2),
-    "ch": (_ch_scaled, _exact_ch, 0),
-}
+_EXACT = {"chsh": _exact_chsh, "s_eta": _exact_s_eta, "ch": _exact_ch}
 
 
 def _scan_max(spec: EnumSpec, objective: str, witness_cap: int) -> ExtremalResult:
     spec.validate()
+    from . import _sweep  # numpy, loaded only where a sweep runs
+
     t0 = time.perf_counter()
-    scaled_fn, exact_fn, power = _OBJECTIVES[objective]
-    left, right = _halves(spec)
-    scale = math.lcm(*range(1, spec.slots + 1))
-    per_count = np.array(
-        [0] + [scale // n for n in range(1, spec.slots + 1)], dtype=np.int64
-    )
-    scanned = left.raw_size * right.raw_size
-    admissible = 0
-    best = _ArgMax(left, right)
-    for first_pair, c, weight in _pair_blocks(left, right):
-        ok, vals = scaled_fn(c, per_count)
-        ok &= _constraint_mask(spec, c)
-        admissible += int(weight[ok].sum())
-        best.update(first_pair, vals, ok)
+    scan = _sweep.scan(spec, objective)
+    best = scan.best
     if best.value is None:
         return ExtremalResult(
-            None, (), scanned, 0, spec.space_size,
+            None, (), scan.tables, 0, spec.space_size,
             time.perf_counter() - t0, note="no table satisfies the constraint",
         )
     # The maximum is read off a witness, so at least one is always built.
     hits = best.first_tables(max(witness_cap, 1))
-    witnesses = tuple(_table_from_index(spec, h, right.raw_size) for h in hits)
+    witnesses = tuple(_table_from_index(spec, li, ri) for li, ri in hits)
+    exact_fn = _EXACT[objective]
     max_value = exact_fn(witnesses[0])
-    if max_value * scale**power != best.value:
+    if max_value * scan.unit != best.value:
         raise AssertionError(
-            f"scan maximum {best.value}/{scale}^{power} != witness value {max_value}"
+            f"scan maximum {best.value}/{scan.unit} != witness value {max_value}"
         )
     for w in witnesses:
         v = exact_fn(w)
@@ -464,8 +257,8 @@ def _scan_max(spec: EnumSpec, objective: str, witness_cap: int) -> ExtremalResul
     return ExtremalResult(
         max_value,
         witnesses[:witness_cap],
-        scanned,
-        admissible,
+        scan.tables,
+        scan.admissible,
         spec.space_size,
         time.perf_counter() - t0,
     )
@@ -491,28 +284,23 @@ def sweep_cardinality_bound(spec: EnumSpec) -> CardinalitySweep:
 
     The left side |u1 - u2| + |u3 + u4| is compared against the coincidence
     total minus twice the two overlap-census corrections; the sweep reports
-    how many tables violate it (expected: none, it is a term-counting
-    identity) and the smallest slack together with a table attaining it.
+    how many admissible tables violate it (expected: none, it is a
+    term-counting identity) and the smallest slack together with the first
+    table attaining it, both None when no table is admissible.
     """
     if spec.alphabet != "pmz":
         raise PreconditionError("the counting bound concerns {+1,-1,0} tables")
     spec.validate()
+    from . import _sweep  # numpy, loaded only where a sweep runs
+
     t0 = time.perf_counter()
-    left, right = _halves(spec)
-    violations = 0
-    tightest = _ArgMax(left, right)  # of the negated slack
-    for first_pair, c, weight in _pair_blocks(left, right):
-        lhs, rhs = cardinality_sides(c)
-        slack = rhs - lhs
-        violations += int(weight[slack < 0].sum())
-        tightest.update(first_pair, -slack, np.ones(len(slack), dtype=bool))
-    (first_idx,) = tightest.first_tables(1)
+    scan = _sweep.scan(spec, "cardinality")  # maximizes the negated slack
+    min_slack = witness = None
+    if scan.best.value is not None:
+        ((li, ri),) = scan.best.first_tables(1)
+        min_slack, witness = -scan.best.value, _table_from_index(spec, li, ri)
     return CardinalitySweep(
-        left.raw_size * right.raw_size,
-        violations,
-        -tightest.value,
-        _table_from_index(spec, first_idx, right.raw_size),
-        time.perf_counter() - t0,
+        scan.tables, scan.positive, min_slack, witness, time.perf_counter() - t0
     )
 
 

@@ -108,19 +108,22 @@ def naive_max(objective, alphabet, slots, constraint=None, witness_cap=3):
     return best, len(candidates), len(rows), witnesses
 
 
-def naive_cardinality(slots):
-    """(tables scanned, violations, smallest slack, first table at it)."""
-    best = None
+def naive_cardinality(slots, constraint=None):
+    """(tables scanned, violations, smallest slack, first table at it) over
+    the admissible tables; the last two are None when none is admissible."""
+    best = (None, None)
     violations = 0
     count = 0
-    for table in tables("pmz", slots):
+    for table, _s, eta, _j, n_c in scored("pmz", slots, constraint == "sica"):
         count += 1
+        if not _admissible(constraint, eta, n_c):
+            continue
         bound = cardinality_bound(table)
         slack = bound.rhs - bound.lhs
         violations += slack < 0
-        if best is None or slack < best[0]:
+        if best[0] is None or slack < best[0]:
             best = (slack, table)
-    return count, violations, best[0], best[1]
+    return count, violations, *best
 
 
 def naive_census(run, sample_cap=64):

@@ -788,6 +788,15 @@ def test_oracle_cardinality_command(cli, capsys):
     )
 
 
+def test_oracle_cardinality_command_applies_the_constraint(cli, capsys):
+    # No table has an efficiency below 0, so no table is admissible.
+    assert cli("oracle", "--objective", "cardinality", "--slots", "2",
+               "--alphabet", "pmz", "--constraint", "eta<0") == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["tables_scanned"] == 3 ** 8
+    assert (report["violations"], report["min_slack"], report["witness"]) == (0, None, None)
+
+
 def test_oracle_reads_a_strict_eta_constraint(cli, capsys):
     assert cli("oracle", "--objective", "chsh", "--slots", "1", "--constraint", "eta<1/2") == 0
     report = json.loads(capsys.readouterr().out)

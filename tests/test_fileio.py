@@ -109,6 +109,35 @@ def test_atomic_json_write(tmp_path):
     assert text.index('"a"') < text.index('"b"')
 
 
+# Strings with quotes, backslashes, control characters and non-ASCII text.
+_json_strings = st.text(st.sampled_from('ab"\\\n\t\x00\x1fé€😀'), max_size=6) | st.text(max_size=6)
+_json_scalars = (
+    st.none() | st.booleans() | st.floats() | st.integers()
+    | st.integers(min_value=2**63, max_value=2**200) | _json_strings
+)
+_json_trees = st.recursive(
+    _json_scalars,
+    lambda inner: st.lists(inner, max_size=4)
+    | st.lists(inner, max_size=3).map(tuple)
+    | st.dictionaries(_json_strings, inner, max_size=4),
+    max_leaves=30,
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(_json_trees)
+def test_json_text_is_the_indented_encoding(tree):
+    assert fileio.json_text(tree) == json.dumps(tree, indent=2, sort_keys=True)
+
+
+@pytest.mark.parametrize("tree", [
+    [], {}, [[]], {"a": {}}, [{}, []], {"x": [1, {"y": []}], "a": None},
+    {2: "int keys", 1: [1.5, True]}, [{2.5: 0, 0.5: [1]}], {True: [None], False: 1},
+])
+def test_json_text_on_empty_nested_and_converted_keys(tree):
+    assert fileio.json_text(tree) == json.dumps(tree, indent=2, sort_keys=True)
+
+
 cells = st.sampled_from((-1, 0, 1))
 
 

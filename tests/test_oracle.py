@@ -2,9 +2,10 @@ import itertools
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
-from bellseries import refdata
+from bellseries import _sweep, refdata
 from bellseries.errors import BudgetExceeded, PreconditionError
 from bellseries.model import (
     ASetting,
@@ -24,7 +25,7 @@ from bellseries.oracle import (
     sweep_cardinality_bound,
 )
 from bellseries.sica import check_sica
-from bellseries.stats import chsh, clauser_horne_j, correlation, table_eta
+from bellseries.stats import chsh, clauser_horne_j, column_props, correlation, table_eta
 
 import naive_oracle
 import naive_stats
@@ -254,7 +255,10 @@ _SWEEPS = {"chsh": max_chsh, "ch": max_clauser_horne, "s_eta": max_s_eta}
         ("s_eta", "pmz", 2, ("eta_below", Fraction(1))),
         ("chsh", "pmz", 2, ("eta_below", Fraction(1, 2))),
         ("ch", "pmz", 2, ("eta_at_least", Fraction(1))),
-    ],
+        ("chsh", "pm", 2, "equal_nc"),
+        ("ch", "pmz", 2, ("eta_at_most", Fraction(1, 2))),
+    ]
+    + [(objective, "pmz", 4, "sica") for objective in ("chsh", "ch", "s_eta")],
 )
 def test_sweep_matches_reference(objective, alphabet, slots, constraint):
     spec = EnumSpec(slots=slots, alphabet=alphabet, constraint=constraint)
@@ -268,10 +272,69 @@ def test_sweep_matches_reference(objective, alphabet, slots, constraint):
     assert result.witnesses == witnesses
 
 
-@pytest.mark.parametrize("slots", [1, 2])
-def test_cardinality_sweep_matches_reference(slots):
-    sweep = sweep_cardinality_bound(EnumSpec(slots=slots, alphabet="pmz"))
-    scanned, violations, min_slack, witness = naive_oracle.naive_cardinality(slots)
+class _Counts(dict):
+    """Each named count over every one-column pmz table, and which were read."""
+
+    def __init__(self, names):
+        classes = itertools.product((-1, 0, 1), repeat=4)
+        columns = [column_props(col) for col in classes]
+        super().__init__({name: np.array([col[name] for col in columns]) for name in names})
+        self.read = set()
+
+    def __getitem__(self, name):
+        self.read.add(name)
+        return super().__getitem__(name)
+
+
+@pytest.mark.parametrize("objective", sorted(_sweep.OBJECTIVES))
+def test_each_objective_reads_exactly_its_declared_counts(objective):
+    # A count it does not declare would raise KeyError.
+    reads, scaled, _power = _sweep.OBJECTIVES[objective]
+    counts = _Counts(reads)
+    ok, values = scaled(counts, np.array([0, 1]))
+    assert len(ok) == len(values) == 81
+    assert counts.read == set(reads)
+
+
+@pytest.mark.parametrize("constraint", [
+    None, "sica", "equal_nc", ("eta_at_least", Fraction(1, 2)),
+    ("eta_at_most", Fraction(1, 2)), ("eta_below", Fraction(1)),
+])
+def test_each_constraint_reads_exactly_its_declared_counts(constraint):
+    reads = _sweep._constraint_reads(constraint)
+    counts = _Counts(reads)
+    _sweep._constraint_mask(constraint, counts)
+    assert counts.read == set(reads)
+
+
+@pytest.mark.parametrize("objective, constraint, pairs", [
+    # The benchmark's two pmz 4-slot sweeps: 1,350 distinct halves a side
+    # over every count, against 691 and 501 over the counts each reads.
+    ("s_eta", ("eta_below", Fraction(1)), 691**2),
+    ("cardinality", None, 501**2),
+    ("ch", None, 3**2),
+])
+def test_sweeps_pair_only_the_distinct_halves_of_what_they_read(objective, constraint, pairs):
+    spec = EnumSpec(slots=4, alphabet="pmz", constraint=constraint)
+    left, right = _sweep._halves(spec, _sweep.sweep_reads(spec, objective))
+    assert len(left.vectors) * len(right.vectors) == pairs
+
+
+@pytest.mark.parametrize("slots, constraint", [
+    (1, None),
+    (2, None),
+    (2, ("eta_below", Fraction(1))),
+    (2, ("eta_at_least", Fraction(1, 2))),
+    (2, ("eta_at_most", Fraction(2, 3))),
+    (2, "equal_nc"),
+    (4, "sica"),
+    # No table has an efficiency below 0: nothing is admissible.
+    (2, ("eta_below", Fraction(0))),
+], ids=["1", "2", "2-eta_below-1", "2-eta_at_least-1/2", "2-eta_at_most-2/3", "2-equal_nc",
+        "4-sica", "2-eta_below-0"])
+def test_cardinality_sweep_matches_reference(slots, constraint):
+    sweep = sweep_cardinality_bound(EnumSpec(slots=slots, alphabet="pmz", constraint=constraint))
+    scanned, violations, min_slack, witness = naive_oracle.naive_cardinality(slots, constraint)
     assert sweep.tables_scanned == scanned
     assert sweep.violations == violations
     assert sweep.min_slack == min_slack

@@ -1,5 +1,6 @@
 import ast
 import inspect
+import json
 import os
 import subprocess
 import sys
@@ -49,18 +50,36 @@ def test_benchmark_launcher_wraps_names_that_exist(tmp_path):
 
 
 def test_importing_the_package_leaves_numpy_unloaded():
+    """numpy loads only where a sweep runs: not on importing the package,
+    the CLI or the oracle, nor for the census by either of its names."""
     code = (
-        "import sys, bellseries, bellseries.cli\n"
-        "before = 'numpy' in sys.modules\n"
+        "import json, sys\n"
+        "loaded = {}\n"
+        "import bellseries, bellseries.cli\n"
+        "loaded['import'] = 'numpy' in sys.modules\n"
+        "import bellseries.oracle\n"
         "bellseries.max_chsh\n"
-        "print(before, 'numpy' in sys.modules)\n"
+        "loaded['oracle'] = 'numpy' in sys.modules\n"
+        "from bellseries.model import RecordedRun, block_halves\n"
+        "run = RecordedRun(block_halves(4), (1, 1, 1, 1), (1, -1, 1, -1))\n"
+        "assert bellseries.oracle.census_complete_tables(run).count == 4\n"
+        "loaded['oracle.census'] = 'numpy' in sys.modules\n"
+        "assert bellseries.census_complete_tables(run).count == 4\n"
+        "loaded['census'] = 'numpy' in sys.modules\n"
+        "bellseries.max_chsh(bellseries.EnumSpec(slots=1))\n"
+        "loaded['sweep'] = 'numpy' in sys.modules\n"
+        "print(json.dumps(loaded))\n"
     )
     root = Path(__file__).resolve().parents[1]
     env = dict(os.environ, PYTHONPATH=str(root / "src"))
     done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                           text=True, timeout=120)
     assert done.returncode == 0, done.stderr
-    assert done.stdout.split() == ["False", "True"]
+    assert json.loads(done.stdout) == {
+        "import": False, "oracle": False, "oracle.census": False, "census": False,
+        # The guard is not vacuous: a sweep does load it.
+        "sweep": True,
+    }
 
 
 def test_unknown_attribute_is_an_attribute_error():
