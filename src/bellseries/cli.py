@@ -80,10 +80,15 @@ def _make_schedule(spec: str, slots: int, seed: int | None = None) -> Schedule:
 
 
 def _load_input(path: str):
-    """(table, provenance, None) of a table file, a single JSON object, and
-    (None, None, run) of anything else, an event log.  The file is read once
-    and the log parsed from that text."""
-    text = fileio.read_text(path)
+    """(table, provenance, None) of a table file, a single JSON object with
+    ``slots``, and (None, None, run) of anything else, an event log.  The
+    file is opened once.  A seekable file whose head shows a log
+    (:func:`fileio.starts_a_log`) is streamed; any other is read whole and
+    told apart by its text."""
+    with fileio.open_text(path) as fp:
+        if fp.seekable() and fileio.starts_a_log(fp):
+            return None, None, fileio.read_run_file(fp)
+        text = fp.read()
     try:
         data = fileio.parse_json(text)
     except ParseError:

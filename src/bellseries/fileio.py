@@ -6,9 +6,10 @@ Two interchange formats:
   ``a_setting``, ``b_setting``, ``a``, ``b``.  An optional first line holding
   a ``meta`` key carries run provenance.  Slots must be contiguous from 0.
   Each event line is written as the text ``json.dumps(event, sort_keys=True)``
-  gives, and a log is read a block of lines at a time: a block of such lines
-  in slot order is decoded whole, any other block line by line through
-  ``json.loads`` (see :func:`read_run_events`).
+  gives.  A log is read as a stream, a block of lines at a time, so its text
+  is never held whole: a block of such lines in slot order is decoded whole,
+  any other block line by line through ``json.loads`` (see
+  :func:`read_run_events`).
 
 * **Series table** (single JSON object): ``slots`` plus the four value
   arrays keyed ``a``, ``a_prime``, ``b``, ``b_prime``; ``null`` marks an
@@ -25,10 +26,11 @@ import os
 import tempfile
 from collections import Counter
 from contextlib import contextmanager
+from functools import partial
 from itertools import repeat
-from typing import Any, Iterator, TextIO
+from typing import Any, Iterable, Iterator, TextIO
 
-from .errors import ParseError, PreconditionError, StructuralError
+from .errors import BellSeriesError, ParseError, PreconditionError, StructuralError
 from .model import (
     EVENTS,
     MEASURED_VALUES,
@@ -86,31 +88,50 @@ def _setting(names: dict, value, kind: str, lineno: int):
         raise ParseError(f"{value!r} is not a valid {kind}", lineno) from None
 
 
-def _blocks(text: str) -> Iterator[tuple[int, list[str]]]:
-    """``text`` cut at newlines into (number of the first line, its lines):
-    the first line alone, then about :data:`_BLOCK` characters at a time."""
-    start, end, lineno, size = 0, len(text) - text.endswith("\n"), 1, 0
-    while start < end:
-        stop = text.find("\n", start + size)
-        if stop < 0:
-            stop = end
-        lines = text[start:stop].split("\n")
-        yield lineno, lines
-        lineno += len(lines)
-        start, size = stop + 1, _BLOCK
+def _blocks(source: str | TextIO | Iterable[str]) -> Iterator[tuple[int, list[str]]]:
+    """The text of ``source`` (a string, a text stream read :data:`_BLOCK`
+    characters at a time, or the strings an iterable joins) cut at newlines
+    into (number of the first line, its lines): the first line alone, then
+    blocks that each end at the first newline at least :data:`_BLOCK`
+    characters past their start.  The cuts do not depend on how the text
+    comes in pieces, and only the unfinished block is held."""
+    if isinstance(source, str):
+        source = (source,)
+    elif hasattr(source, "read"):
+        source = iter(partial(source.read, _BLOCK), "")
+    lineno, size = 1, 0
+    # The unfinished block, and how many characters it holds.
+    parts: list[str] = []
+    held = 0
+    for chunk in source:
+        parts.append(chunk)
+        if chunk.find("\n", max(size - held, 0)) < 0:
+            held += len(chunk)
+            continue
+        text, start = "".join(parts), 0
+        while (stop := text.find("\n", start + size)) >= 0:
+            lines = text[start:stop].split("\n")
+            yield lineno, lines
+            lineno += len(lines)
+            start, size = stop + 1, _BLOCK
+        parts = [text[start:]]
+        held = len(parts[0])
+    text = "".join(parts).removesuffix("\n")
+    if text:
+        yield lineno, text.split("\n")
 
 
-def read_run_events(text: str) -> RecordedRun:
-    """Parse an event log from its text (the lines of a text file are
-    joined).  Blank lines are skipped; events may come in any slot order.
+def read_run_events(source: str | TextIO | Iterable[str]) -> RecordedRun:
+    """Parse an event log from its text: a string, a text stream, or the
+    strings an iterable joins (the lines of a file, say).  Blank lines are
+    skipped; events may come in any slot order.
 
-    The log is decoded a block of lines at a time.  A block whose every
-    line, stripped, is exactly what ``write_run_events`` writes for the next
-    slots in order is decoded whole from the lines' heads; any other block
-    goes line by line through ``json.loads`` and is checked field by field,
-    so a bad line is named with the same line number and message either way."""
-    if not isinstance(text, str):
-        text = "".join(text)
+    The log is decoded a block of lines at a time (:func:`_blocks`), as it
+    is read.  A block whose every line, stripped, is exactly what
+    ``write_run_events`` writes for the next slots in order is decoded whole
+    from the lines' heads; any other block goes line by line through
+    ``json.loads`` and is checked field by field, so a bad line is named with
+    the same line number and message either way."""
     meta: dict | None = None
     seen_meta = False
     # Slot numbers are kept only once an event comes out of slot order.
@@ -118,7 +139,7 @@ def read_run_events(text: str) -> RecordedRun:
     # The event codes, a block at a time, and how many there are.
     blocks: list[bytes] = []
     count = 0
-    for first_line, lines in _blocks(text):
+    for first_line, lines in _blocks(source):
         lines = list(map(str.strip, lines))
         heads = list(map(str.rstrip, lines, repeat("0123456789}")))
         codes = list(map(_HEAD_EVENTS.get, heads))
@@ -225,17 +246,41 @@ def provenance_from_json(data: dict) -> dict[str, tuple[str, ...]] | None:
     return out
 
 
-def read_text(path: str) -> str:
-    """The whole of a UTF-8 file.  A file that cannot be opened raises
-    :class:`PreconditionError`, one that is not UTF-8 :class:`ParseError`;
-    both name the file."""
+@contextmanager
+def open_text(path: str) -> Iterator[TextIO]:
+    """``path`` open as UTF-8 text.  A file that cannot be opened or read
+    raises :class:`PreconditionError`, one that is not UTF-8
+    :class:`ParseError`; both name the file."""
     try:
         with open(path, "r", encoding="utf-8") as fp:
-            return fp.read()
+            yield fp
     except OSError as exc:
         raise PreconditionError(f"cannot read {path}: {exc.strerror}") from exc
     except UnicodeDecodeError as exc:
         raise ParseError(f"{path} is not UTF-8 text: {exc.reason}") from exc
+
+
+def read_text(path: str) -> str:
+    """The whole of a UTF-8 file (see :func:`open_text`)."""
+    with open_text(path) as fp:
+        return fp.read()
+
+
+def starts_a_log(fp: TextIO) -> bool:
+    """Whether the head of the seekable text file ``fp`` shows that
+    ``json.loads`` of its whole text fails, so the file is an event log,
+    not a table: its first line is a JSON value and more than whitespace
+    follows.  False where only the whole text can tell.  ``fp`` is left at
+    its start."""
+    first, newline, rest = fp.read(_BLOCK).partition("\n")
+    fp.seek(0)
+    if not newline or not rest.strip(" \t\n\r"):
+        return False
+    try:
+        json.loads(first)
+    except (RecursionError, ValueError):
+        return False
+    return True
 
 
 def read_table(path: str) -> SeriesTable:
@@ -308,5 +353,17 @@ def write_run_file(run: RecordedRun, path: str) -> None:
         write_run_events(run, fp)
 
 
-def read_run_file(path: str) -> RecordedRun:
-    return read_run_events(read_text(path))
+def read_run_file(file: str | TextIO) -> RecordedRun:
+    """The event log in a UTF-8 text file, given by its path or open at its
+    start, decoded as it is read.  A file that is not UTF-8 is refused as
+    such even where a bad line comes before its first bad byte, as when its
+    whole text was read first."""
+    if isinstance(file, str):
+        with open_text(file) as fp:
+            return read_run_file(fp)
+    try:
+        return read_run_events(file)
+    except BellSeriesError:
+        while file.read(_BLOCK):
+            pass
+        raise

@@ -99,6 +99,11 @@ class EnumSpec:
             kind, q = self.constraint
             if kind not in _ETA_CONSTRAINTS:
                 raise PreconditionError(f"unknown constraint {self.constraint!r}")
+            if type(q) is not int and not isinstance(q, Fraction):
+                # The mask compares counts with the threshold's exact ratio.
+                raise PreconditionError(
+                    f"efficiency threshold must be an int or a Fraction, got {type(q).__name__}"
+                )
             if not 0 <= q <= 1:
                 raise PreconditionError(f"efficiency threshold out of range: {q}")
         elif self.constraint not in (None, "equal_nc", "sica"):

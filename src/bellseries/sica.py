@@ -182,6 +182,8 @@ def _compare(table: SeriesTable, schedule: Schedule) -> tuple[SicaVerdict, dict]
     pairs: dict[str, list[tuple[int, int]]] = {}
     regimes = _regimes(schedule, table.fully_measured)
     for key in ROW_KEYS:
+        if len(witnesses) >= _MAX_WITNESSES:
+            break
         row = table.row(key)
         left, right = regimes[key]
         if len(left) != len(right):

@@ -16,6 +16,8 @@ uniform streams drawn as whole arrays: ``s`` (sign agreement), ``t``
 (common sign), ``u_a`` (station A erasure), ``u_b`` (station B erasure).
 The deterministic model consumes only ``u_a`` and ``u_b``.  This order is
 part of the reproducibility contract and is echoed in the run metadata.
+Each draw is reduced to a per-slot flag as soon as it is drawn, so the
+floats of one draw are freed before the next is drawn.
 """
 
 from __future__ import annotations
@@ -111,7 +113,8 @@ def _meta(config: SourceConfig, draw_order: str) -> dict:
 
 
 def _draw_events(config: SourceConfig) -> tuple[bytes, str]:
-    """Each slot's event code, drawn as whole arrays, and the draw order."""
+    """Each slot's event code, drawn as whole arrays, and the draw order.
+    Outcomes are held as ``outcome + 1`` and the codes built in uint8."""
     # numpy is imported where a command draws, so commands that read stay light.
     import numpy as np
 
@@ -120,25 +123,23 @@ def _draw_events(config: SourceConfig) -> tuple[bytes, str]:
     # Per slot, the index of its setting pair in PAIRINGS: 2 * primed A + primed B.
     pairing = np.frombuffer(config.schedule.codes, np.uint8)
     if config.model == "quantum":
-        s = rng.random(n)
-        t = rng.random(n)
-        u_a = rng.random(n)
-        u_b = rng.random(n)
         same_below = np.array([(1.0 + config.pairing_correlation(p)) / 2.0 for p in PAIRINGS])
-        a = np.where(t < 0.5, PLUS, MINUS)
-        b = np.where(s < same_below[pairing], a, -a)
+        same = rng.random(n) < same_below[pairing]
+        a = np.where(rng.random(n) < 0.5, np.uint8(PLUS + 1), np.uint8(MINUS + 1))
+        b = np.where(same, a, 2 - a)
         draw_order = "s,t,u_a,u_b"
     else:
-        u_a = rng.random(n)
-        u_b = rng.random(n)
         table = config.instructions
-        j = np.arange(n) % table.slots
-        a = np.array([table.a, table.a_prime])[pairing >> 1, j]
-        b = np.array([table.b, table.b_prime])[pairing & 1, j]
+
+        def cycled(row):
+            return np.resize(np.array(row, np.int8) + 1, n).view(np.uint8)
+
+        a = np.where(pairing >> 1, cycled(table.a_prime), cycled(table.a))
+        b = np.where(pairing & 1, cycled(table.b_prime), cycled(table.b))
         draw_order = "u_a,u_b"
-    a[u_a >= config.eta] = 0
-    b[u_b >= config.eta] = 0
-    return (9 * pairing + 3 * (a + 1) + (b + 1)).astype(np.uint8).tobytes(), draw_order
+    a[rng.random(n) >= config.eta] = 1
+    b[rng.random(n) >= config.eta] = 1
+    return (9 * pairing + 3 * a + b).tobytes(), draw_order
 
 
 def simulate(config: SourceConfig) -> RecordedRun:

@@ -202,9 +202,7 @@ def naive_check_sica(table, schedule):
                     row, "value-mismatch",
                     f"row {row} position {pos}: {cells[sl]:+d} at slot {sl} vs "
                     f"{cells[sr]:+d} at slot {sr}", pos, sl, sr))
-                if len(witnesses) == 8:
-                    return sica.SicaVerdict(False, tuple(witnesses))
-    return sica.SicaVerdict(not witnesses, tuple(witnesses))
+    return sica.SicaVerdict(not witnesses, tuple(witnesses[:8]))
 
 
 def naive_stable_match(donors, targets):

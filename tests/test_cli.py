@@ -1,5 +1,7 @@
+import io
 import json
 import os
+import tracemalloc
 import re
 import subprocess
 import sys
@@ -10,6 +12,8 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from bellseries import fileio, refdata, sica
+from bellseries.cli import _load_input
+from bellseries.errors import BellSeriesError, ParseError
 from bellseries.model import (
     ASetting,
     BSetting,
@@ -23,6 +27,7 @@ from bellseries.model import (
 )
 from bellseries.oracle import EnumSpec, max_chsh
 from bellseries.sica import fill_counterfactual
+from bellseries.simulate import SourceConfig, simulate
 
 from conftest import event_logs, json_values, recorded_runs, table_objects
 
@@ -297,6 +302,144 @@ def test_event_log_is_read_once(cli, tmp_path, capsys, monkeypatch):
     assert cli("analyze", "--input", str(events)) == 0
     assert opened.count(str(events)) == 1
     assert json.loads(capsys.readouterr().out)["slots"] == refdata.fig6("red").slots
+
+
+def test_a_streamed_log_is_never_held_whole(tmp_path):
+    config = SourceConfig(model="quantum", schedule=random_per_slot(50_000, 1), seed=2, eta=0.9)
+    run = simulate(config)
+    path = tmp_path / "run.jsonl"
+    fileio.write_run_file(run, str(path))
+    _load_input(str(path))
+    tracemalloc.start()
+    try:
+        loaded = _load_input(str(path))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert loaded == (None, None, run) and loaded[2].meta == run.meta
+    assert peak < 0.5 * path.stat().st_size
+
+
+@pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd")
+def test_a_log_from_a_pipe_is_read_whole():
+    run = refdata.fig6("red")
+    buf = io.StringIO()
+    fileio.write_run_events(run, buf)
+    read_end, write_end = os.pipe()
+    try:
+        os.write(write_end, buf.getvalue().encode("utf-8"))
+        os.close(write_end)
+        # A pipe cannot be rewound after its head is read.
+        assert _load_input(f"/dev/fd/{read_end}") == (None, None, run)
+    finally:
+        os.close(read_end)
+
+
+@pytest.mark.parametrize("bad_line", [False, True], ids=["good-lines", "bad-line-first"])
+def test_a_bad_byte_past_the_first_block_exits_3_as_not_utf8(cli, tmp_path, capsys, bad_line):
+    run = simulate(SourceConfig(model="quantum", schedule=random_per_slot(2_000, 1), seed=2))
+    path = tmp_path / "run.jsonl"
+    fileio.write_run_file(run, str(path))
+    lines = path.read_bytes().splitlines(keepends=True)
+    if bad_line:
+        # Read whole, the file is refused for its encoding before any line
+        # is parsed; streamed, it still is.
+        lines[2] = b"{oops\n"
+    lines.insert(-1, b'{"note": "\xff"}\n')
+    data = b"".join(lines)
+    assert data.index(b"\xff") > 2 * fileio._BLOCK
+    path.write_bytes(data)
+    assert cli("analyze", "--input", str(path)) == 3
+    assert capsys.readouterr().err == f"error: {path} is not UTF-8 text: invalid start byte\n"
+
+
+# --- a file is told apart by its head as by its whole text ------------------
+
+
+def _load_by_whole_text(path):
+    """The reference: a file is a table when ``json.loads`` of its whole text
+    is an object with ``slots``, and an event log read from that text
+    otherwise."""
+    text = fileio.read_text(path)
+    try:
+        data = fileio.parse_json(text)
+    except ParseError:
+        data = None
+    if isinstance(data, dict) and "slots" in data:
+        return fileio.table_from_json(data), fileio.provenance_from_json(data), None
+    return None, None, fileio.read_run_events(text)
+
+
+def _loaded(load, path):
+    try:
+        table, provenance, run = load(path)
+    except BellSeriesError as exc:
+        return type(exc), str(exc)
+    return table, provenance, run, run and run.meta
+
+
+_COMPLETE = refdata.fig8()
+_FIG8_LINE = json.dumps(fileio.table_to_json(_COMPLETE.table, _COMPLETE.provenance))
+_SMALL_TABLE = '{"slots": 1, "a": [1], "b": [-1], "a_prime": [null], "b_prime": [null]}'
+_META = '{"meta": {"seed": 1}}'
+_LINES = "".join(
+    json.dumps({"a": 1, "a_setting": "alpha", "b": -1, "b_setting": "beta", "slot": slot}) + "\n"
+    for slot in range(3)
+)
+_PAD = "x" * (fileio._BLOCK + 10)
+# Files by name, and whether their head shows them to be logs.
+_INPUTS = {
+    "log": (_META + "\n" + _LINES, True),
+    "log-without-meta": (_LINES, True),
+    "log-crlf": ((_META + "\n" + _LINES).replace("\n", "\r\n"), True),
+    "log-line-without-newline": (_LINES.splitlines()[0], False),
+    "log-of-a-meta-line": (_META + "\n\n \t\n", False),
+    "log-blank-past-the-head": (_META + "\n" * (fileio._BLOCK + 5) + _LINES, False),
+    "meta-longer-than-the-head": ('{"meta": "%s"}\n' % _PAD + _LINES, False),
+    "one-line-table": (_FIG8_LINE, False),
+    "one-line-table-newline": (_FIG8_LINE + "\n", False),
+    "table-then-blank-lines": (_FIG8_LINE + "\n\n \t\r\n\n", False),
+    "table-then-a-line": (_FIG8_LINE + "\n" + _LINES, True),
+    "table-then-form-feed": (_FIG8_LINE + "\n\x0c\n", True),
+    "table-longer-than-the-head": (_FIG8_LINE[:-1] + ', "pad": "%s"}\n' % _PAD, False),
+    "indented-table": (fileio.json_text(json.loads(_FIG8_LINE)) + "\n", False),
+    "indented-table-crlf": (fileio.json_text(json.loads(_FIG8_LINE)).replace("\n", "\r\n"), False),
+    "open-brace-then-lines": ("{\n" + _LINES, False),
+    "scalar-then-lines": ("3\n" + _LINES, True),
+    "string-then-lines": ('"slots"\n' + _LINES, True),
+    "array-then-lines": ("[1, 2]\n" + _LINES, True),
+    "nested-first-line": ("[" * 200_000 + "\n" + _LINES, False),
+    "long-int-first-line": ("1" * 5_000 + "\n" + _LINES, False),
+    "empty": ("", False),
+    "whitespace": (" \n\n\t", False),
+    "bom-table": ("\ufeff" + _FIG8_LINE, False),
+    "bom-log": ("\ufeff" + _META + "\n" + _LINES, False),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_INPUTS))
+def test_a_file_is_told_apart_by_its_head_as_by_its_whole_text(tmp_path, name):
+    text, streamed = _INPUTS[name]
+    path = tmp_path / "input"
+    path.write_bytes(text.encode("utf-8"))
+    assert _loaded(_load_input, str(path)) == _loaded(_load_by_whole_text, str(path))
+    with open(path, encoding="utf-8") as fp:
+        assert fileio.starts_a_log(fp) is streamed
+        assert fp.tell() == 0
+
+
+_FIRST_LINES = (_SMALL_TABLE, _META, "3", "[1, 2]", '"x"', "null", "{", "", " ", "\ufeff" + _META)
+_LATER_LINES = (_SMALL_TABLE, _META, "}", "", " ", "\t", "\r", "\x0c", *_LINES.splitlines())
+
+
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.sampled_from(_FIRST_LINES), st.lists(st.sampled_from(_LATER_LINES), max_size=4),
+       st.sampled_from(("", "\n", "\r\n")))
+def test_any_file_is_told_apart_as_by_its_whole_text(tmp_path, first, later, end):
+    path = tmp_path / "input"
+    path.write_bytes("\n".join([first, *later]).encode("utf-8") + end.encode())
+    assert _loaded(_load_input, str(path)) == _loaded(_load_by_whole_text, str(path))
 
 
 @settings(max_examples=40, deadline=None,

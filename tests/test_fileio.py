@@ -1,5 +1,6 @@
 import io
 import json
+import math
 import random
 import re
 from unittest import mock
@@ -583,3 +584,77 @@ def test_provenance_refuses_a_bad_mark(tmp_path, cli, capsys, where, bad):
     path.write_text(json.dumps(data))
     assert cli("sica-check", "--input", str(path)) == 3
     assert "must be 'F'/'C' per slot" in capsys.readouterr().err
+
+
+# --- a log read as a stream reads as its whole text -------------------------
+
+# Lines a streamed log may hold, by name, each given its slot number.
+_STREAM_LINES = {
+    "event": lambda s: _CANONICAL % s,
+    "blank": lambda s: "",
+    "spaces": lambda s: "   ",
+    "padded": lambda s: " " * 40 + _CANONICAL % s + " " * 40,
+    "late-meta": lambda s: '{"meta": null}',
+    **NEAR_MISSES,
+}
+
+
+@st.composite
+def _streamed_logs(draw):
+    """A log's text, mostly events in slot order, and where to cut it."""
+    lines = []
+    if draw(st.booleans()):
+        lines.append('{"meta": {"pad": "%s"}}' % ("x" * draw(st.sampled_from((0, 50)))))
+    kinds = st.sampled_from(("event", "blank")) | st.sampled_from(sorted(_STREAM_LINES))
+    for slot, kind in enumerate(draw(st.lists(kinds, max_size=30))):
+        lines.append(_STREAM_LINES[kind](slot))
+    if draw(st.booleans()):
+        # A bad last line, whose number counts every line before it.
+        lines.append("{oops")
+    text = "\n".join(lines) + draw(st.sampled_from(("", "\n", "\n\n")))
+    cuts = draw(st.lists(st.integers(0, len(text)), max_size=8))
+    return text, sorted(cuts)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_streamed_logs(), st.sampled_from((1, 16, 64, 300)))
+def test_a_log_cut_anywhere_reads_as_its_whole_text(log, block):
+    text, cuts = log
+    bounds = [0, *cuts, len(text)]
+    pieces = [text[i:j] for i, j in zip(bounds, bounds[1:])]
+    with mock.patch.object(fileio, "_BLOCK", block):
+        expected = _outcome(text)
+        assert _outcome(iter(pieces)) == expected
+        # A text stream is read a block at a time, a list of lines line by line.
+        assert _outcome(io.StringIO(text)) == expected
+        assert _outcome(io.StringIO(text).readlines()) == expected
+        assert _outcome(text, block_decode=False) == expected
+
+
+@pytest.mark.parametrize("name", ["long-meta", "long-line", "long-bad-line"])
+def test_lines_longer_than_a_block_read_as_the_whole_text(name):
+    long = " " * (fileio._BLOCK + 10)
+    lines = [_CANONICAL % 0, _CANONICAL % 1, long + _CANONICAL % 2, _CANONICAL % 3]
+    if name == "long-meta":
+        lines.insert(0, '{"meta": "%s"}' % ("x" * 2 * fileio._BLOCK))
+    elif name == "long-bad-line":
+        lines.append(long + "{oops")
+    text = "\n".join(lines) + "\n"
+    expected = _outcome(text)
+    assert expected == _outcome(text, block_decode=False)
+    for size in (1, 4096, fileio._BLOCK - 1, fileio._BLOCK + 1):
+        pieces = [text[i:i + size] for i in range(0, len(text), size)]
+        assert _outcome(iter(pieces)) == expected
+    assert _outcome(io.StringIO(text)) == expected
+
+
+def test_a_stream_is_read_a_block_at_a_time():
+    run = _sample_run(seed=6, slots=3_000)
+    buf = io.StringIO()
+    fileio.write_run_events(run, buf)
+    buf.seek(0)
+    with mock.patch.object(buf, "read", wraps=buf.read) as read:
+        assert fileio.read_run_events(buf) == run
+    assert {call.args for call in read.call_args_list} == {(fileio._BLOCK,)}
+    # The last read finds the end.
+    assert read.call_count == math.ceil(len(buf.getvalue()) / fileio._BLOCK) + 1

@@ -1,5 +1,6 @@
 import itertools
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -122,6 +123,23 @@ def test_efficiency_strata_at_one_pair():
         EnumSpec(slots=2, alphabet="pmz", constraint=("eta_below", Fraction(1)))
     )
     assert below.max_value == 2  # one pair per setting is too small to violate
+
+
+@pytest.mark.parametrize("kind", ["eta_below", "eta_at_least", "eta_at_most"])
+@pytest.mark.parametrize("q", [0.5, 1.0, True, False, "1", None], ids=repr)
+def test_an_inexact_efficiency_threshold_is_refused(kind, q):
+    with pytest.raises(PreconditionError, match=f"an int or a Fraction, got {type(q).__name__}$"):
+        max_chsh(EnumSpec(slots=1, constraint=(kind, q)))
+
+
+@pytest.mark.parametrize("kind", ["eta_below", "eta_at_least", "eta_at_most"])
+def test_an_int_efficiency_threshold_is_its_fraction(kind):
+    for q in (0, 1):
+        as_int, as_fraction = (
+            replace(max_chsh(EnumSpec(slots=1, alphabet="pmz", constraint=(kind, t))), elapsed=0)
+            for t in (q, Fraction(q))
+        )
+        assert as_int == as_fraction
 
 
 def test_stratum_witness_respects_constraint():

@@ -816,6 +816,18 @@ def test_check_sica_of_a_full_table_is_the_cell_by_cell_rule(slots, data):
     assert check_sica(table, schedule) == naive_check_sica(table, schedule)
 
 
+def test_a_failing_verdict_lists_at_most_eight_witnesses():
+    # Rows a and a_prime each fail on length and row b on six positions, so
+    # row b_prime's first mismatch would be the ninth witness.
+    b = (-1, -1, 1, -1, -1, -1, 1, 1, 1, 1, -1, 1)
+    b_prime = (-1,) * 9 + (1, -1, 1)
+    table = SeriesTable.from_rows((-1,) * 12, b, (-1,) * 12, b_prime)
+    schedule = RecordedRun.from_events(bytes.fromhex("08081a0808081a1a1a1a1a08")).schedule
+    verdict = check_sica(table, schedule)
+    assert verdict == naive_check_sica(table, schedule)
+    assert [w.row for w in verdict.witnesses] == ["a"] + ["b"] * 6 + ["a_prime"]
+
+
 @settings(max_examples=60, deadline=None)
 @given(run=_block_layout_runs(), data=st.data())
 def test_check_sica_of_a_completion_is_the_cell_by_cell_rule(run, data):

@@ -1,6 +1,7 @@
 import io
 import json
 import math
+import tracemalloc
 
 import pytest
 
@@ -19,6 +20,7 @@ from bellseries.model import (
 from bellseries.simulate import (
     DEFAULT_ANGLES,
     SourceConfig,
+    _draw_events,
     expected_chsh,
     replay,
     simulate,
@@ -224,3 +226,21 @@ def test_random_schedule_matches_per_slot_loop(slots):
         schedule, reference = random_per_slot(slots, seed), naive_random_per_slot(slots, seed)
         assert schedule == reference
         assert (schedule.kind, schedule.seed) == (reference.kind, reference.seed)
+
+
+@pytest.mark.parametrize("model", ["quantum", "deterministic"])
+def test_drawing_keeps_at_most_one_float_array_alive(model):
+    slots = 200_000
+    instructions = random_table(make_rng(3), slots=64, alphabet=(-1, 1))
+    config = SourceConfig(model=model, schedule=random_per_slot(slots, 2), seed=4, eta=0.9,
+                          instructions=instructions if model == "deterministic" else None)
+    _draw_events(config)
+    tracemalloc.start()
+    try:
+        _draw_events(config)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # One float64 draw and the per-slot thresholds it is compared with take
+    # 16 bytes a slot; four live draws would take 32.
+    assert peak / slots < 24
