@@ -52,7 +52,6 @@ from .stats import (
     clauser_horne_j,
     correlation,
     correlation_report,
-    detector_efficiencies,
     efficiency_bound,
     overlap_fraction,
     set_stats,
@@ -116,7 +115,6 @@ __all__ = [
     "correlation_report",
     "custom_schedule",
     "derive_schedule",
-    "detector_efficiencies",
     "efficiency_bound",
     "enumerate_complete_tables",
     "expected_chsh",

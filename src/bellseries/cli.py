@@ -20,12 +20,10 @@ from fractions import Fraction
 from . import fileio, refdata
 from .errors import BellSeriesError, ParseError, PreconditionError
 from .model import (
-    ROW_KEYS,
     RecordedRun,
     Schedule,
     SeriesTable,
     block_halves,
-    derive_schedule,
     random_per_slot,
     schedule_from_json,
     table_from_run,
@@ -259,40 +257,55 @@ def _cmd_analyze(args) -> int:
 
 
 def _read_table(args):
-    """The table or event log at ``--input``, the schedule it is read under,
-    and the :class:`CompleteTable` it is if its file carries F/C marks, else
-    None.  The marks record a completed table's schedule: its factual ("F")
-    cells fix it, derived here once, and a given ``--schedule`` must be that
-    one.  Otherwise the schedule is the given one, if any, which ``sica``
-    checks against the table's cells or the log's own schedule."""
+    """The input at ``--input`` and the ``--schedule`` given with it, if
+    any.  The input is an event log, a table, or the :class:`CompleteTable`
+    a table file with F/C marks records
+    (:meth:`CompleteTable.from_provenance`); ``sica`` settles the schedule
+    it is read under.  A bad ``--schedule`` is named before the marks."""
     table, provenance, run = _load_input(args.input)
     data = table if run is None else run
     schedule = _make_schedule(args.schedule, data.slots) if args.schedule else None
-    if provenance is None:
-        return data, schedule, None
-    factual = SeriesTable(table.slots, *(
-        [v if m == "F" else None for v, m in zip(table.row(key), provenance[key])]
-        for key in ROW_KEYS
-    ))
-    try:
-        recorded = derive_schedule(factual)
-    except PreconditionError as exc:
-        raise PreconditionError(f"the table's factual cells fix no schedule: {exc}") from exc
-    if schedule is not None and schedule != recorded:
-        raise PreconditionError("the table's factual cells do not follow the given schedule")
-    return table, recorded, CompleteTable(table, recorded)
+    if provenance is not None:
+        data = CompleteTable.from_provenance(table, provenance)
+    return data, schedule
 
 
-def _factual_json(complete: CompleteTable) -> dict:
+def _write_table(path: str | None, table: SeriesTable | CompleteTable) -> SeriesTable:
+    """The cells of ``table``, first written to ``path`` if one is given: a
+    :class:`CompleteTable` with the F/C marks of its schedule."""
+    complete = isinstance(table, CompleteTable)
+    cells = table.table if complete else table
+    if path:
+        marks = table.provenance if complete else None
+        fileio.write_json_atomic(path, fileio.table_to_json(cells, marks))
+    return cells
+
+
+def _identity_json(complete: CompleteTable) -> dict:
+    """A completed table's identity verdict and factual correlations."""
     return {
-        p.key: {"n_c": st.n_c, "e": _frac_json(st.e)}
-        for p, st in complete.factual_correlations().items()
+        "identity_holds": complete.check().holds,
+        "factual_correlations": {
+            p.key: {"n_c": st.n_c, "e": _frac_json(st.e)}
+            for p, st in complete.factual_correlations().items()
+        },
     }
 
 
+def _reorder_json(outcome) -> dict:
+    """The verdict of a reorder, as ``sica-reorder`` and ``figures`` report it."""
+    report = {
+        "success": outcome.success,
+        "best_keepable": outcome.best_keepable,
+        "required": outcome.required,
+    }
+    if not outcome.success:
+        report["obstruction"] = outcome.obstruction
+    return report
+
+
 def _cmd_sica_check(args) -> int:
-    table, schedule, _ = _read_table(args)
-    verdict = check_sica(table, schedule)
+    verdict = check_sica(*_read_table(args))
     report = {
         "command": "sica-check",
         "holds": verdict.holds,
@@ -325,12 +338,7 @@ def _complete(args, run: RecordedRun):
 def _cmd_sica_reorder(args) -> int:
     run = _run_input(args, "reordering")
     outcome = reorder_to_sica(run, budget=args.budget)
-    report = {
-        "command": "sica-reorder",
-        "success": outcome.success,
-        "best_keepable": outcome.best_keepable,
-        "required": outcome.required,
-    }
+    report = {"command": "sica-reorder", **_reorder_json(outcome)}
     if outcome.success:
         rearranged = apply_plan(run, outcome.plan)
         report["discarded_slots"] = list(outcome.plan.discarded_slots)
@@ -339,23 +347,12 @@ def _cmd_sica_reorder(args) -> int:
             fileio.write_run_file(rearranged, args.output)
             report["output"] = args.output
         report["analysis"] = correlation_report(rearranged)
-    else:
-        report["obstruction"] = outcome.obstruction
     _print_json(report, args)
     return 0
 
 
 def _cmd_sica_condense(args) -> int:
-    table, schedule, complete = _read_table(args)
-    if complete is None:
-        condensed, out_prov = condense(table, schedule), None
-    else:
-        result = complete.condense()
-        condensed, out_prov = result.table, result.provenance
-    if args.output:
-        fileio.write_json_atomic(
-            args.output, fileio.table_to_json(condensed, out_prov)
-        )
+    condensed = _write_table(args.output, condense(*_read_table(args)))
     report = {
         "command": "sica-condense",
         "slots": condensed.slots,
@@ -367,19 +364,14 @@ def _cmd_sica_condense(args) -> int:
 
 def _cmd_sica_complete(args) -> int:
     result = _complete(args, _run_input(args, "completion"))
-    complete = result.complete
-    if args.output:
-        fileio.write_json_atomic(
-            args.output, fileio.table_to_json(complete.table, complete.provenance)
-        )
+    table = _write_table(args.output, result.complete)
     report = {
         "command": "sica-complete",
-        "slots": complete.table.slots,
+        "slots": table.slots,
         "discarded_slots": list(result.discarded_slots),
         "note": result.note,
-        "identity_holds": complete.check().holds,
-        "factual_correlations": _factual_json(complete),
-        "analysis": correlation_report(complete.table),
+        **_identity_json(result.complete),
+        "analysis": correlation_report(table),
     }
     _print_json(report, args)
     return 0
@@ -391,13 +383,8 @@ def _cmd_fill(args) -> int:
             if value is not None:
                 raise PreconditionError(f"fill zeros takes no {flag}: it is for the sica policy")
     run = _run_input(args, "fill")
-    if args.policy == "zeros":
-        table, provenance = fill_counterfactual(run), None
-    else:
-        complete = _complete(args, run).complete
-        table, provenance = complete.table, complete.provenance
-    if args.output:
-        fileio.write_json_atomic(args.output, fileio.table_to_json(table, provenance))
+    filled = fill_counterfactual(run) if args.policy == "zeros" else _complete(args, run).complete
+    table = _write_table(args.output, filled)
     report = {
         "command": "fill",
         "policy": args.policy,
@@ -474,27 +461,16 @@ def _cmd_oracle(args) -> int:
 
 
 def _figure_artifacts(name: str):
+    """A dataset and its stats: a run's report with its reorder verdict, a
+    table's report, and a completed table's with its identity verdict."""
     built = refdata.DATASETS[name]()
-    if isinstance(built, CompleteTable):
-        table_json = fileio.table_to_json(built.table, built.provenance)
-        stats = correlation_report(built.table)
-        stats["identity_holds"] = built.check().holds
-        stats["factual_correlations"] = _factual_json(built)
-        return ("table", table_json, stats)
-    if isinstance(built, SeriesTable):
-        return ("table", fileio.table_to_json(built), correlation_report(built))
     if isinstance(built, RecordedRun):
         stats = correlation_report(built)
-        outcome = reorder_to_sica(built)
-        stats["reorder"] = {
-            "success": outcome.success,
-            "best_keepable": outcome.best_keepable,
-            "required": outcome.required,
-        }
-        if not outcome.success:
-            stats["reorder"]["obstruction"] = outcome.obstruction
-        return ("run", built, stats)
-    raise AssertionError(f"unhandled dataset type for {name}")
+        stats["reorder"] = _reorder_json(reorder_to_sica(built))
+        return built, stats
+    if isinstance(built, CompleteTable):
+        return built, {**correlation_report(built.table), **_identity_json(built)}
+    return built, correlation_report(built)
 
 
 def _cmd_figures(args) -> int:
@@ -511,13 +487,13 @@ def _cmd_figures(args) -> int:
         raise PreconditionError(f"cannot write {args.output}: {exc.strerror}") from exc
     written = []
     for name in names:
-        kind, payload, stats = _figure_artifacts(name)
-        if kind == "table":
-            path = os.path.join(args.output, f"{name}.table.json")
-            fileio.write_json_atomic(path, payload)
-        else:
+        built, stats = _figure_artifacts(name)
+        if isinstance(built, RecordedRun):
             path = os.path.join(args.output, f"{name}.events.jsonl")
-            fileio.write_run_file(payload, path)
+            fileio.write_run_file(built, path)
+        else:
+            path = os.path.join(args.output, f"{name}.table.json")
+            _write_table(path, built)
         stats_path = os.path.join(args.output, f"{name}.stats.json")
         fileio.write_json_atomic(stats_path, stats)
         written.extend([path, stats_path])

@@ -283,10 +283,6 @@ def starts_a_log(fp: TextIO) -> bool:
     return True
 
 
-def read_table(path: str) -> SeriesTable:
-    return table_from_json(parse_json(read_text(path)))
-
-
 @contextmanager
 def _atomic_writer(path: str) -> Iterator[TextIO]:
     """A text file that replaces ``path`` only once it is completely written,

@@ -166,9 +166,6 @@ class SeriesTable:
     def fully_measured(self) -> bool:
         return all(None not in self.row(key) for key in ROW_KEYS)
 
-    def recorded_count(self, key: str) -> int:
-        return sum(1 for v in self.row(key) if v is not None)
-
 
 @dataclass(frozen=True)
 class Schedule:
@@ -204,9 +201,6 @@ class Schedule:
     @property
     def slots(self) -> int:
         return len(self.codes)
-
-    def pairing(self, slot: int) -> Pairing:
-        return PAIRINGS[self.codes[slot]]
 
     def to_json(self) -> dict:
         data: dict = {

@@ -131,24 +131,29 @@ def _fill_identity_pairs(
 
 
 def _resolve_schedule(
-    data: SeriesTable | RecordedRun, schedule: Schedule | None
+    data: SeriesTable | RecordedRun | CompleteTable, schedule: Schedule | None
 ) -> tuple[SeriesTable, Schedule]:
-    """The table ``data`` is, and the schedule it is read under: the one its
-    recorded cells fix, and a given one must be that one.  A run is laid out
-    by :func:`table_from_run` and fixes its own schedule, not derived again.
-    A fully measured table fixes none and must be given one; a completed
-    table is read under the schedule it carries (see :class:`CompleteTable`).
-    A table of no slots is refused: no verdict on it may pass vacuously."""
-    table, recorded = (
-        (table_from_run(data), data.schedule) if isinstance(data, RecordedRun) else (data, None)
-    )
+    """The table ``data`` is, and the schedule it is read under: the one it
+    records, and a given one must be that one.  A run is laid out by
+    :func:`table_from_run` and records its own schedule, as a
+    :class:`CompleteTable` records the one its factual cells were measured
+    in; neither is derived again.  A partially measured table records the
+    one its cells fix (:func:`derive_schedule`).  A fully measured table
+    records none and must be given one.  A table of no slots is refused: no
+    verdict on it may pass vacuously."""
+    if isinstance(data, RecordedRun):
+        table, recorded = table_from_run(data), data.schedule
+    elif isinstance(data, CompleteTable):
+        table, recorded = data.table, data.schedule
+    else:
+        table, recorded = data, None
     if not table.slots:
         raise PreconditionError("the table has no slots, so there is no series identity to check")
     if schedule is not None and schedule.slots != table.slots:
         raise PreconditionError(
             f"schedule covers {schedule.slots} slots, table has {table.slots}"
         )
-    if table.fully_measured:
+    if recorded is None and table.fully_measured:
         if schedule is None:
             raise PreconditionError(
                 "cannot check the series identity of a fully measured table without "
@@ -166,9 +171,7 @@ def _resolve_schedule(
                 f"schedule: {exc}"
             ) from exc
     if schedule is not None and schedule != recorded:
-        raise PreconditionError(
-            "the table's unmeasured cells do not follow the given schedule"
-        )
+        raise PreconditionError("the table's recorded cells do not follow the given schedule")
     return table, recorded
 
 
@@ -216,18 +219,22 @@ def _compare(table: SeriesTable, schedule: Schedule) -> tuple[SicaVerdict, dict]
     return SicaVerdict(len(witnesses) == 0, tuple(witnesses)), pairs
 
 
-def check_sica(table: SeriesTable | RecordedRun, schedule: Schedule | None = None) -> SicaVerdict:
+def check_sica(
+    data: SeriesTable | RecordedRun | CompleteTable, schedule: Schedule | None = None
+) -> SicaVerdict:
     """Does each station's series read the same under both distant settings?
 
-    The table (a run: its laid-out table) is read under the schedule its
-    recorded cells fix, and a given one must be that one; a fully measured
-    table fixes none and is read under the given one.  Under it, each row's
-    recorded cells are split by the distant station's setting into two
-    subsequences, aligned in time order, and compared term by term.  A
-    table read under no schedule, or whose cells fix another than the given
-    one, raises :class:`PreconditionError` rather than pass.
+    The table ``data`` is (a run: its laid-out table; a
+    :class:`CompleteTable`: its cells) is read under the schedule it
+    records (see :func:`_resolve_schedule`), and a given one must be that
+    one; a fully measured table records none and is read under the given
+    one.  Under it, each row's recorded cells are split by the distant
+    station's setting into two subsequences, aligned in time order, and
+    compared term by term.  A table read under no schedule, or that records
+    another than the given one, raises :class:`PreconditionError` rather
+    than pass.
     """
-    return _compare(*_resolve_schedule(table, schedule))[0]
+    return _compare(*_resolve_schedule(data, schedule))[0]
 
 
 # ---------------------------------------------------------------------------
@@ -256,16 +263,25 @@ def _condense_pairs(
     return out, sources
 
 
-def condense(table: SeriesTable | RecordedRun, schedule: Schedule | None = None) -> SeriesTable:
+def condense(
+    data: SeriesTable | RecordedRun | CompleteTable, schedule: Schedule | None = None
+) -> SeriesTable | CompleteTable:
     """Halve a table (a run: its laid-out table) that satisfies the identity.
 
     The table condenses along the regime structure of its schedule, which
     is settled as for :func:`check_sica`; a run-derived table thereby loses
     all its unmeasured cells and keeps its four measured correlations
-    exactly.
+    exactly.  A :class:`CompleteTable` condenses to one: rows a and a' keep
+    the same slot at each position, and so do b and b', so the kept slots'
+    settings are the condensed schedule.
     """
-    out, _ = _condense_pairs(*_resolve_schedule(table, schedule))
-    return out
+    table, schedule = _resolve_schedule(data, schedule)
+    out, sources = _condense_pairs(table, schedule)
+    if not isinstance(data, CompleteTable):
+        return out
+    return CompleteTable(out, custom_schedule(
+        gather(schedule.a_settings, sources["a"]), gather(schedule.b_settings, sources["b"])
+    ))
 
 
 # ---------------------------------------------------------------------------
@@ -527,9 +543,11 @@ def apply_plan(run: RecordedRun, plan: ReorderPlan) -> RecordedRun:
 class CompleteTable:
     """A fully measured table read under the ``schedule`` its factual cells
     were recorded in: a cell is factual (recorded) where the schedule
-    measured its row and counterfactual (assigned) elsewhere.  A completion
-    satisfies the series identity under its schedule, and its condensation
-    need not."""
+    measured its row and counterfactual (assigned) elsewhere.  A table file
+    records the schedule by per-cell F/C marks, which only
+    :meth:`from_provenance` and :attr:`provenance` read and write.  A
+    completion satisfies the series identity under its schedule, and its
+    condensation need not."""
 
     table: SeriesTable
     schedule: Schedule
@@ -539,6 +557,20 @@ class CompleteTable:
             raise PreconditionError("a complete table has no unmeasured cells")
         _resolve_schedule(self.table, self.schedule)
 
+    @classmethod
+    def from_provenance(cls, table: SeriesTable, marks: dict[str, Sequence[str]]) -> "CompleteTable":
+        """The completed ``table`` whose F/C ``marks`` record its schedule:
+        its factual ("F") cells fix it, as a run's recorded cells do."""
+        factual = SeriesTable(table.slots, *(
+            [v if m == "F" else None for v, m in zip(table.row(key), marks[key])]
+            for key in ROW_KEYS
+        ))
+        try:
+            schedule = derive_schedule(factual)
+        except PreconditionError as exc:
+            raise PreconditionError(f"the table's factual cells fix no schedule: {exc}") from exc
+        return cls(table, schedule)
+
     @property
     def provenance(self) -> dict[str, tuple[str, ...]]:
         """Per row, "F" on the factual cells and "C" on the counterfactual
@@ -547,21 +579,13 @@ class CompleteTable:
                 for key in ROW_KEYS}
 
     def check(self) -> SicaVerdict:
-        return check_sica(self.table, self.schedule)
+        return check_sica(self)
 
     def factual_correlations(self):
-        return {p: correlation_over_slots(self.table, p, pairing_slots(self.schedule, (p,)))
-                for p in PAIRINGS}
+        return self.resample().stats
 
     def condense(self) -> "CompleteTable":
-        """Rows a and a' keep the same slot at each position, and so do b
-        and b': the kept slots' settings are the condensed schedule."""
-        out, sources = _condense_pairs(self.table, self.schedule)
-        schedule = custom_schedule(
-            gather(self.schedule.a_settings, sources["a"]),
-            gather(self.schedule.b_settings, sources["b"]),
-        )
-        return CompleteTable(out, schedule)
+        return condense(self)
 
     def resample(self, overrides: dict[Pairing, Sequence[int]] | None = None):
         """Re-pick which slots count as the factual observation of each

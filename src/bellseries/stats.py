@@ -36,6 +36,7 @@ from .model import (
     Pairing,
     RecordedRun,
     SeriesTable,
+    gather,
 )
 
 SCHEMA_VERSION = 1
@@ -139,15 +140,9 @@ def correlation_over_slots(
 ) -> PairingStat:
     """Same as :func:`correlation`, but restricted to the given slots; a slot
     listed twice counts twice."""
-    a_key, b_key = pairing.a_row, pairing.b_row
-    a_row, b_row = table.row(a_key), table.row(b_key)
-    counts = dict.fromkeys((COINCIDENCE[pairing], PRODUCT[pairing]), 0)
-    for (x, y), n in Counter((a_row[i], b_row[i]) for i in slots).items():
-        cells = {a_key: x, b_key: y}
-        props = column_props(tuple(map(cells.get, ROW_KEYS)))
-        for name in counts:
-            counts[name] += n * props[name]
-    return _pairing_stat(pairing, counts)
+    slots = list(slots)
+    columns = zip(*(gather(table.row(key), slots) for key in ROW_KEYS))
+    return _pairing_stat(pairing, _sum_props(Counter(columns)))
 
 
 def chsh_combination(e_ab, e_abp, e_apb, e_apbp):
@@ -422,22 +417,6 @@ def run_detector_efficiencies(run: RecordedRun) -> dict[str, dict[str, object]]:
             "efficiency": _ratio(coincidences, singles),
         }
     return out
-
-
-def detector_efficiencies(table: SeriesTable) -> dict[str, dict[str, object]]:
-    """Per-row detection bookkeeping: recorded slots, detections (nonzero),
-    and for each pairing the row participates in, its coincidence retention."""
-    counts = _counts(table)
-    return {
-        key: {
-            "recorded": counts[f"recorded_{key}"],
-            "detections": counts[DETECTION[key]],
-            "retention_by_pairing": {
-                p.key: _retention(counts, p)[key] for p in PAIRINGS if key in (p.a_row, p.b_row)
-            },
-        }
-        for key in ROW_KEYS
-    }
 
 
 def _frac_json(x: Fraction | None) -> dict | None:

@@ -63,12 +63,12 @@ def test_fully_measured_distinguishes_missed_from_unmeasured():
     unmeasured = SeriesTable.from_rows((PLUS,), (None,), (PLUS,), (MINUS,))
     assert missed.fully_measured
     assert not unmeasured.fully_measured
-    assert unmeasured.recorded_count("b") == 0
+    assert set(unmeasured.row("b")) == {None}
 
 
 def test_block_halves_layout():
     sched = block_halves(8)
-    pairs = [sched.pairing(i) for i in range(8)]
+    pairs = [PAIRINGS[code] for code in sched.codes]
     assert pairs == [
         Pairing.ABP, Pairing.ABP,
         Pairing.AB, Pairing.AB,

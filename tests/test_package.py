@@ -33,20 +33,37 @@ def test_exports_are_exactly_the_public_imports():
         assert getattr(bellseries, name) is getattr(oracle, name)
 
 
-def test_benchmark_launcher_wraps_names_that_exist(tmp_path):
-    """perfbench/launch.py wraps package functions by name; a renamed or
-    deleted one fails here, not only in a traced benchmark run."""
+def _launch_traced(tmp_path, *argv) -> list[str]:
+    """The span names of ``bellseries`` run on ``argv`` under
+    perfbench/launch.py, which wraps package functions by name."""
     root = Path(__file__).resolve().parents[1]
-    log, spans = tmp_path / "fig5.jsonl", tmp_path / "spans.json"
-    fileio.write_run_file(refdata.fig5(), str(log))
+    spans = tmp_path / "spans.json"
     env = dict(os.environ, PYTHONPATH=str(root / "src"))
     done = subprocess.run(
         [sys.executable, str(root / "perfbench" / "launch.py"), "--spans", str(spans),
-         "--run-id", "t", "cli", "analyze", "--input", str(log)],
+         "--run-id", "t", "cli", *argv],
         cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120,
     )
     assert done.returncode == 0, done.stderr
-    assert spans.stat().st_size > 0
+    return [span["name"] for span in json.loads(spans.read_text())["spans"]]
+
+
+def test_benchmark_launcher_wraps_names_that_exist(tmp_path):
+    """A renamed or deleted wrapped name fails here, not only in a traced
+    benchmark run."""
+    log = tmp_path / "fig5.jsonl"
+    fileio.write_run_file(refdata.fig5(), str(log))
+    assert "cli.load_input" in _launch_traced(tmp_path, "analyze", "--input", str(log))
+
+
+def test_completed_table_schedule_is_derived_in_its_span(tmp_path):
+    """The schedule a table file's F/C marks record is derived by ``sica``,
+    inside the ``model.schedule`` span the benchmark reads."""
+    path = tmp_path / "fig8.table.json"
+    fig8 = refdata.fig8()
+    fileio.write_json_atomic(str(path), fileio.table_to_json(fig8.table, fig8.provenance))
+    names = _launch_traced(tmp_path, "sica-condense", "--input", str(path))
+    assert "model.schedule" in names and "sica.condense" in names
 
 
 def test_importing_the_package_leaves_numpy_unloaded():

@@ -435,6 +435,19 @@ def test_condensing_the_complete_table():
     assert not check_sica(condensed.table, block_halves(4)).holds
 
 
+def test_a_complete_table_is_one_more_input_of_the_resolver():
+    """Its F/C marks read back into it, and ``check_sica`` and ``condense``
+    read it under the schedule it carries, as its methods do; a given
+    schedule must be that one."""
+    fig8 = refdata.fig8()
+    assert CompleteTable.from_provenance(fig8.table, fig8.provenance) == fig8
+    assert check_sica(fig8) == check_sica(fig8, block_halves(8)) == fig8.check()
+    assert condense(fig8) == condense(fig8, block_halves(8)) == fig8.condense() == refdata.fig9()
+    for read in (check_sica, condense):
+        with pytest.raises(PreconditionError, match="do not follow the given schedule"):
+            read(fig8, random_per_slot(8, 6))
+
+
 def test_complete_table_has_no_unmeasured_cells():
     good = refdata.fig8()
     partial = SeriesTable.from_rows(

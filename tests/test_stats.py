@@ -4,10 +4,12 @@ import pytest
 
 from bellseries import refdata
 from bellseries.errors import PreconditionError
-from bellseries.model import Pairing, SeriesTable, random_per_slot
+from bellseries.model import ROW_KEYS, Pairing, SeriesTable, random_per_slot
 from bellseries.simulate import SourceConfig, simulate
 from bellseries.stats import (
+    DETECTION,
     BoundVerdict,
+    _counts,
     cardinality_bound,
     chsh,
     chsh_detail,
@@ -15,7 +17,6 @@ from bellseries.stats import (
     correlation,
     correlation_over_slots,
     correlation_report,
-    detector_efficiencies,
     efficiency_bound,
     overlap_fraction,
     run_detector_efficiencies,
@@ -128,18 +129,6 @@ def test_report_is_json_shaped():
     assert report["set_stats"]["n_alpha_both_same"] == 6
 
 
-def test_detector_efficiencies_full_table():
-    det = detector_efficiencies(refdata.fig3())
-    assert set(det) == {"a", "b", "a_prime", "b_prime"}
-    assert det["a"]["recorded"] == 16
-    assert det["a"]["detections"] == 15
-    # row a participates in the two alpha pairings only
-    assert set(det["a"]["retention_by_pairing"]) == {
-        "alpha:beta", "alpha:beta_prime",
-    }
-    assert det["a"]["retention_by_pairing"]["alpha:beta"] == Fraction(14, 15)
-
-
 # --- cross-checks against the naive reference implementations --------------
 
 
@@ -184,9 +173,10 @@ def test_matches_naive_on_random_tables():
         }
         assert table_eta(table) == naive_stats.naive_eta(rows)
         assert _frac(report["efficiency"]["eta"]) == naive_stats.naive_eta(rows)
-        for key, det in detector_efficiencies(table).items():
-            assert (det["recorded"], det["detections"]) == naive_stats.naive_row_counts(
-                rows, key
+        counts = _counts(table)
+        for key in ROW_KEYS:
+            assert (counts[f"recorded_{key}"], counts[DETECTION[key]]) == (
+                naive_stats.naive_row_counts(rows, key)
             )
         assert report["fully_measured"] == (None not in sum(rows.values(), ()))
         if report["fully_measured"]:
