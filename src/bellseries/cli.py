@@ -197,7 +197,13 @@ def _cmd_simulate(args) -> int:
     _non_negative("--seed", args.seed)
     _non_negative("--slots", args.slots)
     schedule_seed, source_seed = _split_seed(args.seed)
-    schedule = _make_schedule(args.schedule, args.slots, schedule_seed)
+    try:
+        schedule = _make_schedule(args.schedule, args.slots, schedule_seed)
+    except MemoryError:
+        # A count too large to allocate is bad input, refused before any draw.
+        raise PreconditionError(
+            f"--slots {args.slots}: that many slots do not fit in memory"
+        ) from None
     instructions = None
     if args.model == "deterministic":
         if not args.input:

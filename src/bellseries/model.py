@@ -229,15 +229,33 @@ def block_halves(slots: int) -> Schedule:
     return Schedule("block", b"".join(bytes([PAIRINGS.index(p)]) * (slots // 4) for p in quarters))
 
 
+#: Slots of a random stream drawn at a time.  Each block is reduced to one
+#: byte a slot as soon as it is drawn, so no int64 or float64 array of every
+#: slot is ever alive.  PCG64 chains the blocks into the same stream as one
+#: whole draw: a double takes one 64-bit output, and a bit of ``integers``
+#: a 32-bit half, the unused half kept in the generator between calls.
+DRAW_BLOCK = 16_384
+
+
+def slot_blocks(slots: int):
+    """The slots, :data:`DRAW_BLOCK` at a time, as slices in time order."""
+    return (slice(start, min(start + DRAW_BLOCK, slots)) for start in range(0, slots, DRAW_BLOCK))
+
+
 def random_per_slot(slots: int, seed: int) -> Schedule:
-    """Independent uniform setting choices at both stations, seeded."""
+    """Independent uniform setting choices at both stations, seeded: all of
+    A's choices, then all of B's, each stream drawn in blocks."""
     # numpy is imported where a command draws, so commands that read stay light.
     import numpy as np
 
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
-    a_primed = rng.integers(0, 2, size=slots)
-    b_primed = rng.integers(0, 2, size=slots)
-    return Schedule("random", (2 * a_primed + b_primed).astype(np.uint8).tobytes(), seed)
+    codes = np.zeros(slots, np.uint8)
+    for weight in (2, 1):
+        for block in slot_blocks(slots):
+            # The stream is that of int64 draws: another dtype draws other bits.
+            primed = rng.integers(0, 2, size=block.stop - block.start, dtype=np.int64)
+            codes[block] += weight * primed.astype(np.uint8)
+    return Schedule("random", codes.tobytes(), seed)
 
 
 def custom_schedule(a_settings: Sequence[ASetting], b_settings: Sequence[BSetting]) -> Schedule:

@@ -19,11 +19,14 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from itertools import islice, product
-from typing import Iterator, Sequence
+from typing import Callable, Iterator, NamedTuple, Sequence
 
 from .errors import BellSeriesError, BudgetExceeded, PreconditionError
 from .model import (
+    EVENT_A,
+    EVENT_B,
     EVENTS,
     MINUS,
     PAIRINGS,
@@ -47,6 +50,8 @@ from .model import (
 from .stats import chsh_combination, correlation_over_slots
 
 VALUES = (MINUS, ZERO, PLUS)
+#: Per value, its index in VALUES: the byte a series holds for it.
+_VALUE_INDEX = {v: i for i, v in enumerate(VALUES)}
 #: A failing verdict lists at most this many witnesses.
 _MAX_WITNESSES = 8
 
@@ -132,37 +137,36 @@ def _fill_identity_pairs(
 
 def _resolve_schedule(
     data: SeriesTable | RecordedRun | CompleteTable, schedule: Schedule | None
-) -> tuple[SeriesTable, Schedule]:
-    """The table ``data`` is, and the schedule it is read under: the one it
-    records, and a given one must be that one.  A run is laid out by
-    :func:`table_from_run` and records its own schedule, as a
-    :class:`CompleteTable` records the one its factual cells were measured
-    in; neither is derived again.  A partially measured table records the
-    one its cells fix (:func:`derive_schedule`).  A fully measured table
-    records none and must be given one.  A table of no slots is refused: no
-    verdict on it may pass vacuously."""
-    if isinstance(data, RecordedRun):
-        table, recorded = table_from_run(data), data.schedule
-    elif isinstance(data, CompleteTable):
-        table, recorded = data.table, data.schedule
+) -> tuple[SeriesTable | RecordedRun, Schedule]:
+    """The cells ``data`` holds (a run: its event codes; a
+    :class:`CompleteTable`: its table), and the schedule they are read
+    under: the one ``data`` records, and a given one must be that one.  A
+    run records its own schedule, as a :class:`CompleteTable` records the
+    one its factual cells were measured in; neither is derived again.  A
+    partially measured table records the one its cells fix
+    (:func:`derive_schedule`).  A fully measured table records none and must
+    be given one.  A table of no slots is refused: no verdict on it may pass
+    vacuously."""
+    if isinstance(data, CompleteTable):
+        data, recorded = data.table, data.schedule
     else:
-        table, recorded = data, None
-    if not table.slots:
+        recorded = data.schedule if isinstance(data, RecordedRun) else None
+    if not data.slots:
         raise PreconditionError("the table has no slots, so there is no series identity to check")
-    if schedule is not None and schedule.slots != table.slots:
+    if schedule is not None and schedule.slots != data.slots:
         raise PreconditionError(
-            f"schedule covers {schedule.slots} slots, table has {table.slots}"
+            f"schedule covers {schedule.slots} slots, table has {data.slots}"
         )
-    if recorded is None and table.fully_measured:
+    if recorded is None and data.fully_measured:
         if schedule is None:
             raise PreconditionError(
                 "cannot check the series identity of a fully measured table without "
                 "a schedule: its cells fix none"
             )
-        return table, schedule
+        return data, schedule
     if recorded is None:
         try:
-            recorded = derive_schedule(table)
+            recorded = derive_schedule(data)
         except PreconditionError as exc:
             if schedule is not None:
                 raise
@@ -172,50 +176,112 @@ def _resolve_schedule(
             ) from exc
     if schedule is not None and schedule != recorded:
         raise PreconditionError("the table's recorded cells do not follow the given schedule")
-    return table, recorded
+    return data, recorded
 
 
-def _compare(table: SeriesTable, schedule: Schedule) -> tuple[SicaVerdict, dict]:
-    """The identity verdict of ``table`` read under ``schedule``, which
-    :func:`_resolve_schedule` has settled on, and per row the slots it
-    compared: those of its two series (:func:`_regimes`), the k-th of one
-    against the k-th of the other.  A row whose two series differ in length
-    is left out."""
-    witnesses: list[SicaWitness] = []
-    pairs: dict[str, list[tuple[int, int]]] = {}
-    regimes = _regimes(schedule, table.fully_measured)
+class _Series(NamedTuple):
+    """One of a row's two series: per recorded cell in time order, the
+    index of its value in :data:`VALUES`; and the slot of the cell at a
+    position."""
+
+    values: bytes
+    slot: Callable[[int], int]
+
+
+#: Per station, per event code, the index in VALUES of the station's outcome.
+_OUTCOME_INDEX = {station: bytes(gather(_VALUE_INDEX, outcomes)).ljust(256, b"\0")
+                  for station, outcomes in (("a", EVENT_A), ("b", EVENT_B))}
+#: Per setting pair, the event codes of the other three.
+_OTHER_EVENTS = {p: bytes(code for code, event in enumerate(EVENTS) if event[0] is not p)
+                 for p in PAIRINGS}
+
+
+def _block_slot(schedule: Schedule, pairing: Pairing, position: int) -> int:
+    """The slot of the ``position``-th slot (from 0) under ``pairing``, by
+    bisection on counts: each step counts half of what is left."""
+    mask, lo, hi = pairing_mask(schedule, (pairing,)), 0, schedule.slots
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        below = mask.count(1, lo, mid)
+        lo, hi, position = (lo, mid, position) if position < below else (mid, hi, position - below)
+    return lo
+
+
+def _series(
+    data: SeriesTable | RecordedRun, schedule: Schedule
+) -> Iterator[tuple[str, tuple[_Series, _Series]]]:
+    """Per row, one row at a time, its two series under ``schedule``, which
+    :func:`_resolve_schedule` has settled on.  A run's are read straight off
+    its event codes: per block of :data:`_ROW_BLOCKS`, one translate keeps
+    the block's codes and maps each to the station's outcome, and a slot is
+    looked up only when asked for.  A table's are read at the slots
+    :func:`_regimes` lists."""
+    if isinstance(data, RecordedRun):
+        for key in ROW_KEYS:
+            outcomes = _OUTCOME_INDEX[key[0]]
+            yield key, tuple(
+                _Series(data.events.translate(outcomes, _OTHER_EVENTS[p]),
+                        partial(_block_slot, data.schedule, p))
+                for p in _ROW_BLOCKS[key]
+            )
+        return
+    regimes = _regimes(schedule, data.fully_measured)
     for key in ROW_KEYS:
+        row = data.row(key)
+        yield key, tuple(
+            _Series(bytes(gather(_VALUE_INDEX, gather(row, slots))), slots.__getitem__)
+            for slots in regimes[key]
+        )
+
+
+def _mismatches(left: bytes, right: bytes) -> Iterator[int]:
+    """The positions where two byte strings of one length differ, in order,
+    read off their XOR as one integer, the first byte lowest."""
+    diff = int.from_bytes(left, "little") ^ int.from_bytes(right, "little")
+    position = -1
+    while diff:
+        equal = ((diff & -diff).bit_length() - 1) // 8
+        position += equal + 1
+        yield position
+        diff >>= 8 * (equal + 1)
+
+
+def _compare(
+    data: SeriesTable | RecordedRun, schedule: Schedule
+) -> tuple[SicaVerdict, dict[str, tuple[_Series, _Series]]]:
+    """The identity verdict of ``data`` read under ``schedule``, and per
+    row the two series it compared (:func:`_series`), the k-th cell of one
+    against the k-th of the other.  A row whose two series differ in length
+    is left out.  Slots are looked up only for the witnesses."""
+    witnesses: list[SicaWitness] = []
+    pairs: dict[str, tuple[_Series, _Series]] = {}
+    for key, (left, right) in _series(data, schedule):
         if len(witnesses) >= _MAX_WITNESSES:
             break
-        row = table.row(key)
-        left, right = regimes[key]
-        if len(left) != len(right):
+        if len(left.values) != len(right.values):
             witnesses.append(
                 SicaWitness(
                     key,
                     "length-mismatch",
-                    f"row {key} has {len(left)} cells under one distant setting "
-                    f"and {len(right)} under the other",
+                    f"row {key} has {len(left.values)} cells under one distant setting "
+                    f"and {len(right.values)} under the other",
                 )
             )
             continue
         pairs[key] = left, right
-        for pos, (sl, sr) in enumerate(zip(left, right)):
-            vl, vr = row[sl], row[sr]
-            if vl != vr:
-                witnesses.append(
-                    SicaWitness(
-                        key,
-                        "value-mismatch",
-                        f"row {key} position {pos}: {vl:+d} at slot {sl} vs "
-                        f"{vr:+d} at slot {sr}",
-                        position=pos,
-                        slot_left=sl,
-                        slot_right=sr,
-                    )
+        for pos in islice(_mismatches(left.values, right.values), _MAX_WITNESSES - len(witnesses)):
+            vl, vr = VALUES[left.values[pos]], VALUES[right.values[pos]]
+            sl, sr = left.slot(pos), right.slot(pos)
+            witnesses.append(
+                SicaWitness(
+                    key,
+                    "value-mismatch",
+                    f"row {key} position {pos}: {vl:+d} at slot {sl} vs {vr:+d} at slot {sr}",
+                    position=pos,
+                    slot_left=sl,
+                    slot_right=sr,
                 )
-                if len(witnesses) >= _MAX_WITNESSES:
-                    return SicaVerdict(False, tuple(witnesses)), pairs
+            )
     return SicaVerdict(len(witnesses) == 0, tuple(witnesses)), pairs
 
 
@@ -224,8 +290,8 @@ def check_sica(
 ) -> SicaVerdict:
     """Does each station's series read the same under both distant settings?
 
-    The table ``data`` is (a run: its laid-out table; a
-    :class:`CompleteTable`: its cells) is read under the schedule it
+    The cells ``data`` holds (a run: its event codes; a
+    :class:`CompleteTable`: its table) are read under the schedule it
     records (see :func:`_resolve_schedule`), and a given one must be that
     one; a fully measured table records none and is read under the given
     one.  Under it, each row's recorded cells are split by the distant
@@ -241,46 +307,34 @@ def check_sica(
 # Condensation
 
 
-def _condense_pairs(
-    table: SeriesTable, schedule: Schedule
-) -> tuple[SeriesTable, dict[str, tuple[int, ...]]]:
-    """Condense a table along the regime structure of ``schedule``, which
-    the caller has settled on.
-
-    Each row keeps one cell of every slot pair :func:`_compare` compared,
-    the k-th recorded cell under one distant setting with the k-th under the
-    other; the two are equal once the check passes, and the cell from the
-    earlier slot is kept.  Returns the condensed table and, per row, the
-    original slot each kept cell came from.
-    """
-    verdict, pairs = _compare(table, schedule)
-    if not verdict.holds:
-        lines = "; ".join(w.detail for w in verdict.witnesses[:3])
-        raise PreconditionError(f"series identity fails, cannot condense: {lines}")
-    sources = {key: tuple(map(min, *pairs[key])) for key in ROW_KEYS}
-    rows = {key: list(map(table.row(key).__getitem__, sources[key])) for key in ROW_KEYS}
-    out = SeriesTable.from_rows(rows["a"], rows["b"], rows["a_prime"], rows["b_prime"])
-    return out, sources
-
-
 def condense(
     data: SeriesTable | RecordedRun | CompleteTable, schedule: Schedule | None = None
 ) -> SeriesTable | CompleteTable:
-    """Halve a table (a run: its laid-out table) that satisfies the identity.
+    """Halve a table (a run: the table it lays out) that satisfies the
+    identity.
 
-    The table condenses along the regime structure of its schedule, which
-    is settled as for :func:`check_sica`; a run-derived table thereby loses
-    all its unmeasured cells and keeps its four measured correlations
-    exactly.  A :class:`CompleteTable` condenses to one: rows a and a' keep
-    the same slot at each position, and so do b and b', so the kept slots'
-    settings are the condensed schedule.
+    The schedule is settled as for :func:`check_sica`, and each row keeps
+    one cell of every slot pair :func:`_compare` compared, the k-th
+    recorded cell under one distant setting with the k-th under the other:
+    the two are equal once the check passes.  A run-derived table thereby
+    loses all its unmeasured cells and keeps its four measured correlations
+    exactly.  A :class:`CompleteTable` condenses to one: each pair's cell
+    from the earlier slot is kept, so rows a and a' keep the same slot at
+    each position, and so do b and b', and the kept slots' settings are the
+    condensed schedule.
     """
-    table, schedule = _resolve_schedule(data, schedule)
-    out, sources = _condense_pairs(table, schedule)
+    source, schedule = _resolve_schedule(data, schedule)
+    verdict, pairs = _compare(source, schedule)
+    if not verdict.holds:
+        lines = "; ".join(w.detail for w in verdict.witnesses[:3])
+        raise PreconditionError(f"series identity fails, cannot condense: {lines}")
+    out = SeriesTable.from_rows(*(gather(VALUES, pairs[key][0].values) for key in ROW_KEYS))
     if not isinstance(data, CompleteTable):
         return out
+    kept = {key: tuple(map(min, *(map(s.slot, range(out.slots)) for s in pairs[key])))
+            for key in ("a", "b")}
     return CompleteTable(out, custom_schedule(
-        gather(schedule.a_settings, sources["a"]), gather(schedule.b_settings, sources["b"])
+        gather(schedule.a_settings, kept["a"]), gather(schedule.b_settings, kept["b"])
     ))
 
 

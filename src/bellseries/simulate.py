@@ -12,12 +12,14 @@ Detection losses erase outcomes to 0 independently per station per slot.
 
 RNG contract: all randomness comes from numpy's PCG64 seeded with the
 config seed.  Per slot the quantum model consumes, in this order, four
-uniform streams drawn as whole arrays: ``s`` (sign agreement), ``t``
-(common sign), ``u_a`` (station A erasure), ``u_b`` (station B erasure).
-The deterministic model consumes only ``u_a`` and ``u_b``.  This order is
-part of the reproducibility contract and is echoed in the run metadata.
-Each draw is reduced to a per-slot flag as soon as it is drawn, so the
-floats of one draw are freed before the next is drawn.
+uniform streams, each whole before the next: ``s`` (sign agreement),
+``t`` (common sign), ``u_a`` (station A erasure), ``u_b`` (station B
+erasure).  The deterministic model consumes only ``u_a`` and ``u_b``.
+This order is part of the reproducibility contract and is echoed in the
+run metadata.  Each stream is drawn in blocks, the same stream
+(:data:`~bellseries.model.DRAW_BLOCK` slots at a time), and each block is
+reduced to one byte a slot as soon as it is drawn, so no float array of
+every slot is ever alive.
 """
 
 from __future__ import annotations
@@ -36,6 +38,7 @@ from .model import (
     Schedule,
     SeriesTable,
     project_table,
+    slot_blocks,
 )
 from .stats import chsh_combination
 
@@ -113,33 +116,50 @@ def _meta(config: SourceConfig, draw_order: str) -> dict:
 
 
 def _draw_events(config: SourceConfig) -> tuple[bytes, str]:
-    """Each slot's event code, drawn as whole arrays, and the draw order.
-    Outcomes are held as ``outcome + 1`` and the codes built in uint8."""
+    """Each slot's event code, drawn in blocks, the same stream, and the
+    draw order.  Outcomes are held as ``outcome + 1`` in one uint8 array a
+    station, and each block of a uniform stream is reduced into them as soon
+    as it is drawn."""
     # numpy is imported where a command draws, so commands that read stay light.
     import numpy as np
 
     n = config.schedule.slots
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(config.seed)))
+
+    def stream():
+        """One uniform stream over every slot, a block at a time."""
+        for block in slot_blocks(n):
+            yield block, rng.random(block.stop - block.start)
+
     # Per slot, the index of its setting pair in PAIRINGS: 2 * primed A + primed B.
     pairing = np.frombuffer(config.schedule.codes, np.uint8)
+    a, b = np.empty(n, np.uint8), np.empty(n, np.uint8)
     if config.model == "quantum":
         same_below = np.array([(1.0 + config.pairing_correlation(p)) / 2.0 for p in PAIRINGS])
-        same = rng.random(n) < same_below[pairing]
-        a = np.where(rng.random(n) < 0.5, np.uint8(PLUS + 1), np.uint8(MINUS + 1))
-        b = np.where(same, a, 2 - a)
+        same = np.empty(n, bool)
+        for block, s in stream():
+            same[block] = s < same_below[pairing[block]]
+        for block, t in stream():
+            a[block] = np.where(t < 0.5, PLUS + 1, MINUS + 1)
+            b[block] = np.where(same[block], a[block], 2 - a[block])
+        del same
         draw_order = "s,t,u_a,u_b"
     else:
         table = config.instructions
-
-        def cycled(row):
-            return np.resize(np.array(row, np.int8) + 1, n).view(np.uint8)
-
-        a = np.where(pairing >> 1, cycled(table.a_prime), cycled(table.a))
-        b = np.where(pairing & 1, cycled(table.b_prime), cycled(table.b))
+        rows = {key: np.array(table.row(key), np.int8) + 1 for key in ROW_KEYS}
+        for block in slot_blocks(n):
+            # The instructions are read cyclically: slot i reads column i mod their length.
+            column = np.arange(block.start, block.stop) % table.slots
+            a[block] = np.where(pairing[block] >> 1, rows["a_prime"][column], rows["a"][column])
+            b[block] = np.where(pairing[block] & 1, rows["b_prime"][column], rows["b"][column])
         draw_order = "u_a,u_b"
-    a[rng.random(n) >= config.eta] = 1
-    b[rng.random(n) >= config.eta] = 1
-    return (9 * pairing + 3 * a + b).tobytes(), draw_order
+    for outcomes in (a, b):
+        for block, u in stream():
+            outcomes[block][u >= config.eta] = 1
+    a *= 3
+    a += b
+    a += 9 * pairing
+    return a.tobytes(), draw_order
 
 
 def simulate(config: SourceConfig) -> RecordedRun:

@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -16,6 +17,18 @@ from bellseries.model import (
 
 def make_rng(seed):
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
+
+
+def bytes_per_slot(work, slots):
+    """The traced peak of a second ``work()``, per slot: the first loads
+    what the work imports."""
+    work()
+    tracemalloc.start()
+    try:
+        work()
+        return tracemalloc.get_traced_memory()[1] / slots
+    finally:
+        tracemalloc.stop()
 
 
 def random_table(rng, slots=None, alphabet=(-1, 0, 1)):

@@ -2,9 +2,9 @@
 
 Each walks the slots one at a time with plain Python loops, drawing the same
 numpy streams in the same order as the package (``s``, ``t``, ``u_a``, ``u_b``
-for the quantum source, ``u_a``, ``u_b`` for the deterministic one), so the
-package's whole-array code can be checked against them run for run and byte
-for byte.
+for the quantum source, ``u_a``, ``u_b`` for the deterministic one), each
+stream as one whole array, so the package's code, which draws each stream in
+blocks, can be checked against them run for run and byte for byte.
 """
 
 import numpy as np

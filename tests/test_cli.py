@@ -478,6 +478,11 @@ _SCHEDULE_4 = "{schedule-4}"
     ((*_SIM, "--angles", "nan,0,0,0"), "finite"),
     ((*_SIM, "--angles", "1e308,0,-1e308,0"), "finite"),
     (("simulate", "--seed", "1", "--slots", "-4", "--schedule", "random"), "--slots"),
+    # 10^15 slots: every per-slot allocation fails at once, touching no memory.
+    (("simulate", "--seed", "1", "--slots", str(10**15)),
+     f"--slots {10**15}: that many slots do not fit"),
+    (("simulate", "--seed", "1", "--slots", str(10**15), "--schedule", "random"),
+     f"--slots {10**15}: that many slots do not fit"),
     (("simulate", "--seed", "-1", "--slots", "8"), "--seed"),
     (("oracle", "--objective", "chsh", "--slots", "2", "--constraint", "eta>=abc"),
      "not a rational number"),
@@ -513,7 +518,8 @@ _SCHEDULE_4 = "{schedule-4}"
     ((*_SIM, "--model", "deterministic"), "--model deterministic reads its instruction table"),
     (("figures", "--which", "nope"), "unknown dataset 'nope'"),
 ], ids=["angles-word", "angles-inf", "angles-nan", "angles-overflow", "negative-slots",
-        "negative-seed", "constraint-word", "constraint-div-zero", "fill-sica-no-choices",
+        "impossible-slots-block", "impossible-slots-random", "negative-seed", "constraint-word",
+        "constraint-div-zero", "fill-sica-no-choices",
         "reorder-budget", "complete-budget", "fill-zeros-budget", "fill-zeros-a-budget",
         "fill-zeros-free-choices", "fill-sica-budget",
         "oracle-huge-slots", "simulate-empty-instructions", "complete-empty-log",

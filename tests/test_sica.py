@@ -1,5 +1,6 @@
 import itertools
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -9,6 +10,8 @@ from hypothesis import strategies as st
 from bellseries import refdata, sica
 from bellseries.errors import BellSeriesError, BudgetExceeded, PreconditionError
 from bellseries.model import (
+    PAIRINGS,
+    ROW_KEYS,
     ASetting,
     BSetting,
     Pairing,
@@ -36,7 +39,7 @@ from bellseries.oracle import census_complete_tables
 from bellseries.simulate import SourceConfig, simulate
 from bellseries.stats import chsh, correlation
 
-from conftest import recorded_runs
+from conftest import bytes_per_slot, recorded_runs
 from naive_sica import (
     naive_build_complete_table,
     naive_check_sica,
@@ -819,6 +822,62 @@ def test_check_sica_of_a_run_is_the_cell_by_cell_rule(run):
             assert check_sica(table, given_schedule) == want
 
 
+@st.composite
+def _identity_runs(draw):
+    """Runs whose four blocks hold q slots each, in any order, where the
+    k-th slot of a block reads the k-th value of the series of its A row and
+    of its B row, so the identity holds; then up to 16 outcomes changed,
+    which can give more than eight witnesses."""
+    q = draw(st.integers(1, 5))
+    values = st.sampled_from(draw(st.sampled_from(((-1, 1), (-1, 0, 1)))))
+    series = {key: draw(st.lists(values, min_size=q, max_size=q)) for key in ROW_KEYS}
+    order = draw(st.permutations(list(PAIRINGS) * q))
+    taken = Counter()
+    outcomes = []
+    for p in order:
+        outcomes.append([series[p.a_row][taken[p]], series[p.b_row][taken[p]]])
+        taken[p] += 1
+    for _ in range(draw(st.one_of(st.just(0), st.integers(1, 16)))):
+        cell = draw(st.sampled_from(outcomes))
+        side = draw(st.integers(0, 1))
+        cell[side] = draw(st.sampled_from([v for v in (-1, 0, 1) if v != cell[side]]))
+    schedule = custom_schedule([p.a_setting for p in order], [p.b_setting for p in order])
+    return RecordedRun(schedule, *zip(*outcomes))
+
+
+def _result(verdict, *args):
+    try:
+        return verdict(*args)
+    except PreconditionError as exc:
+        return f"refused: {exc}"
+
+
+@settings(max_examples=300, deadline=None)
+@given(run=st.one_of(recorded_runs(), _block_layout_runs(), _identity_runs()), data=st.data())
+def test_a_run_is_checked_and_condensed_as_its_table(run, data):
+    """A run is read off its event codes, a table at its slot lists: the same
+    verdicts, witnesses, condensed tables and refusals, under no schedule,
+    the run's own, or one that disagrees with it."""
+    table = table_from_run(run)
+    other = data.draw(recorded_runs(st.sampled_from((run.slots, run.slots + 4)))).schedule
+    for given_schedule in (None, run.schedule, other):
+        for verdict in (check_sica, condense):
+            got = _result(verdict, run, given_schedule)
+            assert got == _result(verdict, table, given_schedule)
+            if given_schedule is not other and run.slots:
+                reference = naive_check_sica if verdict is check_sica else naive_condense_run_table
+                assert got == _result(reference, table, run.schedule)
+
+
+@pytest.mark.parametrize("schedule", ["random", "block"])
+def test_checking_a_run_takes_a_few_bytes_a_slot(schedule):
+    # Laying the run out as a table and listing its regimes took 74 bytes a slot.
+    slots = 200_000
+    layout = random_per_slot(slots, 5) if schedule == "random" else block_halves(slots)
+    run = simulate(SourceConfig(model="quantum", schedule=layout, seed=6, eta=0.9))
+    assert bytes_per_slot(lambda: check_sica(run), slots) < 8
+
+
 @settings(max_examples=150, deadline=None)
 @given(slots=st.integers(1, 12), data=st.data())
 def test_check_sica_of_a_full_table_is_the_cell_by_cell_rule(slots, data):
@@ -839,6 +898,12 @@ def test_a_failing_verdict_lists_at_most_eight_witnesses():
     verdict = check_sica(table, schedule)
     assert verdict == naive_check_sica(table, schedule)
     assert [w.row for w in verdict.witnesses] == ["a"] + ["b"] * 6 + ["a_prime"]
+    # A run, read off its events: rows a and b' mismatch at all ten positions.
+    run = RecordedRun(block_halves(40), [1] * 10 + [-1] * 10 + [1] * 20, [1] * 30 + [-1] * 10)
+    verdict = check_sica(run)
+    assert verdict == naive_check_sica(table_from_run(run), run.schedule)
+    assert [w.row for w in verdict.witnesses] == ["a"] * 8
+    assert verdict.witnesses[-1].detail == "row a position 7: -1 at slot 17 vs +1 at slot 7"
 
 
 @settings(max_examples=60, deadline=None)
@@ -884,7 +949,9 @@ def test_each_completion_is_the_census_sample_of_its_free_bits(seed):
 
 def test_a_table_of_no_slots_is_refused():
     empty = SeriesTable(0, (), (), (), ())
+    nothing = RecordedRun.from_events(b"")
     for verdict in (lambda: check_sica(empty), lambda: condense(empty),
+                    lambda: check_sica(nothing), lambda: condense(nothing),
                     lambda: check_sica(empty, block_halves(0)),
                     lambda: sica.CompleteTable(empty, block_halves(0))):
         with pytest.raises(PreconditionError, match="table has no slots"):

@@ -1,13 +1,16 @@
 import io
 import json
 import math
-import tracemalloc
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bellseries import fileio
 from bellseries.errors import PreconditionError
 from bellseries.model import (
+    DRAW_BLOCK,
     ASetting,
     BSetting,
     SeriesTable,
@@ -28,7 +31,7 @@ from bellseries.simulate import (
 from bellseries.stats import chsh_detail, correlation
 from bellseries.model import Pairing
 
-from conftest import make_rng, random_table
+from conftest import bytes_per_slot, make_rng, random_table
 from naive_simulate import naive_random_per_slot, naive_simulate
 
 
@@ -162,7 +165,7 @@ def test_quantum_correlations_track_the_angles():
         assert correlation(table, p).e == 1
 
 
-# --- the whole-array simulator against per-slot loops ------------------------
+# --- the block-drawn simulator against per-slot loops ------------------------
 
 _PARITY_SLOTS = 1_000
 
@@ -228,19 +231,35 @@ def test_random_schedule_matches_per_slot_loop(slots):
         assert (schedule.kind, schedule.seed) == (reference.kind, reference.seed)
 
 
+@settings(max_examples=80, deadline=None)
+@given(block=st.sampled_from((1, 3, 7, DRAW_BLOCK)), data=st.data(),
+       source=st.sampled_from(("quantum", "deterministic")), eta=st.sampled_from((0.0, 0.9, 1.0)),
+       seed=st.integers(0, 2**32 - 1))
+def test_drawing_in_blocks_is_the_whole_draw(block, data, source, eta, seed):
+    """Each stream drawn a block at a time is the stream the references draw
+    whole, on either side of a block's end."""
+    slots = data.draw(st.sampled_from(sorted({0, 1, block - 1, block, block + 1})))
+    instructions = random_table(make_rng(seed)) if source == "deterministic" else None
+    with mock.patch("bellseries.model.DRAW_BLOCK", block):
+        schedule = random_per_slot(slots, seed)
+        assert schedule == naive_random_per_slot(slots, seed)
+        config = SourceConfig(model=source, schedule=schedule, seed=seed, eta=eta,
+                              instructions=instructions)
+        _assert_matches_reference(config)
+
+
 @pytest.mark.parametrize("model", ["quantum", "deterministic"])
 def test_drawing_keeps_at_most_one_float_array_alive(model):
     slots = 200_000
     instructions = random_table(make_rng(3), slots=64, alphabet=(-1, 1))
     config = SourceConfig(model=model, schedule=random_per_slot(slots, 2), seed=4, eta=0.9,
                           instructions=instructions if model == "deterministic" else None)
-    _draw_events(config)
-    tracemalloc.start()
-    try:
-        _draw_events(config)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    # One float64 draw and the per-slot thresholds it is compared with take
-    # 16 bytes a slot; four live draws would take 32.
-    assert peak / slots < 24
+    # A byte a slot per station, one for the sign agreement and one for the
+    # codes, plus a block's floats; one whole float64 draw alone takes 8.
+    assert bytes_per_slot(lambda: _draw_events(config), slots) < 8
+
+
+def test_a_random_schedule_is_drawn_at_a_few_bytes_a_slot():
+    # The codes and their bytes; the two whole int64 draws took 16 and their sum 8 more.
+    slots = 1_000_000
+    assert bytes_per_slot(lambda: random_per_slot(slots, 2), slots) < 4
