@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys
 from dataclasses import asdict
 from fractions import Fraction
@@ -136,11 +137,18 @@ def _parse_constraint(text: str):
         ("eta<", "eta_below"),
     ):
         if text.startswith(prefix):
+            number = text[len(prefix):]
+            # Fraction builds 10**exponent before any check could refuse it.
+            limit = sys.get_int_max_str_digits() or sys.int_info.default_max_str_digits
+            exponent = re.search(r"e[-+]?([\d_]+)\s*\Z", number, re.IGNORECASE)
+            digits = exponent[1].replace("_", "").lstrip("0") if exponent else ""
+            if int(digits[:len(str(limit)) + 1] or 0) > limit:
+                raise PreconditionError(f"constraint {prefix}Q: Q's exponent exceeds {limit}")
             try:
-                return (kind, Fraction(text[len(prefix):]))
+                return (kind, Fraction(number))
             except (ValueError, ZeroDivisionError):
                 raise PreconditionError(
-                    f"constraint {text!r}: {text[len(prefix):]!r} is not a rational number"
+                    f"constraint {text!r}: {number!r} is not a rational number"
                 ) from None
     raise PreconditionError(
         f"unknown constraint {text!r}: expected none, equal-nc, sica, "

@@ -185,7 +185,8 @@ class Schedule:
 
     def __post_init__(self):
         codes = bytes(self.codes)
-        bad = codes.translate(None, _PAIRING_CODES)
+        # lstrip returns the empty singleton for valid codes, allocating nothing.
+        bad = codes.lstrip(_PAIRING_CODES)
         if bad:
             raise PreconditionError(f"pairing code {bad[0]} is not one of 0-3")
         object.__setattr__(self, "codes", codes)
@@ -316,7 +317,7 @@ class RecordedRun:
         """The run whose event codes are ``events``, each below 36; its
         schedule is read off the codes."""
         events = bytes(events)
-        bad = events.translate(None, _EVENT_CODES)
+        bad = events.lstrip(_EVENT_CODES)
         if bad:
             raise PreconditionError(f"event code {bad[0]} is not one of 0-{len(EVENTS) - 1}")
         run = cls.__new__(cls)

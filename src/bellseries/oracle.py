@@ -104,8 +104,14 @@ class EnumSpec:
                 raise PreconditionError(
                     f"efficiency threshold must be an int or a Fraction, got {type(q).__name__}"
                 )
+            if q.denominator * self.slots >= 2**63:
+                raise PreconditionError(
+                    "efficiency threshold is too fine: its denominator times the slot count "
+                    "reaches 2^63, beyond the sweep's 64-bit counts"
+                )
             if not 0 <= q <= 1:
-                raise PreconditionError(f"efficiency threshold out of range: {q}")
+                # q is not shown: it may have too many digits to print.
+                raise PreconditionError("efficiency threshold out of range: it lies outside [0, 1]")
         elif self.constraint not in (None, "equal_nc", "sica"):
             raise PreconditionError(f"unknown constraint {self.constraint!r}")
         k = len(_VALUES[self.alphabet])

@@ -19,14 +19,13 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import partial
 from itertools import islice, product
-from typing import Callable, Iterator, NamedTuple, Sequence
+from typing import Iterator, Sequence
 
 from .errors import BellSeriesError, BudgetExceeded, PreconditionError
 from .model import (
-    EVENT_A,
-    EVENT_B,
+    EVENT_COLUMNS,
+    EVENT_PAIRINGS,
     EVENTS,
     MINUS,
     PAIRINGS,
@@ -38,6 +37,7 @@ from .model import (
     RecordedRun,
     Schedule,
     SeriesTable,
+    _bytewise,
     block_halves,
     custom_schedule,
     derive_schedule,
@@ -50,8 +50,6 @@ from .model import (
 from .stats import chsh_combination, correlation_over_slots
 
 VALUES = (MINUS, ZERO, PLUS)
-#: Per value, its index in VALUES: the byte a series holds for it.
-_VALUE_INDEX = {v: i for i, v in enumerate(VALUES)}
 #: A failing verdict lists at most this many witnesses.
 _MAX_WITNESSES = 8
 
@@ -86,18 +84,32 @@ class SicaVerdict:
 #: Per row, the two blocks its cells fall in: under the distant station's
 #: unprimed setting, then under its primed one.
 _ROW_BLOCKS = {key: tuple(p for p in PAIRINGS if key in (p.a_row, p.b_row)) for key in ROW_KEYS}
+#: Per row, the setting pairs under the distant station's unprimed setting,
+#: then under its primed one: the blocks of the distant station's two rows.
+_DISTANT_SIDES = {key: tuple(_ROW_BLOCKS[k] for k in ROW_KEYS if k[0] != key[0])
+                  for key in ROW_KEYS}
+#: A cell's index: that of its value in VALUES, or 3 if unmeasured.
+_CELL_INDEX = {cell: i for i, cell in enumerate((*VALUES, None))}
+#: Per row, per setting pair's code, 4 if the distant setting is primed there, else 0.
+_DISTANT_PRIMED = {key: bytes(4 * (p in primed) for p in PAIRINGS).ljust(256, b"\0")
+                   for key, (_, primed) in _DISTANT_SIDES.items()}
+#: Per row, per event code, its cell code (:func:`_cells`).
+_EVENT_CELLS = {key: bytes(_DISTANT_PRIMED[key][PAIRINGS.index(p)] + _CELL_INDEX[cells[r]]
+                           for p, cells in zip(EVENT_PAIRINGS, EVENT_COLUMNS)).ljust(256, b"\0")
+                for r, key in enumerate(ROW_KEYS)}
+#: Per distant setting, unprimed then primed, the cell codes of a row's
+#: measured cells under it, and the codes its series drops.
+_KEPT = (b"\0\1\2", b"\4\5\6")
+_DROPPED = tuple(bytes(code for code in range(8) if code not in kept) for kept in _KEPT)
 
 
-def _regimes(schedule: Schedule, full: bool) -> dict[str, tuple[list[int], list[int]]]:
-    """Per row, the slots of its two series in time order: those in the
-    blocks (:data:`_ROW_BLOCKS`) of the distant station's unprimed row, then
-    of its primed row; all of them on a fully measured table (``full``),
-    else only the row's own.  Rows that share a split share its list, so
-    the schedule is read four times."""
-    series = {key: tuple(tuple(p for p in _ROW_BLOCKS[k] if full or p in _ROW_BLOCKS[key])
-                         for k in ROW_KEYS if k[0] != key[0]) for key in ROW_KEYS}
-    slots = {group: pairing_slots(schedule, group) for group in set(sum(series.values(), ()))}
-    return {key: tuple(map(slots.get, groups)) for key, groups in series.items()}
+def _regimes(schedule: Schedule) -> dict[str, tuple[list[int], list[int]]]:
+    """Per row, the slots of its two series on a fully measured table, in
+    time order: those under the distant station's unprimed setting, then
+    under its primed one (:data:`_DISTANT_SIDES`).  Rows that share a split
+    share its lists, so the schedule is read four times."""
+    slots = {blocks: pairing_slots(schedule, blocks) for blocks in _ROW_BLOCKS.values()}
+    return {key: tuple(map(slots.get, sides)) for key, sides in _DISTANT_SIDES.items()}
 
 
 def _fill_identity_pairs(
@@ -114,7 +126,7 @@ def _fill_identity_pairs(
     row's regimes differ in length, a pair holds two different values, or a
     recorded 0 would be copied.
     """
-    regimes = _regimes(schedule, True)
+    regimes = _regimes(schedule)
     free: list[tuple[str, int, int]] = []
     for key in ROW_KEYS:
         row = rows[key]
@@ -179,59 +191,28 @@ def _resolve_schedule(
     return data, recorded
 
 
-class _Series(NamedTuple):
-    """One of a row's two series: per recorded cell in time order, the
-    index of its value in :data:`VALUES`; and the slot of the cell at a
-    position."""
-
-    values: bytes
-    slot: Callable[[int], int]
-
-
-#: Per station, per event code, the index in VALUES of the station's outcome.
-_OUTCOME_INDEX = {station: bytes(gather(_VALUE_INDEX, outcomes)).ljust(256, b"\0")
-                  for station, outcomes in (("a", EVENT_A), ("b", EVENT_B))}
-#: Per setting pair, the event codes of the other three.
-_OTHER_EVENTS = {p: bytes(code for code, event in enumerate(EVENTS) if event[0] is not p)
-                 for p in PAIRINGS}
+def _cells(data: SeriesTable | RecordedRun, schedule: Schedule, key: str) -> bytes:
+    """Row ``key``'s cell codes under ``schedule``, which
+    :func:`_resolve_schedule` has settled on: per slot, 4 if the distant
+    station's setting is primed there, else 0, plus the cell's index in
+    (-1, 0, +1, unmeasured).  A run's are one translate of its event codes;
+    a table's are read off its cells and the schedule."""
+    if isinstance(data, RecordedRun):
+        return data.events.translate(_EVENT_CELLS[key])
+    primed = schedule.codes.translate(_DISTANT_PRIMED[key])
+    return _bytewise(data.slots, ((1, primed), (1, bytes(gather(_CELL_INDEX, data.row(key))))))
 
 
-def _block_slot(schedule: Schedule, pairing: Pairing, position: int) -> int:
-    """The slot of the ``position``-th slot (from 0) under ``pairing``, by
-    bisection on counts: each step counts half of what is left."""
-    mask, lo, hi = pairing_mask(schedule, (pairing,)), 0, schedule.slots
+def _slot(codes: bytes, kept: bytes, position: int) -> int:
+    """The slot of the ``position``-th (from 0) of ``codes`` that is one of
+    ``kept``, by bisection on counts: each step counts half of what is
+    left."""
+    lo, hi = 0, len(codes)
     while hi - lo > 1:
         mid = (lo + hi) // 2
-        below = mask.count(1, lo, mid)
+        below = sum(codes.count(code, lo, mid) for code in kept)
         lo, hi, position = (lo, mid, position) if position < below else (mid, hi, position - below)
     return lo
-
-
-def _series(
-    data: SeriesTable | RecordedRun, schedule: Schedule
-) -> Iterator[tuple[str, tuple[_Series, _Series]]]:
-    """Per row, one row at a time, its two series under ``schedule``, which
-    :func:`_resolve_schedule` has settled on.  A run's are read straight off
-    its event codes: per block of :data:`_ROW_BLOCKS`, one translate keeps
-    the block's codes and maps each to the station's outcome, and a slot is
-    looked up only when asked for.  A table's are read at the slots
-    :func:`_regimes` lists."""
-    if isinstance(data, RecordedRun):
-        for key in ROW_KEYS:
-            outcomes = _OUTCOME_INDEX[key[0]]
-            yield key, tuple(
-                _Series(data.events.translate(outcomes, _OTHER_EVENTS[p]),
-                        partial(_block_slot, data.schedule, p))
-                for p in _ROW_BLOCKS[key]
-            )
-        return
-    regimes = _regimes(schedule, data.fully_measured)
-    for key in ROW_KEYS:
-        row = data.row(key)
-        yield key, tuple(
-            _Series(bytes(gather(_VALUE_INDEX, gather(row, slots))), slots.__getitem__)
-            for slots in regimes[key]
-        )
 
 
 def _mismatches(left: bytes, right: bytes) -> Iterator[int]:
@@ -248,30 +229,31 @@ def _mismatches(left: bytes, right: bytes) -> Iterator[int]:
 
 def _compare(
     data: SeriesTable | RecordedRun, schedule: Schedule
-) -> tuple[SicaVerdict, dict[str, tuple[_Series, _Series]]]:
+) -> tuple[SicaVerdict, dict[str, bytes]]:
     """The identity verdict of ``data`` read under ``schedule``, and per
-    row the two series it compared (:func:`_series`), the k-th cell of one
-    against the k-th of the other.  A row whose two series differ in length
-    is left out.  Slots are looked up only for the witnesses."""
+    row the first of the two series it compared, the k-th measured cell
+    under one distant setting against the k-th under the other.  Per row,
+    one row at a time, each series is one translate of its cell codes
+    (:func:`_cells`) to the indices in VALUES of its cells' values.  A row
+    whose two series differ in length is left out.  Slots are looked up
+    only for the witnesses."""
     witnesses: list[SicaWitness] = []
-    pairs: dict[str, tuple[_Series, _Series]] = {}
-    for key, (left, right) in _series(data, schedule):
+    firsts: dict[str, bytes] = {}
+    for key in ROW_KEYS:
         if len(witnesses) >= _MAX_WITNESSES:
             break
-        if len(left.values) != len(right.values):
-            witnesses.append(
-                SicaWitness(
-                    key,
-                    "length-mismatch",
-                    f"row {key} has {len(left.values)} cells under one distant setting "
-                    f"and {len(right.values)} under the other",
-                )
-            )
+        codes = _cells(data, schedule, key)
+        # A cell code's low two bits are its cell's index.
+        left, right = (codes.translate(bytes(range(4)) * 64, dropped) for dropped in _DROPPED)
+        if len(left) != len(right):
+            witnesses.append(SicaWitness(key, "length-mismatch", (
+                f"row {key} has {len(left)} cells under one distant setting "
+                f"and {len(right)} under the other")))
             continue
-        pairs[key] = left, right
-        for pos in islice(_mismatches(left.values, right.values), _MAX_WITNESSES - len(witnesses)):
-            vl, vr = VALUES[left.values[pos]], VALUES[right.values[pos]]
-            sl, sr = left.slot(pos), right.slot(pos)
+        firsts[key] = left
+        for pos in islice(_mismatches(left, right), _MAX_WITNESSES - len(witnesses)):
+            vl, vr = VALUES[left[pos]], VALUES[right[pos]]
+            sl, sr = (_slot(codes, kept, pos) for kept in _KEPT)
             witnesses.append(
                 SicaWitness(
                     key,
@@ -282,7 +264,7 @@ def _compare(
                     slot_right=sr,
                 )
             )
-    return SicaVerdict(len(witnesses) == 0, tuple(witnesses)), pairs
+    return SicaVerdict(len(witnesses) == 0, tuple(witnesses)), firsts
 
 
 def check_sica(
@@ -321,18 +303,19 @@ def condense(
     exactly.  A :class:`CompleteTable` condenses to one: each pair's cell
     from the earlier slot is kept, so rows a and a' keep the same slot at
     each position, and so do b and b', and the kept slots' settings are the
-    condensed schedule.
+    condensed schedule.  Its table is fully measured, so a series' slots
+    are all those on its distant side (:func:`_regimes`).
     """
     source, schedule = _resolve_schedule(data, schedule)
-    verdict, pairs = _compare(source, schedule)
+    verdict, firsts = _compare(source, schedule)
     if not verdict.holds:
         lines = "; ".join(w.detail for w in verdict.witnesses[:3])
         raise PreconditionError(f"series identity fails, cannot condense: {lines}")
-    out = SeriesTable.from_rows(*(gather(VALUES, pairs[key][0].values) for key in ROW_KEYS))
+    out = SeriesTable.from_rows(*(gather(VALUES, firsts[key]) for key in ROW_KEYS))
     if not isinstance(data, CompleteTable):
         return out
-    kept = {key: tuple(map(min, *(map(s.slot, range(out.slots)) for s in pairs[key])))
-            for key in ("a", "b")}
+    regimes = _regimes(schedule)
+    kept = {key: tuple(map(min, *regimes[key])) for key in ("a", "b")}
     return CompleteTable(out, custom_schedule(
         gather(schedule.a_settings, kept["a"]), gather(schedule.b_settings, kept["b"])
     ))

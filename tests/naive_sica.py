@@ -23,15 +23,17 @@ setting and outcome tuples instead of the event codes.
 
 ``naive_check_sica`` is the identity check as the rule is written: per
 row, the recorded cells split by the distant setting, each part in time
-order, compared term by term, without the regimes ``sica`` reads off the
-schedule's setting-pair blocks.
+order, compared term by term, without the per-row cell codes ``sica``
+reads every input through.
 
 ``naive_build_complete_table`` and ``naive_condense_run_table`` write the
 block-layout completion and the condensation of a run-derived table out by
-hand, quarter by quarter and block by block, instead of filling and pairing
-cells by the series identity.  The completion is a full table under the
-block layout of its kept slots; its F/C marks, written out quarter by
-quarter, must equal the ones ``sica.CompleteTable`` reads off that schedule.
+hand, quarter by quarter and block by block, instead of filling and
+pairing cells by the series identity.  ``naive_condense_complete``
+condenses a complete table by list scans of its schedule's settings.  The
+completion is a full table under the block layout of its kept slots; its
+F/C marks, written out quarter by quarter, must equal the ones
+``sica.CompleteTable`` reads off that schedule.
 """
 
 import itertools
@@ -45,6 +47,7 @@ from bellseries.model import (
     Pairing,
     SeriesTable,
     block_halves,
+    custom_schedule,
     pairing_blocks,
     table_from_run,
 )
@@ -169,8 +172,8 @@ def naive_block_pairs(run):
 
 
 def naive_distant_regimes(schedule):
-    """``sica._distant_regimes``: per row, its slots under the distant
-    station's unprimed setting, then under its primed one."""
+    """``sica._regimes``: per row, its slots under the distant station's
+    unprimed setting, then under its primed one."""
     out = {}
     for row, _, _, distant, unprimed in _ROW_READS:
         settings = schedule.a_settings if distant == "a" else schedule.b_settings
@@ -324,4 +327,28 @@ def naive_condense_run_table(table, schedule):
         [table.b[i] for i in blocks[Pairing.AB]],
         [table.a_prime[i] for i in blocks[Pairing.APB]],
         [table.b_prime[i] for i in blocks[Pairing.ABP]],
+    )
+
+
+def naive_condense_complete(complete):
+    """``sica.condense`` of a ``CompleteTable`` by list scans: per row, its
+    cells under the distant station's unprimed setting, in time order; per
+    position, the earlier slot of the pair rows a and b compare there; and
+    the settings of those slots as the condensed schedule."""
+    table, schedule = complete.table, complete.schedule
+    verdict = naive_check_sica(table, schedule)
+    if not verdict.holds:
+        lines = "; ".join(w.detail for w in verdict.witnesses[:3])
+        raise PreconditionError(f"series identity fails, cannot condense: {lines}")
+    rows, kept = {}, {}
+    for row, _, _, distant, unprimed in _ROW_READS:
+        settings = schedule.a_settings if distant == "a" else schedule.b_settings
+        left = [i for i in range(table.slots) if settings[i] == unprimed]
+        right = [i for i in range(table.slots) if settings[i] != unprimed]
+        rows[row] = [table.row(row)[i] for i in left]
+        kept[row] = [min(sl, sr) for sl, sr in zip(left, right)]
+    return sica.CompleteTable(
+        SeriesTable.from_rows(rows["a"], rows["b"], rows["a_prime"], rows["b_prime"]),
+        custom_schedule([schedule.a_settings[i] for i in kept["a"]],
+                        [schedule.b_settings[i] for i in kept["b"]]),
     )

@@ -488,6 +488,13 @@ _SCHEDULE_4 = "{schedule-4}"
      "not a rational number"),
     (("oracle", "--objective", "chsh", "--slots", "2", "--constraint", "eta>=1/0"),
      "not a rational number"),
+    # A denominator this fine wrapped the sweep's int64 products into a wrong count.
+    (("oracle", "--objective", "s-eta", "--slots", "2", "--alphabet", "pmz", "--constraint",
+      "eta>=4611686018427387903/4611686018427387904"), "efficiency threshold is too fine"),
+    (("oracle", "--objective", "s-eta", "--slots", "2", "--alphabet", "pmz", "--constraint",
+      "eta<1/10000000000000000000000"), "efficiency threshold is too fine"),
+    (("oracle", "--objective", "s-eta", "--slots", "2", "--alphabet", "pmz", "--constraint",
+      "eta>=1e5000"), "Q's exponent exceeds"),
     (("fill", "sica", "--input", _LOG), "--free-choices"),
     (("sica-reorder", "--input", _LOG, "--budget", "-3"), "--budget"),
     (("sica-complete", "--input", _LOG, "--free-choices", "1,2", "--budget", "-3"),
@@ -519,7 +526,8 @@ _SCHEDULE_4 = "{schedule-4}"
     (("figures", "--which", "nope"), "unknown dataset 'nope'"),
 ], ids=["angles-word", "angles-inf", "angles-nan", "angles-overflow", "negative-slots",
         "impossible-slots-block", "impossible-slots-random", "negative-seed", "constraint-word",
-        "constraint-div-zero", "fill-sica-no-choices",
+        "constraint-div-zero", "constraint-fine-wraps", "constraint-fine-overflows",
+        "constraint-huge-exponent", "fill-sica-no-choices",
         "reorder-budget", "complete-budget", "fill-zeros-budget", "fill-zeros-a-budget",
         "fill-zeros-free-choices", "fill-sica-budget",
         "oracle-huge-slots", "simulate-empty-instructions", "complete-empty-log",

@@ -31,7 +31,7 @@ from bellseries.model import (
 )
 from bellseries.simulate import SourceConfig, replay, simulate
 
-from conftest import make_rng, random_table
+from conftest import bytes_per_slot, make_rng, random_table
 from naive_model import naive_events, naive_table_from_run
 from naive_sica import naive_block_pairs, naive_distant_regimes
 from naive_simulate import naive_pairing_blocks
@@ -230,10 +230,10 @@ def test_run_path_reads_the_event_codes_as_the_per_slot_references(run):
     assert {label: (rec["singles"], rec["coincidences"]) for label, rec in detectors.items()} == (
         naive_run_detectors(run))
     assert sica._block_pairs(run) == naive_block_pairs(run)
-    assert sica._regimes(run.schedule, True) == naive_distant_regimes(run.schedule)
-    blocks = pairing_blocks(run)
-    assert sica._regimes(run.schedule, False) == {
-        key: tuple(blocks[p] for p in sica._ROW_BLOCKS[key]) for key in ROW_KEYS}
+    assert sica._regimes(run.schedule) == naive_distant_regimes(run.schedule)
+    table = table_from_run(run)
+    for key in ROW_KEYS:
+        assert sica._cells(run, run.schedule, key) == sica._cells(table, run.schedule, key)
     for derived in _derived_runs(run):
         # The tuples computed from the codes rebuild the codes.
         assert derived.events == naive_events(derived)
@@ -265,3 +265,13 @@ def test_from_events_refuses_a_code_past_the_events(bad):
 def test_schedule_refuses_a_code_past_the_setting_pairs(bad):
     with pytest.raises(PreconditionError, match=f"pairing code {bad} is not one of 0-3"):
         Schedule("custom", bytes([0, 3, bad, 1]))
+
+
+def test_checking_valid_codes_copies_none_of_them():
+    """A valid code string is checked without a buffer as long as it: a
+    schedule keeps the codes it is given, and a run decoded from its event
+    codes adds only its schedule's codes."""
+    slots = 10**6
+    codes, events = bytes(range(4)) * (slots // 4), bytes(range(36)) * (slots // 36)
+    assert bytes_per_slot(lambda: Schedule("custom", codes), slots) < 0.1
+    assert bytes_per_slot(lambda: RecordedRun.from_events(events), len(events)) <= 1.05

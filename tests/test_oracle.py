@@ -133,6 +133,28 @@ def test_an_inexact_efficiency_threshold_is_refused(kind, q):
 
 
 @pytest.mark.parametrize("kind", ["eta_below", "eta_at_least", "eta_at_most"])
+@pytest.mark.parametrize("q, slots, message", [
+    (Fraction(2**62 - 1, 2**62), 2, "too fine"),
+    (Fraction(1, 2**62), 1, None),
+    (Fraction(1, 2**62), 2, "too fine"),
+    (Fraction(1, 10**22), 1, "too fine"),
+    (Fraction(10**5000), 1, "out of range"),
+    (-(10**5000), 1, "out of range"),
+], ids=["wraps", "fits", "reaches-2^63", "overflows", "huge", "huge-negative"])
+def test_an_efficiency_threshold_is_refused_before_its_products_leave_int64(kind, q, slots, message):
+    """The mask multiplies counts of at most ``slots`` by q's denominator and
+    numerator in int64, so q's denominator times ``slots`` must stay below
+    2^63; a refusal shows none of q's digits."""
+    spec = EnumSpec(slots=slots, alphabet="pmz", constraint=(kind, q))
+    if message is None:
+        spec.validate()
+        return
+    with pytest.raises(PreconditionError, match=message) as raised:
+        spec.validate()
+    assert len(str(raised.value)) < 200
+
+
+@pytest.mark.parametrize("kind", ["eta_below", "eta_at_least", "eta_at_most"])
 def test_an_int_efficiency_threshold_is_its_fraction(kind):
     for q in (0, 1):
         as_int, as_fraction = (

@@ -44,6 +44,7 @@ from naive_sica import (
     naive_build_complete_table,
     naive_check_sica,
     naive_chsh_sum_bound,
+    naive_condense_complete,
     naive_condense_run_table,
     naive_cover_bound,
     naive_plan,
@@ -855,9 +856,10 @@ def _result(verdict, *args):
 @settings(max_examples=300, deadline=None)
 @given(run=st.one_of(recorded_runs(), _block_layout_runs(), _identity_runs()), data=st.data())
 def test_a_run_is_checked_and_condensed_as_its_table(run, data):
-    """A run is read off its event codes, a table at its slot lists: the same
-    verdicts, witnesses, condensed tables and refusals, under no schedule,
-    the run's own, or one that disagrees with it."""
+    """A run's cell codes are read off its event codes, a table's off its
+    cells and schedule: the same verdicts, witnesses, condensed tables and
+    refusals, under no schedule, the run's own, or one that disagrees with
+    it."""
     table = table_from_run(run)
     other = data.draw(recorded_runs(st.sampled_from((run.slots, run.slots + 4)))).schedule
     for given_schedule in (None, run.schedule, other):
@@ -867,6 +869,46 @@ def test_a_run_is_checked_and_condensed_as_its_table(run, data):
             if given_schedule is not other and run.slots:
                 reference = naive_check_sica if verdict is check_sica else naive_condense_run_table
                 assert got == _result(reference, table, run.schedule)
+
+
+@st.composite
+def _identity_completions(draw):
+    """Complete tables on random schedules where each station takes each of
+    its settings in half of the slots, and each row reads one series under
+    both distant settings, so the identity holds; then, half of the time,
+    one cell changed, so it fails."""
+    half = draw(st.integers(1, 6))
+    a_primed, b_primed = (draw(st.permutations([0] * half + [1] * half)) for _ in "ab")
+    schedule = custom_schedule(
+        [ASetting.ALPHA_PRIME if x else ASetting.ALPHA for x in a_primed],
+        [BSetting.BETA_PRIME if x else BSetting.BETA for x in b_primed],
+    )
+    values = st.sampled_from(draw(st.sampled_from(((-1, 1), (-1, 0, 1)))))
+    rows = {}
+    for key in ROW_KEYS:
+        series = draw(st.lists(values, min_size=half, max_size=half))
+        taken = [0, 0]
+        rows[key] = []
+        for primed in b_primed if key in ("a", "a_prime") else a_primed:
+            rows[key].append(series[taken[primed]])
+            taken[primed] += 1
+    if draw(st.booleans()):
+        row = rows[draw(st.sampled_from(ROW_KEYS))]
+        slot = draw(st.integers(0, 2 * half - 1))
+        row[slot] = draw(st.sampled_from([v for v in (-1, 0, 1) if v != row[slot]]))
+    return CompleteTable(SeriesTable.from_rows(*(rows[key] for key in ROW_KEYS)), schedule)
+
+
+@settings(max_examples=200, deadline=None)
+@given(complete=_identity_completions())
+def test_condensing_a_complete_table_is_the_list_scan_rule(complete):
+    """As a complete table, by itself or by its method, it condenses to the
+    reference's; its table read under its schedule condenses to the
+    reference's table; all three refuse alike."""
+    want = _result(naive_condense_complete, complete)
+    assert _result(condense, complete) == _result(CompleteTable.condense, complete) == want
+    got = _result(condense, complete.table, complete.schedule)
+    assert got == (want if isinstance(want, str) else want.table)
 
 
 @pytest.mark.parametrize("schedule", ["random", "block"])
