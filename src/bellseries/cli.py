@@ -86,7 +86,7 @@ def _load_input(path: str):
     told apart by its text."""
     with fileio.open_text(path) as fp:
         if fp.seekable() and fileio.starts_a_log(fp):
-            return None, None, fileio.read_run_file(fp)
+            return None, None, fileio.read_run_file(fp.buffer)
         text = fp.read()
     try:
         data = fileio.parse_json(text)
@@ -332,24 +332,15 @@ def _cmd_sica_check(args) -> int:
 
 
 def _run_input(args, what: str) -> RecordedRun:
-    """The event log at ``--input`` for a command that takes ``--budget``."""
-    _non_negative("--budget", args.budget)
+    """The event log at ``--input`` for a command that works on runs only."""
     _, _, run = _load_input(args.input)
     if run is None:
         raise PreconditionError(f"{what} works on event logs, not full tables")
     return run
 
 
-def _complete(args, run: RecordedRun):
-    """``sica-complete`` and ``fill sica``: the completion of ``run`` under
-    the ``--free-choices`` words."""
-    if args.free_choices is None:
-        raise PreconditionError("completion needs --free-choices")
-    bits_a, bits_ap = _parse_free_choices(args.free_choices, _completion_quarter(run))
-    return build_complete_table(run, bits_a, bits_ap, budget=args.budget)
-
-
 def _cmd_sica_reorder(args) -> int:
+    _non_negative("--budget", args.budget)
     run = _run_input(args, "reordering")
     outcome = reorder_to_sica(run, budget=args.budget)
     report = {"command": "sica-reorder", **_reorder_json(outcome)}
@@ -377,7 +368,10 @@ def _cmd_sica_condense(args) -> int:
 
 
 def _cmd_sica_complete(args) -> int:
-    result = _complete(args, _run_input(args, "completion"))
+    _non_negative("--budget", args.budget)
+    run = _run_input(args, "completion")
+    bits_a, bits_ap = _parse_free_choices(args.free_choices, _completion_quarter(run))
+    result = build_complete_table(run, bits_a, bits_ap, budget=args.budget)
     table = _write_table(args.output, result.complete)
     report = {
         "command": "sica-complete",
@@ -392,13 +386,7 @@ def _cmd_sica_complete(args) -> int:
 
 
 def _cmd_fill(args) -> int:
-    if args.policy == "zeros":
-        for flag, value in (("--free-choices", args.free_choices), ("--budget", args.budget)):
-            if value is not None:
-                raise PreconditionError(f"fill zeros takes no {flag}: it is for the sica policy")
-    run = _run_input(args, "fill")
-    filled = fill_counterfactual(run) if args.policy == "zeros" else _complete(args, run).complete
-    table = _write_table(args.output, filled)
+    table = _write_table(args.output, fill_counterfactual(_run_input(args, "fill")))
     report = {
         "command": "fill",
         "policy": args.policy,
@@ -582,10 +570,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_sica_complete)
 
     p = subs.add_parser("fill", help="fill unmeasured cells by policy")
-    p.add_argument("policy", choices=("zeros", "sica"))
+    p.add_argument("policy", choices=("zeros",))
     p.add_argument("--input", required=True)
-    p.add_argument("--free-choices", help="for the sica policy")
-    p.add_argument("--budget", type=int, help="for the sica policy")
     _add_common(p, output_help="table JSON to write")
     p.set_defaults(func=_cmd_fill)
 

@@ -6,9 +6,10 @@ Two interchange formats:
   ``a_setting``, ``b_setting``, ``a``, ``b``.  An optional first line holding
   a ``meta`` key carries run provenance.  Slots must be contiguous from 0.
   Each event line is written as the text ``json.dumps(event, sort_keys=True)``
-  gives.  A log is read as a stream, a block of lines at a time, so its text
-  is never held whole: a block of such lines in slot order is decoded whole,
-  any other block line by line through ``json.loads`` (see
+  gives, a block of slots in one format call.  A log is read as UTF-8
+  bytes, a block of lines at a time, so its text is never held whole; a
+  block is accepted whole only when it equals its own rebuilt canonical
+  text, and any other goes line by line through ``json.loads`` (see
   :func:`read_run_events`).
 
 * **Series table** (single JSON object): ``slots`` plus the four value
@@ -21,6 +22,8 @@ Two interchange formats:
 
 from __future__ import annotations
 
+import codecs
+import io
 import json
 import os
 import tempfile
@@ -28,7 +31,7 @@ from collections import Counter
 from contextlib import contextmanager
 from functools import partial
 from itertools import repeat
-from typing import Any, Iterable, Iterator, TextIO
+from typing import Any, BinaryIO, Iterable, Iterator, Sequence, TextIO
 
 from .errors import BellSeriesError, ParseError, PreconditionError, StructuralError
 from .model import (
@@ -54,11 +57,13 @@ _EVENT_HEADS = tuple(
     f'"b_setting": "{p.b_setting.value}", "slot": '
     for p, a, b in EVENTS
 )
-_HEAD_EVENTS = {head: code for code, head in enumerate(_EVENT_HEADS)}
+_HEAD_EVENTS = {head.encode(): code for code, head in enumerate(_EVENT_HEADS)}
 # Per (a_setting, b_setting, a, b) of an event read through json.loads, its code.
 _FIELD_EVENTS = {(p.a_setting, p.b_setting, a, b): code for code, (p, a, b) in enumerate(EVENTS)}
-# About this many characters of an event log are decoded at a time.
+# About this many bytes of an event log are decoded at a time.
 _BLOCK = 1 << 16
+# This many slots of a run are written at a time, in one format call.
+_WRITE_SLOTS = 1024
 
 
 def parse_json(text: str, lineno: int | None = None, name: str | None = None) -> Any:
@@ -74,11 +79,21 @@ def parse_json(text: str, lineno: int | None = None, name: str | None = None) ->
         raise ParseError(f"{what}: {exc}", lineno) from exc
 
 
+def _event_lines(line, heads: Sequence, first: int):
+    """``line``, a head and a slot number, once per head of ``heads`` with
+    the slots from ``first``: event lines in one format call."""
+    args: list = [None] * (2 * len(heads))
+    args[::2] = heads
+    args[1::2] = range(first, first + len(heads))
+    return (line * len(heads)) % tuple(args)
+
+
 def write_run_events(run: RecordedRun, fp: TextIO) -> None:
     if run.meta is not None:
         fp.write(json.dumps({"meta": run.meta}, sort_keys=True) + "\n")
-    heads = map(_EVENT_HEADS.__getitem__, run.events)
-    fp.writelines(map("%s%d}\n".__mod__, zip(heads, range(run.slots))))
+    for start in range(0, run.slots, _WRITE_SLOTS):
+        heads = gather(_EVENT_HEADS, run.events[start:start + _WRITE_SLOTS])
+        fp.write(_event_lines("%s%d}\n", heads, start))
 
 
 def _setting(names: dict, value, kind: str, lineno: int):
@@ -88,37 +103,58 @@ def _setting(names: dict, value, kind: str, lineno: int):
         raise ParseError(f"{value!r} is not a valid {kind}", lineno) from None
 
 
-def _blocks(source: str | TextIO | Iterable[str]) -> Iterator[tuple[int, list[str]]]:
+def _encoded(source: str | TextIO | Iterable[str]) -> Iterator[bytes]:
     """The text of ``source`` (a string, a text stream read :data:`_BLOCK`
-    characters at a time, or the strings an iterable joins) cut at newlines
-    into (number of the first line, its lines): the first line alone, then
-    blocks that each end at the first newline at least :data:`_BLOCK`
-    characters past their start.  The cuts do not depend on how the text
-    comes in pieces, and only the unfinished block is held."""
+    characters at a time, or the strings an iterable joins) as UTF-8, piece
+    by piece; a lone surrogate is kept, so it still reads as its text."""
     if isinstance(source, str):
-        source = (source,)
+        # Encoded a block at a time, so its bytes are never held whole.
+        pieces = (source[i:i + _BLOCK] for i in range(0, len(source), _BLOCK))
     elif hasattr(source, "read"):
-        source = iter(partial(source.read, _BLOCK), "")
-    lineno, size = 1, 0
-    # The unfinished block, and how many characters it holds.
-    parts: list[str] = []
+        pieces = iter(partial(source.read, _BLOCK), "")
+    else:
+        pieces = source
+    return (piece.encode("utf-8", "surrogatepass") for piece in pieces)
+
+
+def _file_bytes(fp: BinaryIO) -> Iterator[bytes]:
+    """The bytes of the binary file ``fp``, read :data:`_BLOCK` at a time,
+    as a UTF-8 text open reads them (``UnicodeDecodeError`` at a bad byte,
+    universal newlines).  An ASCII chunk without ``\\r`` is passed on as it
+    is, unless the decoder still holds a part of what came before."""
+    decoder = io.IncrementalNewlineDecoder(codecs.getincrementaldecoder("utf-8")(), True)
+    for chunk in iter(partial(fp.read, _BLOCK), b""):
+        if chunk.isascii() and b"\r" not in chunk and decoder.getstate() == (b"", 0):
+            yield chunk
+        else:
+            yield decoder.decode(chunk).encode()
+    yield decoder.decode(b"", True).encode()
+
+
+def _blocks(chunks: Iterable[bytes]) -> Iterator[bytes]:
+    """The bytes ``chunks`` join, cut at newlines into blocks of whole
+    lines, each line ending in a newline: the first line alone, then blocks
+    that each end at the first newline at least :data:`_BLOCK` bytes past
+    their start.  The cuts do not depend on how the bytes come in pieces,
+    and only the unfinished block is held."""
+    size = 0
+    # The unfinished block, and how many bytes it holds.
+    parts: list[bytes] = []
     held = 0
-    for chunk in source:
+    for chunk in chunks:
         parts.append(chunk)
-        if chunk.find("\n", max(size - held, 0)) < 0:
+        if chunk.find(b"\n", max(size - held, 0)) < 0:
             held += len(chunk)
             continue
-        text, start = "".join(parts), 0
-        while (stop := text.find("\n", start + size)) >= 0:
-            lines = text[start:stop].split("\n")
-            yield lineno, lines
-            lineno += len(lines)
+        data, start = b"".join(parts), 0
+        while (stop := data.find(b"\n", start + size)) >= 0:
+            yield data[start:stop + 1]
             start, size = stop + 1, _BLOCK
-        parts = [text[start:]]
+        parts = [data[start:]]
         held = len(parts[0])
-    text = "".join(parts).removesuffix("\n")
-    if text:
-        yield lineno, text.split("\n")
+    rest = b"".join(parts)
+    if rest:
+        yield rest if rest.endswith(b"\n") else rest + b"\n"
 
 
 def read_run_events(source: str | TextIO | Iterable[str]) -> RecordedRun:
@@ -126,12 +162,22 @@ def read_run_events(source: str | TextIO | Iterable[str]) -> RecordedRun:
     strings an iterable joins (the lines of a file, say).  Blank lines are
     skipped; events may come in any slot order.
 
-    The log is decoded a block of lines at a time (:func:`_blocks`), as it
-    is read.  A block whose every line, stripped, is exactly what
-    ``write_run_events`` writes for the next slots in order is decoded whole
-    from the lines' heads; any other block goes line by line through
-    ``json.loads`` and is checked field by field, so a bad line is named with
-    the same line number and message either way."""
+    The text is read as UTF-8 bytes (:func:`_encoded`), a block of lines at
+    a time (:func:`_blocks`).  A block is accepted whole when it equals,
+    byte for byte, the lines ``write_run_events`` writes for its lines'
+    heads (each line without its trailing digits and ``}``) and the next
+    slots in order: one format call and one comparison check it all, the
+    head of each line giving its event code.  Any other block (a blank
+    line, stray whitespace, a carriage return a text source holds, a slot
+    out of order, any byte that is not ASCII) is decoded as text and goes
+    line by line through ``json.loads``, checked field by field, so a bad
+    line is named with the same line number and message either way."""
+    return _decode(_encoded(source))
+
+
+def _decode(chunks: Iterable[bytes]) -> RecordedRun:
+    """The run of the event log whose UTF-8 bytes ``chunks`` join (see
+    :func:`read_run_events`)."""
     meta: dict | None = None
     seen_meta = False
     # Slot numbers are kept only once an event comes out of slot order.
@@ -139,21 +185,22 @@ def read_run_events(source: str | TextIO | Iterable[str]) -> RecordedRun:
     # The event codes, a block at a time, and how many there are.
     blocks: list[bytes] = []
     count = 0
-    for first_line, lines in _blocks(source):
-        lines = list(map(str.strip, lines))
-        heads = list(map(str.rstrip, lines, repeat("0123456789}")))
+    next_line = 1
+    for data in _blocks(chunks):
+        lines = data.split(b"\n")
+        del lines[-1]
+        first_line, next_line = next_line, next_line + len(lines)
+        heads = list(map(bytes.rstrip, lines, repeat(b"0123456789}")))
         codes = list(map(_HEAD_EVENTS.get, heads))
-        # The tails hold only digits and "}", so one comparison checks each.
-        if None not in codes and "\n".join(map(str.removeprefix, lines, heads)) == (
-            "}\n".join(map(str, range(count, count + len(lines)))) + "}"
-        ):
+        if None not in codes and _event_lines(b"%s%d}\n", heads, count) == data:
             blocks.append(bytes(codes))
             if slots is not None:
                 slots.extend(range(count, count + len(codes)))
             count += len(codes)
             continue
         block = bytearray()
-        for lineno, line in enumerate(lines, first_line):
+        text = data.decode("utf-8", "surrogatepass").split("\n")
+        for lineno, line in enumerate(map(str.strip, text[:-1]), first_line):
             if not line:
                 continue
             obj = parse_json(line, lineno)
@@ -349,17 +396,18 @@ def write_run_file(run: RecordedRun, path: str) -> None:
         write_run_events(run, fp)
 
 
-def read_run_file(file: str | TextIO) -> RecordedRun:
-    """The event log in a UTF-8 text file, given by its path or open at its
-    start, decoded as it is read.  A file that is not UTF-8 is refused as
-    such even where a bad line comes before its first bad byte, as when its
-    whole text was read first."""
+def read_run_file(file: str | BinaryIO | TextIO) -> RecordedRun:
+    """The event log in a UTF-8 file, given by its path or open at its
+    start (in binary, :func:`_file_bytes`, or as text), decoded as it is
+    read.  A file that is not UTF-8 is refused as such even where a bad line
+    comes before its first bad byte, as when its whole text was read first."""
     if isinstance(file, str):
         with open_text(file) as fp:
-            return read_run_file(fp)
+            return read_run_file(fp.buffer)
+    chunks = _encoded(file) if isinstance(file, io.TextIOBase) else _file_bytes(file)
     try:
-        return read_run_events(file)
+        return _decode(chunks)
     except BellSeriesError:
-        while file.read(_BLOCK):
+        for _ in chunks:
             pass
         raise

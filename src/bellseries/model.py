@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, fields
 from enum import Enum
+from functools import cached_property
 from itertools import compress, product
 from operator import itemgetter
 from typing import Optional, Sequence
@@ -324,6 +325,12 @@ class RecordedRun:
         run._store(Schedule("custom", events.translate(_EVENT_PAIRING)), events, meta)
         return run
 
+    @cached_property
+    def event_counts(self) -> dict[int, int]:
+        """Per event code the run records, how many of its slots record it:
+        the run's one census, taken when first asked for."""
+        return {code: n for code in range(len(EVENTS)) if (n := self.events.count(code))}
+
     @property
     def a_outcomes(self) -> tuple[int, ...]:
         return gather(EVENT_A, self.events)
@@ -345,17 +352,22 @@ def table_from_run(run: RecordedRun) -> SeriesTable:
     return SeriesTable(run.slots, *(gather(cells, run.events) for cells in zip(*EVENT_COLUMNS)))
 
 
-def derive_schedule(table: SeriesTable) -> Schedule:
-    """Recover the setting schedule from a run-derived table.
+def derive_schedule(table: SeriesTable, marks: dict[str, Sequence[str]] | None = None) -> Schedule:
+    """Recover the setting schedule from a run-derived table, or from a
+    completed table's F/C ``marks``, its factual ("F") cells counting as
+    the measured ones.
 
     Requires exactly one of (a, a') and one of (b, b') measured per slot;
     otherwise the earliest slot without one is named, A before B.
     """
     # Per station: is the unprimed cell unmeasured, is the primed one measured?
-    masks = [
-        ([v is None for v in row], [v is not None for v in primed_row])
-        for row, primed_row in ((table.a, table.a_prime), (table.b, table.b_prime))
-    ]
+    stations = (("a", "a_prime"), ("b", "b_prime"))
+    if marks is None:
+        masks = [([v is None for v in table.row(row)], [v is not None for v in table.row(primed)])
+                 for row, primed in stations]
+    else:
+        masks = [([m != "F" for m in marks[row]], [m == "F" for m in marks[primed]])
+                 for row, primed in stations]
     if any(unmeasured != primed for unmeasured, primed in masks):
         for i in range(table.slots):
             for station, (unmeasured, primed) in zip("AB", masks):

@@ -353,7 +353,7 @@ class ReorderOutcome:
 def _block_pairs(run: RecordedRun) -> dict[Pairing, Counter]:
     """Per block, how many of its slots carry each outcome pair (a, b)."""
     pairs: dict[Pairing, Counter] = {p: Counter() for p in PAIRINGS}
-    for code, n in Counter(run.events).items():
+    for code, n in run.event_counts.items():
         p, a, b = EVENTS[code]
         pairs[p][a, b] = n
     return pairs
@@ -598,12 +598,8 @@ class CompleteTable:
     def from_provenance(cls, table: SeriesTable, marks: dict[str, Sequence[str]]) -> "CompleteTable":
         """The completed ``table`` whose F/C ``marks`` record its schedule:
         its factual ("F") cells fix it, as a run's recorded cells do."""
-        factual = SeriesTable(table.slots, *(
-            [v if m == "F" else None for v, m in zip(table.row(key), marks[key])]
-            for key in ROW_KEYS
-        ))
         try:
-            schedule = derive_schedule(factual)
+            schedule = derive_schedule(table, marks)
         except PreconditionError as exc:
             raise PreconditionError(f"the table's factual cells fix no schedule: {exc}") from exc
         return cls(table, schedule)

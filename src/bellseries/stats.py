@@ -102,7 +102,7 @@ def _counts(data: SeriesTable | RecordedRun) -> dict[str, int]:
     """The summed counts of a table, or of a run laid out as one: a run's
     columns are those of its event codes."""
     if isinstance(data, RecordedRun):
-        return _sum_props({EVENT_COLUMNS[code]: n for code, n in Counter(data.events).items()})
+        return _sum_props({EVENT_COLUMNS[code]: n for code, n in data.event_counts.items()})
     return _sum_props(Counter(zip(*(data.row(key) for key in ROW_KEYS))))
 
 
@@ -401,7 +401,7 @@ def run_detector_efficiencies(run: RecordedRun) -> dict[str, dict[str, object]]:
     station also detected (either sign).  Efficiency is their ratio.
     """
     counters: dict[str, list[int]] = {}
-    for code, n in Counter(run.events).items():
+    for code, n in run.event_counts.items():
         pairing, a_v, b_v = EVENTS[code]
         for row, v, distant in ((pairing.a_row, a_v, b_v), (pairing.b_row, b_v, a_v)):
             if v != ZERO:

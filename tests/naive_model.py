@@ -34,3 +34,31 @@ def naive_table_from_run(run):
         rows[a_set[i].row][i] = a_out[i]
         rows[b_set[i].row][i] = b_out[i]
     return SeriesTable.from_rows(rows["a"], rows["b"], rows["a_prime"], rows["b_prime"])
+
+
+def naive_derive_schedule(table):
+    """``model.derive_schedule`` one slot at a time: (A's settings, B's
+    settings), each station measuring exactly one of its two rows at every
+    slot, or the message naming the earliest slot where one does not, A
+    before B."""
+    a_settings, b_settings = [], []
+    for i in range(table.slots):
+        for station, row, primed, settings in (
+            ("A", table.a, table.a_prime, a_settings),
+            ("B", table.b, table.b_prime, b_settings),
+        ):
+            measured = (row[i] is not None) + (primed[i] is not None)
+            if measured != 1:
+                return f"slot {i}: expected exactly one measured {station} cell, table is not run-derived"
+            names = (ASetting.ALPHA, ASetting.ALPHA_PRIME) if station == "A" else (
+                BSetting.BETA, BSetting.BETA_PRIME)
+            settings.append(names[primed[i] is not None])
+    return tuple(a_settings), tuple(b_settings)
+
+
+def naive_event_counts(run):
+    """How many slots record each event code the run holds, one slot at a time."""
+    counts = {}
+    for code in naive_events(run):
+        counts[code] = counts.get(code, 0) + 1
+    return counts

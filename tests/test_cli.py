@@ -148,6 +148,17 @@ def test_fill_zeros_policy(cli, tmp_path, capsys):
     assert report["analysis"]["efficiency"]["verdict"] == "not_applicable"
 
 
+@pytest.mark.parametrize("extra", [("sica",), ("zeros", "--budget", "1"),
+                                   ("zeros", "--free-choices", "1,2")],
+                         ids=["sica-policy", "budget", "free-choices"])
+def test_fill_is_only_the_zeros_policy(cli, tmp_path, capsys, extra):
+    # Completion is sica-complete's alone: fill takes no policy or flag of it.
+    events = tmp_path / "black.jsonl"
+    fileio.write_run_file(refdata.fig6("black"), str(events))
+    assert cli("fill", *extra, "--input", str(events)) == 2
+    assert capsys.readouterr().err.startswith("usage: ")
+
+
 def test_oracle_command(cli, capsys):
     assert cli("oracle", "--objective", "chsh", "--slots", "4",
                "--constraint", "sica") == 0
@@ -454,17 +465,6 @@ def test_analyze_on_fuzzed_event_logs_exits_0_or_3(cli, tmp_path, capsys, text):
     assert (code == 3) == captured.err.startswith("error: ")
 
 
-def test_fill_sica_writes_the_completion_table(cli, tmp_path, read_json):
-    events = tmp_path / "black.jsonl"
-    fileio.write_run_file(refdata.fig6("black"), str(events))
-    complete, filled = tmp_path / "complete.json", tmp_path / "filled.json"
-    assert cli("sica-complete", "--input", str(events),
-               "--free-choices", "1,2", "--output", str(complete)) == 0
-    assert cli("fill", "sica", "--input", str(events),
-               "--free-choices", "1,2", "--output", str(filled)) == 0
-    assert read_json(filled) == read_json(complete)
-
-
 _SIM = ("simulate", "--seed", "1", "--slots", "8")
 _LOG = "{log}"
 _EMPTY_LOG = "{empty-log}"
@@ -495,22 +495,14 @@ _SCHEDULE_4 = "{schedule-4}"
       "eta<1/10000000000000000000000"), "efficiency threshold is too fine"),
     (("oracle", "--objective", "s-eta", "--slots", "2", "--alphabet", "pmz", "--constraint",
       "eta>=1e5000"), "Q's exponent exceeds"),
-    (("fill", "sica", "--input", _LOG), "--free-choices"),
     (("sica-reorder", "--input", _LOG, "--budget", "-3"), "--budget"),
     (("sica-complete", "--input", _LOG, "--free-choices", "1,2", "--budget", "-3"),
-     "--budget"),
-    (("fill", "zeros", "--input", _LOG, "--budget", "-3"), "--budget"),
-    (("fill", "zeros", "--input", _LOG, "--budget", "1"), "fill zeros takes no --budget"),
-    (("fill", "zeros", "--input", _LOG, "--free-choices", "1,2"),
-     "fill zeros takes no --free-choices"),
-    (("fill", "sica", "--input", _LOG, "--free-choices", "1,2", "--budget", "-3"),
      "--budget"),
     (("oracle", "--objective", "chsh", "--slots", "4000"), "2^16000 tables"),
     ((*_SIM, "--model", "deterministic", "--input", _EMPTY_TABLE),
      "instruction table has no slots"),
     (("sica-complete", "--input", _EMPTY_LOG, "--free-choices", "0,0"),
      "positive slot count"),
-    (("fill", "sica", "--input", _EMPTY_LOG, "--free-choices", "0,0"), "positive slot count"),
     ((*_SIM, "--schedule", "file:" + _SCHEDULE_4), "covers 4 slots, not 8"),
     (("oracle", "--objective", "chsh", "--slots", "2", "--witnesses", "-3"), "--witnesses"),
     (("sica-check", "--input", _EMPTY_LOG), "table has no slots"),
@@ -527,11 +519,10 @@ _SCHEDULE_4 = "{schedule-4}"
 ], ids=["angles-word", "angles-inf", "angles-nan", "angles-overflow", "negative-slots",
         "impossible-slots-block", "impossible-slots-random", "negative-seed", "constraint-word",
         "constraint-div-zero", "constraint-fine-wraps", "constraint-fine-overflows",
-        "constraint-huge-exponent", "fill-sica-no-choices",
-        "reorder-budget", "complete-budget", "fill-zeros-budget", "fill-zeros-a-budget",
-        "fill-zeros-free-choices", "fill-sica-budget",
+        "constraint-huge-exponent",
+        "reorder-budget", "complete-budget",
         "oracle-huge-slots", "simulate-empty-instructions", "complete-empty-log",
-        "fill-sica-empty-log", "simulate-schedule-file-length", "oracle-witnesses",
+        "simulate-schedule-file-length", "oracle-witnesses",
         "check-empty-log", "check-empty-table", "condense-empty-log", "condense-empty-table",
         "free-choice-not-hex", "free-choice-too-wide", "oracle-unknown-constraint",
         "simulate-deterministic-without-input", "figures-unknown-dataset"])
@@ -668,8 +659,7 @@ def test_factual_cells_that_fix_no_schedule_exit_3(cli, tmp_path, capsys, comman
     ("sica-reorder",),
     ("sica-complete", "--free-choices", "1,2"),
     ("fill", "zeros"),
-    ("fill", "sica", "--free-choices", "1,2"),
-], ids=["sica-reorder", "sica-complete", "fill-zeros", "fill-sica"])
+], ids=["sica-reorder", "sica-complete", "fill-zeros"])
 def test_run_commands_refuse_a_table_file(cli, tmp_path, capsys, argv):
     path = tmp_path / "fig8.table.json"
     fileio.write_json_atomic(str(path), fileio.table_to_json(refdata.fig8().table,
@@ -761,9 +751,8 @@ def test_completion_commands_on_fuzzed_inputs_exit_0_or_3(cli, tmp_path, capsys,
     log = tmp_path / "run.jsonl"
     fileio.write_run_file(run, str(log))
     extra = [] if budget is None else ["--budget", str(budget)]
-    for argv in (("sica-complete", f"--free-choices={choices}"),
-                 ("fill", "sica", f"--free-choices={choices}"), ("fill", "zeros")):
-        code = cli(*argv, "--input", str(log), *extra)
+    for argv in (("sica-complete", f"--free-choices={choices}", *extra), ("fill", "zeros")):
+        code = cli(*argv, "--input", str(log))
         captured = capsys.readouterr()
         assert code in (0, 3), captured.err
         assert (code == 3) == captured.err.startswith("error: ")

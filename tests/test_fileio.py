@@ -1,8 +1,10 @@
 import io
 import json
 import math
+import os
 import random
 import re
+import tempfile
 from unittest import mock
 
 import pytest
@@ -13,6 +15,8 @@ from bellseries import fileio, refdata
 from bellseries.errors import BellSeriesError, ParseError, PreconditionError, StructuralError
 from bellseries.model import (
     EVENTS,
+    ASetting,
+    BSetting,
     RecordedRun,
     SeriesTable,
     block_halves,
@@ -341,7 +345,7 @@ def test_every_head_plus_a_slot_reads_back_as_its_key(key):
                     "b_setting": b_setting.value, "slot": slot}
         assert loaded == expected
         assert [type(loaded[k]) for k in expected] == [type(v) for v in expected.values()]
-    assert fileio._HEAD_EVENTS[_head(key)] == _CODES[key] == naive_event_code(*key)
+    assert fileio._HEAD_EVENTS[_head(key).encode()] == _CODES[key] == naive_event_code(*key)
 
 
 def _outcome(text, block_decode=True):
@@ -378,7 +382,8 @@ def test_every_line_the_decoder_accepts_reads_as_json_loads_reads_it(keys, pad, 
     lines = ['{"meta": {"seed": 1}}'] if meta else []
     lines += [pad + _head(key) + f"{slot}}}" + pad for slot, key in enumerate(keys)]
     text = "".join(line + "\n" for line in lines)
-    assert _json_calls(text) == int(meta)
+    # Only exactly written lines are decoded whole; padded ones go to json.loads.
+    assert _json_calls(text) == int(meta) + (len(keys) if pad else 0)
     events, a_out, b_out, a_settings, b_settings, _, _ = _outcome(text)
     assert list(zip(a_out, a_settings, b_out, b_settings)) == keys
     assert list(events) == [_CODES[key] for key in keys]
@@ -412,13 +417,8 @@ NEAR_MISSES = {
 def test_near_miss_lines_read_as_json_loads_reads_them(name):
     line = NEAR_MISSES[name](1)
     text = '{"meta": null}\n' + _CANONICAL % 0 + "\n" + line + "\n" + _CANONICAL % 2 + "\n"
-    calls = _json_calls(text)
-    if name in ("trailing-space", "crlf"):
-        # whitespace around a line is stripped before anything reads it
-        assert calls == 1
-    else:
-        # the meta line, then the near miss's block line by line up to it
-        assert calls >= 3
+    # the meta line, then the near miss's block line by line up to it
+    assert _json_calls(text) >= 3
     assert _outcome(text) == _outcome(text, block_decode=False)
 
 
@@ -501,7 +501,10 @@ def _perturbed_log(seed, full_blocks=4):
 @pytest.mark.parametrize("seed", range(32))
 def test_long_perturbed_logs_read_as_with_json_loads_alone(seed):
     text, marked, chosen = _perturbed_log(seed)
-    layout = [(first, first + len(lines) - 1) for first, lines in fileio._blocks(text)]
+    layout, first = [], 1
+    for block in fileio._blocks(fileio._encoded(text)):
+        layout.append((first, first + block.count(b"\n") - 1))
+        first += block.count(b"\n")
     assert len(text) >= 3 * fileio._BLOCK and len(layout) == chosen[-1] + 1
     for index in chosen:
         assert {*layout[index]} <= marked
@@ -656,3 +659,169 @@ def test_a_stream_is_read_a_block_at_a_time():
     assert {call.args for call in read.call_args_list} == {(fileio._BLOCK,)}
     # The last read finds the end.
     assert read.call_count == math.ceil(len(buf.getvalue()) / fileio._BLOCK) + 1
+
+
+# --- the block codec against line-by-line json.loads ------------------------
+
+
+def _json_lines_reference(text):
+    """What reading ``text`` one line at a time through ``json.loads`` gives:
+    the event codes in slot order and the meta, or the error's type, message
+    and line number.  Only the faults the codec tests draw are named."""
+    meta, seen_meta, by_slot = None, False, []
+    for lineno, line in enumerate(text.split("\n"), 1):
+        line = line.strip()
+        if not line:
+            continue
+        try:
+            obj = json.loads(line)
+        except json.JSONDecodeError as exc:
+            return ParseError, f"line {lineno}: not valid JSON: {exc.msg}", lineno
+        if "meta" in obj:
+            if by_slot or seen_meta:
+                return ParseError, f"line {lineno}: meta line must be the first line", lineno
+            meta, seen_meta = obj["meta"], True
+            continue
+        for key in ("a", "b"):
+            if type(obj[key]) is not int:
+                return (ParseError, f"line {lineno}: outcome {key}={obj[key]!r} not one of 1, -1, 0",
+                        lineno)
+        key = (obj["a"], ASetting(obj["a_setting"]), obj["b"], BSetting(obj["b_setting"]))
+        by_slot.append((obj["slot"], _CODES[key]))
+    slots = sorted(slot for slot, _ in by_slot)
+    dupes = sorted({s for s in slots if slots.count(s) > 1})
+    if dupes:
+        return StructuralError, f"duplicate slot numbers: {dupes}", None
+    if slots != list(range(len(slots))):
+        return StructuralError, f"slots are not contiguous from 0: saw {slots}", None
+    return bytes(code for _, code in sorted(by_slot)), meta
+
+
+def _read_outcome(read, source):
+    try:
+        run = read(source)
+    except BellSeriesError as exc:
+        return type(exc), str(exc), getattr(exc, "line_number", None)
+    return run.events, run.meta
+
+
+# One line of a written log, changed: each takes the lines and the index.
+_SLOT_TAIL = re.compile(r'"slot": (\d+)\}$')
+
+
+def _swap(lines, i):
+    j = min(i + 1, len(lines) - 1)
+    lines[i], lines[j] = lines[j], lines[i]
+
+
+_MUTATIONS = {
+    "leading-zero-slot": lambda lines, i: lines.__setitem__(
+        i, _SLOT_TAIL.sub(r'"slot": 0\1}', lines[i])),
+    "plus-one": lambda lines, i: lines.__setitem__(
+        i, re.sub(r'"a": -?\d', '"a": +1', lines[i])),
+    "float": lambda lines, i: lines.__setitem__(
+        i, re.sub(r'"b": (-?\d)', r'"b": \1.0', lines[i])),
+    "out-of-order": _swap,
+    "duplicate": lambda lines, i: lines.insert(i, lines[i]),
+    "trailing-space": lambda lines, i: lines.__setitem__(i, lines[i] + " "),
+    "crlf": lambda lines, i: lines.__setitem__(i, lines[i] + "\r"),
+    "blank": lambda lines, i: lines.insert(i, ""),
+    "non-ascii-meta": lambda lines, i: lines.insert(
+        0, json.dumps({"meta": {"note": "é € 😀", "slots": i}}, ensure_ascii=False)),
+}
+
+
+@st.composite
+def _mutated_logs(draw):
+    """A written log of 0-60 slots, with or without meta, its text with one
+    line changed (or none), and with or without a final newline."""
+    codes = bytes(draw(st.lists(st.integers(0, len(EVENTS) - 1), max_size=60)))
+    meta = draw(st.sampled_from((None, {"seed": 3})))
+    buf = io.StringIO()
+    fileio.write_run_events(RecordedRun.from_events(codes, meta), buf)
+    lines = buf.getvalue().splitlines()
+    kind = draw(st.sampled_from((None, *sorted(_MUTATIONS))))
+    if kind is not None and lines:
+        _MUTATIONS[kind](lines, draw(st.integers(0, len(lines) - 1)))
+    end = draw(st.sampled_from(("\n", "")))
+    return "\n".join(lines) + (end if lines else "")
+
+
+@settings(max_examples=300, deadline=None)
+@given(_mutated_logs(), st.sampled_from((1, 16, 64, 300)))
+def test_the_codec_reads_a_log_as_json_loads_line_by_line(text, block):
+    expected = _json_lines_reference(text)
+    with mock.patch.object(fileio, "_BLOCK", block):
+        assert _read_outcome(fileio.read_run_events, text) == expected
+        assert _read_outcome(fileio.read_run_events, io.StringIO(text)) == expected
+        assert _read_outcome(fileio.read_run_events, text.splitlines(True)) == expected
+
+
+@settings(max_examples=150, deadline=None)
+@given(_mutated_logs(), st.sampled_from((1, 16, 64, 300)),
+       st.sampled_from(("", "\r\n", "\r", b"\xff", b"\xe2\x82", "é")), st.data())
+def test_a_file_read_as_bytes_reads_as_its_text(text, block, extra, data):
+    """A file's bytes (universal newlines, a bad or cut UTF-8 sequence
+    anywhere) read as the text a UTF-8 text open gives."""
+    raw = text.encode("utf-8")
+    if extra:
+        at = data.draw(st.integers(0, len(raw)))
+        piece = extra if isinstance(extra, bytes) else extra.encode("utf-8")
+        raw = raw[:at] + piece + raw[at:]
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "run.jsonl")
+        with open(path, "wb") as fp:
+            fp.write(raw)
+        with mock.patch.object(fileio, "_BLOCK", block):
+            try:
+                expected = _read_outcome(fileio.read_run_events, fileio.read_text(path))
+            except ParseError as exc:
+                expected = ParseError, str(exc), None
+            assert _read_outcome(fileio.read_run_file, path) == expected
+
+
+@pytest.mark.parametrize("tail, reason", [(b"\xe2\x82", "unexpected end of data"),
+                                          (b"\xe2\x82\n", "invalid continuation byte")])
+def test_a_file_cut_inside_a_character_is_not_utf8(tmp_path, tail, reason):
+    path = tmp_path / "run.jsonl"
+    path.write_bytes(b"{oops\n" + (_CANONICAL % 0).encode() * 2000 + tail)
+    with pytest.raises(ParseError, match=f"is not UTF-8 text: {reason}$"):
+        fileio.read_run_file(str(path))
+
+
+def test_a_string_that_is_not_utf8_reads_as_its_text():
+    meta = '{"meta": {"note": "\ud800 lone"}}'
+    text = meta + "\n" + _CANONICAL % 0 + "\n"
+    run = fileio.read_run_events(text)
+    assert run.meta == {"note": "\ud800 lone"} and run.slots == 1
+    with pytest.raises(ParseError, match="line 2: not valid JSON"):
+        fileio.read_run_events(_CANONICAL % 0 + "\n" + "\udfff" + "\n")
+
+
+@pytest.mark.parametrize("meta", [None, {"seed": 3, "note": "é"}])
+@pytest.mark.parametrize("extra", [-1, 0, 1])
+@pytest.mark.parametrize("blocks", [0, 1])
+def test_write_run_events_is_json_dumps_line_by_line(meta, extra, blocks):
+    """Every one of the 36 events, in runs of 0, 1 and a write block's
+    slots less one, exactly and plus one, as ``json.dumps(event,
+    sort_keys=True)`` writes each line."""
+    slots = max(blocks * fileio._WRITE_SLOTS + extra, 0)
+    run = RecordedRun.from_events(bytes(i % len(EVENTS) for i in range(slots)), meta)
+    buf = io.StringIO()
+    fileio.write_run_events(run, buf)
+    assert buf.getvalue() == _reference_events_text(run)
+
+
+def test_a_written_log_takes_the_block_path_throughout(tmp_path):
+    """A written 50,000-slot log decodes without json.loads past its meta
+    line, from a string and from a file: a silent fall back to the line by
+    line path would double the read time."""
+    codes = bytes(random.Random(5).choices(range(len(EVENTS)), k=50_000))
+    run = RecordedRun.from_events(codes, {"seed": 5})
+    path = tmp_path / "run.jsonl"
+    fileio.write_run_file(run, str(path))
+    for read, source in ((fileio.read_run_file, str(path)),
+                         (fileio.read_run_events, path.read_text())):
+        with mock.patch.object(fileio.json, "loads", wraps=json.loads) as loads:
+            assert read(source) == run
+        assert [call.args for call in loads.call_args_list] == [('{"meta": {"seed": 5}}',)]

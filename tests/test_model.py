@@ -1,3 +1,4 @@
+import dataclasses
 import io
 import re
 
@@ -8,6 +9,8 @@ from hypothesis import strategies as st
 from bellseries import fileio, sica, stats
 from bellseries.errors import PreconditionError, StructuralError
 from bellseries.model import (
+    EVENT_COLUMNS,
+    EVENTS,
     MINUS,
     PAIRINGS,
     PLUS,
@@ -32,7 +35,12 @@ from bellseries.model import (
 from bellseries.simulate import SourceConfig, replay, simulate
 
 from conftest import bytes_per_slot, make_rng, random_table
-from naive_model import naive_events, naive_table_from_run
+from naive_model import (
+    naive_derive_schedule,
+    naive_event_counts,
+    naive_events,
+    naive_table_from_run,
+)
 from naive_sica import naive_block_pairs, naive_distant_regimes
 from naive_simulate import naive_pairing_blocks
 from naive_stats import naive_run_columns, naive_run_detectors
@@ -216,6 +224,58 @@ def _derived_runs(run):
     outcome = sica.reorder_to_sica(run, budget=run.slots)
     if outcome.success:
         yield sica.apply_plan(run, outcome.plan)
+
+
+def _schedule_or_message(derive, *args):
+    try:
+        schedule = derive(*args)
+    except PreconditionError as exc:
+        return str(exc)
+    return schedule.a_settings, schedule.b_settings
+
+
+@settings(max_examples=200, deadline=None)
+@given(_runs(), st.data())
+def test_derive_schedule_reads_a_table_as_the_per_slot_reference(run, data):
+    """A run's table, and the same table with one cell added or removed,
+    give the per-slot reference's schedule or its message; so do F/C marks
+    that flag the same cells as factual on a completed table."""
+    table = table_from_run(run)
+    tables = [table]
+    if run.slots:
+        key = data.draw(st.sampled_from(ROW_KEYS))
+        slot = data.draw(st.integers(0, run.slots - 1))
+        row = list(table.row(key))
+        row[slot] = data.draw(st.sampled_from((-1, 0, 1))) if row[slot] is None else None
+        tables.append(dataclasses.replace(table, **{key: tuple(row)}))
+    for each in tables:
+        expected = naive_derive_schedule(each)
+        assert _schedule_or_message(derive_schedule, each) == expected
+        if not run.slots:
+            continue
+        marks = {key: tuple("C" if v is None else "F" for v in each.row(key)) for key in ROW_KEYS}
+        full = sica.fill_counterfactual(run)
+        got = _schedule_or_message(
+            lambda: sica.CompleteTable.from_provenance(full, marks).schedule)
+        if isinstance(expected, str):
+            expected = f"the table's factual cells fix no schedule: {expected}"
+        assert got == expected
+
+
+@settings(max_examples=100, deadline=None)
+@given(_runs())
+def test_a_run_takes_one_event_census_that_its_readers_share(run):
+    counts = run.event_counts
+    assert counts == naive_event_counts(run) and run.event_counts is counts
+    # The census takes no part in equality, and a run's meta none in it.
+    assert RecordedRun.from_events(run.events, {"seed": 1}) == run
+    # The block pairs, the detector counts and the summed counts all read it.
+    fake = RecordedRun.from_events(run.events, run.meta)
+    code = len(EVENTS) - 1
+    vars(fake)["event_counts"] = {code: 5}
+    assert sica._block_pairs(fake)[Pairing.APBP] == {(1, 1): 5}
+    assert stats.run_detector_efficiencies(fake)["a_prime+"]["singles"] == 5
+    assert stats._counts(fake) == stats._sum_props({EVENT_COLUMNS[code]: 5})
 
 
 @settings(max_examples=150, deadline=None)
